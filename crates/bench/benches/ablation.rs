@@ -1,4 +1,5 @@
-//! Design-choice ablations called out in DESIGN.md §6:
+//! Design-choice ablations over the baselines and the single-level variant
+//! mapped in `docs/ARCHITECTURE.md` (*The algorithms*):
 //!
 //! * multilevel expansion (paper §3.3.2) vs single-level walk (§3.3.1) —
 //!   the walk degrades on skew, the multilevel checks do not;

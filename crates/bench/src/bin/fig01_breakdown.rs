@@ -6,7 +6,8 @@
 //!    dendrogram takes 86% of the time);
 //! 3. MST on GPU + dendrogram on GPU (PANDORA — dendrogram drops to ~26%).
 //!
-//! Device times are modeled by replaying real kernel traces (DESIGN.md §2);
+//! Device times are modeled by replaying real kernel traces
+//! (`docs/ARCHITECTURE.md`, *Evaluation harness*);
 //! the host-measured times are printed for reference.
 
 use pandora_bench::harness::{

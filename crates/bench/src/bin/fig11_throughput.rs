@@ -29,7 +29,8 @@ fn main() {
         let np = run.n;
 
         // Modeled devices at the paper's dataset size (kernel mix from the
-        // real run, element counts rescaled — DESIGN.md §2).
+        // real run, element counts rescaled; `docs/ARCHITECTURE.md`,
+        // *Evaluation harness*).
         let target = ds.spec().paper_npts;
         let tn = target as usize;
         let uf_epyc = mpoints(tn, project_at(&run.ufmt_trace, &epyc, np, target));

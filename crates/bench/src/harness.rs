@@ -390,19 +390,23 @@ pub fn daemon_rps(
             for (c, client_payloads) in payloads.iter().enumerate() {
                 scope.spawn(move || {
                     let stream = TcpStream::connect(addr).expect("connect");
+                    stream.set_nodelay(true).expect("set_nodelay");
                     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
                     let mut writer = stream;
                     let mut line = String::new();
                     for i in 0..requests_per_client {
                         let which = (c + i) % min_pts_mix.len();
                         let id = (c * 100_000 + i) as i64;
-                        writeln!(
-                            writer,
+                        // The whole line in one write: `writeln!` on a raw
+                        // socket splits it, and Nagle then holds the tail
+                        // for the daemon's delayed ACK.
+                        let mut request = format!(
                             r#"{{"id":{id},"method":"cluster","params":{{"dataset":"bench","min_pts":{},"min_cluster_size":{}}}}}"#,
                             min_pts_mix[which],
                             3 + c
-                        )
-                        .expect("send");
+                        );
+                        request.push('\n');
+                        writer.write_all(request.as_bytes()).expect("send");
                         line.clear();
                         reader.read_line(&mut line).expect("recv");
                         // The canonical writer emits exactly

@@ -4,11 +4,12 @@
 //! paper's evaluation (§6). Each figure has a dedicated binary (see
 //! `src/bin/`); criterion micro/meso benchmarks live in `benches/`.
 //!
-//! Measurement policy (DESIGN.md §2): algorithmic comparisons and CPU phase
-//! breakdowns are **real measurements** on this host; the paper's 64-core /
-//! GPU series are **modeled** by replaying the kernel traces of the real
-//! runs through the device models in `pandora_exec::device`. Every printed
-//! table marks each column `measured` or `modeled`.
+//! Measurement policy (`docs/ARCHITECTURE.md`, *Evaluation harness*):
+//! algorithmic comparisons and CPU phase breakdowns are **real
+//! measurements** on this host; the paper's 64-core / GPU series are
+//! **modeled** by replaying the kernel traces of the real runs through the
+//! device models in `pandora_exec::device`. Every printed table marks each
+//! column `measured` or `modeled`.
 
 pub mod harness;
 pub mod suite;

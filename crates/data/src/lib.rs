@@ -3,8 +3,8 @@
 //! Synthetic dataset generators reproducing the *property profile* of the
 //! PANDORA paper's evaluation datasets (Table 2): dimensionality and
 //! dendrogram skew (`Imb` = height / log₂ n). Real HACC / NGSIM / PAMAP2 /
-//! UCI data cannot ship with this reproduction; DESIGN.md §3 documents the
-//! substitution argument per dataset.
+//! UCI data cannot ship with this reproduction; `docs/ARCHITECTURE.md`
+//! (*Datasets*) maps each dataset to the generator that stands in for it.
 //!
 //! * [`synthetic`] — uniform, normal, Gaussian blobs;
 //! * [`seed_spreader`] — Gan–Tao generator (`VisualVar*` / `VisualSim*`);

@@ -1,7 +1,7 @@
 //! The dataset registry mirroring the paper's Table 2.
 //!
-//! Every row of Table 2 maps to a generator in this crate (see DESIGN.md §3
-//! for the substitution argument per dataset). Generators are scaled by a
+//! Every row of Table 2 maps to a generator in this crate (see
+//! `docs/ARCHITECTURE.md`, *Datasets*). Generators are scaled by a
 //! caller-chosen point count so experiments fit the host machine; paper
 //! metadata (original size, measured dendrogram skew `Imb`) is carried along
 //! so harnesses can print paper-vs-reproduction columns.

@@ -2,9 +2,9 @@
 //!
 //! This environment has a 2-core CPU and no GPU, while the paper evaluates
 //! on a 64-core AMD EPYC 7A53, an AMD MI250X GCD and an NVIDIA A100 (§6.3).
-//! Per DESIGN.md §2, the GPU/64-core series of the paper's figures are
-//! produced by replaying the *kernel traces of real algorithm runs* through
-//! the models below.
+//! The GPU/64-core series of the paper's figures are therefore produced by
+//! replaying the *kernel traces of real algorithm runs* through the models
+//! below (`docs/ARCHITECTURE.md`, *The substrate*).
 //!
 //! Each kernel's cost is
 //!

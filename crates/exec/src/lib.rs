@@ -16,7 +16,8 @@
 //!   union–find of Jaiganesh & Burtscher used by the paper for tree
 //!   contraction;
 //! * [`trace`] / [`device`] — kernel tracing and analytic device models used
-//!   to project traced runs onto the paper's hardware (see DESIGN.md §2).
+//!   to project traced runs onto the paper's hardware (see
+//!   `docs/ARCHITECTURE.md`, *The substrate*).
 //!
 //! An [`ExecCtx`] bundles an execution space (`Serial` or a shared
 //! [`pool::ThreadPool`]) with an optional [`trace::Tracer`].

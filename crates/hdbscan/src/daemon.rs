@@ -57,7 +57,10 @@
 //! daemon.registry().register("toy", index, false).expect("fresh name");
 //!
 //! let mut conn = TcpStream::connect(daemon.local_addr())?;
-//! writeln!(conn, r#"{{"id":1,"method":"cluster","params":{{"dataset":"toy","min_pts":2}}}}"#)?;
+//! // One request line, `\n` included, in one write (docs/SERVING.md,
+//! // "Wire format"): `writeln!` on a raw socket would split it.
+//! let request = r#"{"id":1,"method":"cluster","params":{"dataset":"toy","min_pts":2}}"#;
+//! conn.write_all(format!("{request}\n").as_bytes())?;
 //! let mut reply = String::new();
 //! BufReader::new(conn.try_clone()?).read_line(&mut reply)?;
 //! assert!(reply.contains(r#""n_clusters":2"#), "{reply}");
@@ -337,15 +340,19 @@ impl MethodLatency {
 /// bytes).
 type Sink = Arc<Mutex<Box<dyn Write + Send>>>;
 
-fn send_line(sink: &Sink, counters: &Counters, line: &str) {
+fn send_line(sink: &Sink, counters: &Counters, line: String) {
     write_line(&mut *sink.lock(), counters, line);
 }
 
-fn write_line(out: &mut dyn Write, counters: &Counters, line: &str) {
+/// The one framing function every response goes through: the encoded line
+/// gets its `\n` appended in place and leaves in a single `write_all`. A
+/// line split across two writes lets Nagle's algorithm hold the short tail
+/// until the client's delayed ACK (~40 ms on Linux).
+fn write_line(out: &mut dyn Write, counters: &Counters, mut line: String) {
+    line.push('\n');
     // A vanished client is not a daemon error; the write result is
     // deliberately dropped (the reader thread notices the hangup).
     let _ = out.write_all(line.as_bytes());
-    let _ = out.write_all(b"\n");
     let _ = out.flush();
     counters.served.incr();
 }
@@ -476,24 +483,20 @@ impl Shared {
         let request = match proto::parse_request(trimmed) {
             Ok(r) => r,
             Err(e) => {
-                send_line(sink, &self.counters, &proto::response_err(&e.id, &e.error));
+                send_line(sink, &self.counters, proto::response_err(&e.id, &e.error));
                 return;
             }
         };
         match request.method {
             Method::Stats => {
                 let stats = self.stats_json();
-                send_line(
-                    sink,
-                    &self.counters,
-                    &proto::response_ok(&request.id, stats),
-                );
+                send_line(sink, &self.counters, proto::response_ok(&request.id, stats));
             }
             Method::Shutdown => {
                 send_line(
                     sink,
                     &self.counters,
-                    &proto::response_ok(
+                    proto::response_ok(
                         &request.id,
                         Json::obj(vec![("stopping", Json::Bool(true))]),
                     ),
@@ -503,7 +506,7 @@ impl Shared {
             Method::Load | Method::Cluster | Method::Sweep => {
                 if let Err(e) = self.admit(request, sink) {
                     let RequestRejected { id, error } = e;
-                    send_line(sink, &self.counters, &proto::response_err(&id, &error));
+                    send_line(sink, &self.counters, proto::response_err(&id, &error));
                 }
             }
         }
@@ -602,7 +605,7 @@ impl Shared {
                 Ok(result) => proto::response_ok(id, result.clone()),
                 Err(error) => proto::response_err(id, error),
             };
-            send_line(sink, &self.counters, &line);
+            send_line(sink, &self.counters, line);
         };
         respond(&job.id, &job.sink);
         for waiter in &waiters {
@@ -838,6 +841,11 @@ fn accept_loop(
     while !shared.is_stopping() {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                // Replies leave in one write each (`write_line`), so Nagle
+                // has nothing to coalesce; with it on, a reply that follows
+                // an unacknowledged one waits for the client's delayed ACK.
+                // A socket that refuses the option still serves, slower.
+                let _ = stream.set_nodelay(true);
                 let reader = match stream.try_clone() {
                     Ok(r) => r,
                     Err(_) => continue,
@@ -921,7 +929,7 @@ pub fn serve_once<R: Read, W: Write>(
                     Err(e) => write_line(
                         &mut output,
                         &shared.counters,
-                        &proto::response_err(&e.id, &e.error),
+                        proto::response_err(&e.id, &e.error),
                     ),
                     Ok(request) => {
                         let stop = request.method == Method::Shutdown;
@@ -962,7 +970,7 @@ fn serve_inline(shared: &Arc<Shared>, request: WireRequest, output: &mut dyn Wri
             reply(proto::sweep_params(&request.params).and_then(|p| shared.run_sweep(&p))),
         ),
     };
-    write_line(output, &shared.counters, &line);
+    write_line(output, &shared.counters, line);
     shared.record_latency(method, started);
 }
 

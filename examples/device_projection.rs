@@ -65,6 +65,6 @@ fn main() {
     }
     println!(
         "\nthe kernel sequence is identical in every row — only the per-kernel \
-         cost model changes (see DESIGN.md §2 for the substitution argument)."
+         cost model changes (see docs/ARCHITECTURE.md, \"The substrate\")."
     );
 }

@@ -1,8 +1,9 @@
 //! The `pandorad` wire contract, driven over real sockets: responses are
 //! **bit-identical** to in-process `Session::run`, malformed input gets a
 //! typed error (never a disconnect), duplicate in-flight requests provably
-//! coalesce (engine-run counter), and a full queue sheds with a typed
-//! `overloaded` error instead of queueing unboundedly.
+//! coalesce (engine-run counter), a full queue sheds with a typed
+//! `overloaded` error instead of queueing unboundedly, and every response
+//! leaves in one write of one whole line.
 //!
 //! CI runs this file in the `PANDORA_THREADS ∈ {1,4}` matrix, so the
 //! daemon's default worker-lane sizing is exercised at both extremes
@@ -15,7 +16,10 @@ use std::time::{Duration, Instant};
 
 use pandora::data::synthetic::gaussian_blobs;
 use pandora::exec::ExecCtx;
-use pandora::hdbscan::daemon::{json::Json, proto, Daemon, DaemonConfig};
+use pandora::hdbscan::daemon::proto::{code, WireError};
+use pandora::hdbscan::daemon::{
+    json::Json, proto, serve_once, Daemon, DaemonConfig, DatasetRegistry,
+};
 use pandora::hdbscan::{ClusterRequest, DatasetIndex};
 use pandora::mst::PointSet;
 
@@ -121,6 +125,93 @@ fn concurrent_mixed_method_clients_get_bit_identical_payloads() {
 
     daemon.shutdown();
     daemon.join();
+}
+
+/// A `Write` that keeps the bytes of every `write` call as its own chunk.
+#[derive(Default)]
+struct WriteLog {
+    writes: Vec<Vec<u8>>,
+}
+
+impl Write for WriteLog {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes.push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn every_response_leaves_in_one_write_ending_in_one_newline() {
+    // The TCP lanes frame replies through the same function as
+    // `serve_once`, so this in-memory run pins the socket framing too: a
+    // line split across two writes lets Nagle hold its tail until the
+    // client's delayed ACK.
+    let index = freeze(blobs(300, 37), 8);
+    let registry = DatasetRegistry::new();
+    registry
+        .register("d", Arc::clone(&index), false)
+        .expect("register");
+    let input: String = [
+        r#"{"id":1,"method":"cluster","params":{"dataset":"d","min_pts":4,"min_cluster_size":6}}"#,
+        "{not json",
+        r#"{"id":3,"method":"cluster","params":{"dataset":"missing"}}"#,
+        r#"{"id":4,"method":"stats"}"#,
+        r#"{"id":5,"method":"shutdown"}"#,
+    ]
+    .iter()
+    .map(|line| format!("{line}\n"))
+    .collect();
+    let mut log = WriteLog::default();
+    serve_once(
+        DaemonConfig::new().workers(1),
+        registry,
+        input.as_bytes(),
+        &mut log,
+    );
+
+    let replies: Vec<String> = log
+        .writes
+        .iter()
+        .map(|w| String::from_utf8(w.clone()).expect("utf-8"))
+        .collect();
+    assert_eq!(replies.len(), 5, "one write call per response: {replies:?}");
+    for reply in &replies {
+        assert!(
+            reply.ends_with('\n') && reply.matches('\n').count() == 1,
+            "a write must carry exactly one whole line: {reply:?}"
+        );
+    }
+    let malformed = proto::parse_request("{not json").expect_err("malformed");
+    // `stats` carries timings: re-encode the reply's own result, which the
+    // shortest-round-trip floats make byte-stable.
+    let stats = Json::parse(replies[3].trim_end())
+        .ok()
+        .and_then(|v| v.get("result").cloned())
+        .expect("stats result");
+    let expected = [
+        expected_cluster_line(
+            &index,
+            1,
+            &ClusterRequest::new().min_pts(4).min_cluster_size(6),
+        ),
+        proto::response_err(&malformed.id, &malformed.error),
+        proto::response_err(
+            &Json::Int(3),
+            &WireError::new(code::UNKNOWN_DATASET, "no dataset loaded under: missing"),
+        ),
+        proto::response_ok(&Json::Int(4), stats),
+        proto::response_ok(
+            &Json::Int(5),
+            Json::obj(vec![("stopping", Json::Bool(true))]),
+        ),
+    ];
+    for (reply, line) in replies.iter().zip(&expected) {
+        assert_eq!(*reply, format!("{line}\n"));
+    }
 }
 
 #[test]
