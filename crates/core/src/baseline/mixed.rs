@@ -13,7 +13,7 @@
 //! baseline between `UnionFind-MT` and PANDORA.
 
 use pandora_exec::dsu::AtomicDsu;
-use pandora_exec::radix::par_radix_sort_u64;
+use pandora_exec::radix::par_radix_sort_by_high_word;
 use pandora_exec::trace::KernelKind;
 use pandora_exec::{ExecCtx, UnsafeSlice, DEFAULT_GRAIN};
 
@@ -64,7 +64,9 @@ pub fn dendrogram_mixed(ctx: &ExecCtx, mst: &SortedMst, top_fraction: f64) -> De
         let root = membership.find(mst.src[e]) as u64;
         keys.push((root << 32) | e as u64);
     }
-    par_radix_sort_u64(ctx, &mut keys);
+    // Edge ids were pushed ascending, so sorting the root word alone keeps
+    // each component's edges in id order.
+    par_radix_sort_by_high_word(ctx, &mut keys);
 
     // Segment boundaries: one segment per component.
     let mut segments: Vec<(usize, usize)> = Vec::new();

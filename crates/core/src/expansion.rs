@@ -10,12 +10,13 @@
 //! never assigned, and the final level's edges, form the **root chain**.
 //!
 //! Chains are then sorted by edge index (one radix sort over packed
-//! `(chain_key, edge)` u64 keys) and stitched: within a chain the
+//! `(chain_key, edge)` u64 keys, on the chain word only, since the edges
+//! already arrive in order) and stitched: within a chain the
 //! predecessor is the parent; the first edge's parent is the chain's anchor
 //! edge `p`; the root chain's first edge is edge 0, the dendrogram root.
 
 use pandora_exec::counters::RelaxedCounter;
-use pandora_exec::radix::par_radix_sort_u64;
+use pandora_exec::radix::par_radix_sort_by_high_word;
 use pandora_exec::trace::KernelKind;
 use pandora_exec::{ExecCtx, UnsafeSlice, DEFAULT_GRAIN};
 
@@ -101,8 +102,18 @@ pub fn assign_chain_keys_into(
 /// The final sort of the algorithm: orders `(chain_key, edge)` pairs so each
 /// chain becomes a contiguous ascending run. Counted in the paper's "sort"
 /// phase (§6.4.3: sorting "includes both initial and final sort").
+///
+/// `keys` must arrive in ascending edge order (the low word), as
+/// [`assign_chain_keys_into`] writes them. The radix then sorts the chain
+/// word alone: it is stable, so each chain's edges stay ascending and the
+/// result is the fully sorted `u64` order without passes over the edge
+/// word.
 pub fn sort_chain_keys(ctx: &ExecCtx, keys: &mut [u64]) {
-    par_radix_sort_u64(ctx, keys);
+    debug_assert!(
+        keys.windows(2).all(|w| (w[0] as u32) < (w[1] as u32)),
+        "chain keys must arrive in ascending edge order"
+    );
+    par_radix_sort_by_high_word(ctx, keys);
 }
 
 /// Stitches **sorted** chains into the final parent array (paper §3.3.3).

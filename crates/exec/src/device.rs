@@ -38,7 +38,7 @@ pub struct KernelRates {
     pub reduce: f64,
     /// Prefix sums.
     pub scan: f64,
-    /// One radix pass (histogram + scatter).
+    /// One radix pass's scatter (its histogram is a reduction).
     pub radix_pass: f64,
     /// Full comparison sort (elements sorted per second).
     pub merge_sort: f64,

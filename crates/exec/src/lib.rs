@@ -159,6 +159,18 @@ impl ExecCtx {
         f: F,
     ) {
         self.record(kind, n as u64, bytes);
+        self.run_chunks(n, grain, f);
+    }
+
+    /// [`ExecCtx::for_each_chunk`] without a trace event, for kernels that
+    /// trace their own work because their loop runs over blocks of it (a
+    /// radix pass loops over chunks, but its kernel touches every record).
+    pub(crate) fn run_chunks<F: Fn(std::ops::Range<usize>) + Sync>(
+        &self,
+        n: usize,
+        grain: usize,
+        f: F,
+    ) {
         match &self.space {
             ExecSpace::Serial => {
                 if n > 0 {

@@ -1,149 +1,123 @@
-//! Parallel LSD radix sort for unsigned keys.
+//! Parallel LSD radix sort of packed `u64` records by their high word.
 //!
 //! Sorting dominates PANDORA's runtime (the paper's Fig. 13 measures 67–85%
 //! of CPU time in sorting) and is its most scalable phase (Fig. 12), so the
 //! substrate provides a histogram/scan/scatter radix sort — the same
-//! construction GPU sorting libraries use — in addition to the comparison
-//! merge sort.
+//! construction GPU sorting libraries use. It serves both of PANDORA's
+//! sorts, the canonical edge sort (`SortedMst::from_edges`) and the final
+//! chain sort; the comparison merge sort in [`crate::sort`] serves the
+//! other sorts in the workspace.
 //!
-//! The sort processes 8-bit digits LSD-first. Each pass computes per-chunk
-//! histograms in parallel, turns them into per-(digit, chunk) offsets with
-//! one sequential scan over `256 × n_chunks` counters (digit-major so the
-//! sort stays stable), and scatters in parallel. Passes whose digit column
-//! is constant are skipped — important for PANDORA's chain keys, whose high
-//! bytes are mostly empty.
+//! Both PANDORA sorts order packed records `(key << 32) | payload` whose
+//! payload word needs no sorting of its own: it is an input index, or it
+//! is already ascending. So the sort orders records by the high 32-bit
+//! word only, and stably — records with equal keys keep their input order,
+//! which is what makes the payload come out in order. That takes at most
+//! four 8-bit digit passes instead of eight.
+//!
+//! Each pass computes per-chunk histograms in parallel, turns them into
+//! per-(digit, chunk) offsets with one sequential scan over `256 × n_chunks`
+//! counters (digit-major so the sort stays stable), and scatters in
+//! parallel. A pass whose digit column is constant is skipped after its
+//! histogram: PANDORA's chain keys leave the top byte empty, and positive
+//! edge weights share their sign and most of their exponent. The trace
+//! records what runs: every pass's histogram read as a
+//! [`KernelKind::Reduce`], and a [`KernelKind::RadixPass`] only for the
+//! scatters that run. A serial context runs the same passes on one lane, so
+//! serial and threaded contexts trace the same kernels. Below
+//! `SEQ_THRESHOLD` records a stable standard-library sort is faster than
+//! the passes and runs instead.
 
 use crate::trace::KernelKind;
 use crate::{ExecCtx, UnsafeSlice};
 
-const RADIX_BITS: usize = 8;
+const RADIX_BITS: u32 = 8;
 const RADIX_SIZE: usize = 1 << RADIX_BITS; // 256
 const SEQ_THRESHOLD: usize = 16 * 1024;
 
-/// Sorts `keys` ascending (stable, not that it matters for bare keys).
-pub fn par_radix_sort_u64(ctx: &ExecCtx, keys: &mut [u64]) {
-    let n = keys.len();
-    if ctx.is_serial() || n < SEQ_THRESHOLD {
-        ctx.record(KernelKind::RadixPass, (n * 4) as u64, (n * 8 * 4) as u64);
-        keys.sort_unstable();
+/// Sorts `records` ascending by their high 32-bit word, stably.
+///
+/// Records with equal high words keep their input order, so the low word
+/// is never compared: when the caller writes an input index there, or any
+/// payload that is already ascending, the result is also sorted by the
+/// whole `u64`.
+///
+/// # Panics
+///
+/// Panics if there are more than `u32::MAX` records.
+///
+/// ```
+/// use pandora_exec::{radix::par_radix_sort_by_high_word, ExecCtx};
+///
+/// let mut records = vec![(2u64 << 32) | 9, (1 << 32) | 7, (2 << 32) | 3];
+/// par_radix_sort_by_high_word(&ExecCtx::threads(), &mut records);
+/// assert_eq!(records, vec![(1 << 32) | 7, (2 << 32) | 9, (2 << 32) | 3]);
+/// ```
+pub fn par_radix_sort_by_high_word(ctx: &ExecCtx, records: &mut [u64]) {
+    let n = records.len();
+    if n < SEQ_THRESHOLD {
+        ctx.record(KernelKind::MergeSort, n as u64, (n * 8 * 2) as u64);
+        records.sort_by_key(|&r| r >> 32);
         return;
     }
-    let mut aux = vec![0u64; n];
-    let mut src_is_keys = true;
-    for pass in 0..(64 / RADIX_BITS) {
-        let shift = pass * RADIX_BITS;
-        let reordered = if src_is_keys {
-            radix_pass(ctx, keys, &mut aux, shift, |_, _| {})
-        } else {
-            radix_pass(ctx, &aux, keys, shift, |_, _| {})
-        };
-        if reordered {
-            src_is_keys = !src_is_keys;
-        }
-    }
-    if !src_is_keys {
-        keys.copy_from_slice(&aux);
-    }
-}
-
-/// Sorts `(keys, values)` pairs ascending by key, stably.
-pub fn par_radix_sort_pairs(ctx: &ExecCtx, keys: &mut Vec<u64>, values: &mut Vec<u32>) {
-    assert_eq!(keys.len(), values.len());
-    let n = keys.len();
-    if ctx.is_serial() || n < SEQ_THRESHOLD {
-        ctx.record(KernelKind::RadixPass, (n * 4) as u64, (n * 12 * 4) as u64);
-        let mut perm: Vec<u32> = (0..n as u32).collect();
-        perm.sort_by_key(|&i| keys[i as usize]);
-        let old_keys = std::mem::take(keys);
-        let old_vals = std::mem::take(values);
-        *keys = perm.iter().map(|&i| old_keys[i as usize]).collect();
-        *values = perm.iter().map(|&i| old_vals[i as usize]).collect();
-        return;
-    }
-    let mut key_aux = vec![0u64; n];
-    let mut val_aux = vec![0u32; n];
-    let mut src_is_primary = true;
-    for pass in 0..(64 / RADIX_BITS) {
-        let shift = pass * RADIX_BITS;
-        let reordered = if src_is_primary {
-            let vals_view = UnsafeSlice::new(values);
-            let val_aux_view = UnsafeSlice::new(&mut val_aux);
-            radix_pass(
-                ctx,
-                keys,
-                &mut key_aux,
-                shift,
-                // SAFETY (both closures): the destination index is unique per
-                // element within a pass, and source reads are read-only.
-                |i, out| unsafe { val_aux_view.write(out, vals_view.read(i)) },
-            )
-        } else {
-            let vals_view = UnsafeSlice::new(values);
-            let val_aux_view = UnsafeSlice::new(&mut val_aux);
-            radix_pass(ctx, &key_aux, keys, shift, |i, out| {
-                // SAFETY: `out` is the scatter destination computed from the
-                // exclusive per-digit prefix sums, so it is unique per element
-                // within the pass; reads from the source side are read-only.
-                unsafe { vals_view.write(out, val_aux_view.read(i)) }
-            })
-        };
-        if reordered {
-            src_is_primary = !src_is_primary;
-        }
-    }
-    if !src_is_primary {
-        keys.copy_from_slice(&key_aux);
-        values.copy_from_slice(&val_aux);
-    }
-}
-
-/// One radix pass: distributes `src` into `dst` by the digit at `shift`.
-///
-/// Returns `false` (and leaves `dst` untouched) when the digit column is
-/// constant, i.e. the pass would be the identity permutation.
-///
-/// `move_payload(src_index, dst_index)` is invoked for every scattered
-/// element so callers can carry a payload array along.
-fn radix_pass<FPayload>(
-    ctx: &ExecCtx,
-    src: &[u64],
-    dst: &mut [u64],
-    shift: usize,
-    move_payload: FPayload,
-) -> bool
-where
-    FPayload: Fn(usize, usize) + Sync,
-{
-    let n = src.len();
-    let lanes = ctx.lanes();
-    let n_chunks = (lanes * 4).min(n.div_ceil(1024)).max(1);
-    let chunk = n.div_ceil(n_chunks);
-    ctx.record(KernelKind::RadixPass, n as u64, (n * 8 * 3) as u64);
-
-    // Per-chunk histograms.
+    // The scatter offsets are u32 counters; the unchecked writes rely on
+    // them not wrapping.
+    assert!(
+        u32::try_from(n).is_ok(),
+        "radix sort of {n} records exceeds u32 offsets"
+    );
+    let n_chunks = (ctx.lanes() * 4).min(n.div_ceil(1024));
     let mut hist = vec![0u32; n_chunks * RADIX_SIZE];
+    let mut aux = vec![0u64; n];
+    // Ping-pong between the two buffers, then copy back so the sorted
+    // records end in the caller's buffer.
+    let mut in_records = true;
+    for shift in (32..64).step_by(RADIX_BITS as usize) {
+        let moved = if in_records {
+            radix_pass(ctx, records, &mut aux, &mut hist, shift)
+        } else {
+            radix_pass(ctx, &aux, records, &mut hist, shift)
+        };
+        in_records ^= moved;
+    }
+    if !in_records {
+        records.copy_from_slice(&aux);
+    }
+}
+
+/// One LSD pass: distributes `src` into `dst` stably by the digit at
+/// `shift`, over as many chunks as `hist` has rows of `RADIX_SIZE`.
+///
+/// Returns `false`, leaving `dst` untouched, when every record has the
+/// same digit, i.e. when the pass would be the identity permutation.
+fn radix_pass(ctx: &ExecCtx, src: &[u64], dst: &mut [u64], hist: &mut [u32], shift: u32) -> bool {
+    let n = src.len();
+    let n_chunks = hist.len() / RADIX_SIZE;
+    let chunk = n.div_ceil(n_chunks);
+    let chunk_of = |c: usize| &src[(c * chunk).min(n)..((c + 1) * chunk).min(n)];
+    let digit = |r: u64| (r >> shift) as usize & (RADIX_SIZE - 1);
+
+    // Per-chunk histograms: slot (c, d) counts chunk c's records with digit d.
+    ctx.record(KernelKind::Reduce, n as u64, (n * 8) as u64);
+    hist.fill(0);
     {
-        let hist_view = UnsafeSlice::new(&mut hist);
-        let src_ref = src;
-        ctx.for_each(n_chunks, 1, |c| {
-            let start = c * chunk;
-            let end = (start + chunk).min(n);
-            let mut local = [0u32; RADIX_SIZE];
-            for &k in &src_ref[start..end] {
-                local[((k >> shift) & (RADIX_SIZE as u64 - 1)) as usize] += 1;
-            }
-            for (d, &count) in local.iter().enumerate() {
-                // SAFETY: slot (c, d) is owned by chunk c.
-                unsafe { hist_view.write(c * RADIX_SIZE + d, count) };
+        let hist_view = UnsafeSlice::new(&mut *hist);
+        ctx.run_chunks(n_chunks, 1, |chunks| {
+            for c in chunks {
+                // SAFETY: histogram row c is written by chunk c alone.
+                let counts = unsafe { hist_view.slice_mut(c * RADIX_SIZE..(c + 1) * RADIX_SIZE) };
+                count_digits(chunk_of(c), shift, counts);
             }
         });
     }
 
-    // Skip identity passes (all keys share the digit).
-    let nonzero_digits = (0..RADIX_SIZE)
-        .filter(|&d| (0..n_chunks).any(|c| hist[c * RADIX_SIZE + d] > 0))
-        .count();
-    if nonzero_digits <= 1 {
+    // Skip the identity pass: one digit holds every record.
+    let digit_total = |d: usize| -> usize {
+        (0..n_chunks)
+            .map(|c| hist[c * RADIX_SIZE + d] as usize)
+            .sum()
+    };
+    if (0..RADIX_SIZE).any(|d| digit_total(d) == n) {
         return false;
     }
 
@@ -151,36 +125,55 @@ where
     let mut running = 0u32;
     for d in 0..RADIX_SIZE {
         for c in 0..n_chunks {
-            let idx = c * RADIX_SIZE + d;
-            let count = hist[idx];
-            hist[idx] = running;
+            let slot = &mut hist[c * RADIX_SIZE + d];
+            let count = *slot;
+            *slot = running;
             running += count;
         }
     }
 
     // Scatter.
-    {
-        let dst_view = UnsafeSlice::new(dst);
-        let src_ref = src;
-        let hist_ref = &hist;
-        let payload_ref = &move_payload;
-        ctx.for_each(n_chunks, 1, |c| {
-            let start = c * chunk;
-            let end = (start + chunk).min(n);
+    ctx.record(KernelKind::RadixPass, n as u64, (n * 8 * 2) as u64);
+    let dst_view = UnsafeSlice::new(dst);
+    let hist = &*hist;
+    ctx.run_chunks(n_chunks, 1, |chunks| {
+        for c in chunks {
             let mut offsets = [0u32; RADIX_SIZE];
-            offsets.copy_from_slice(&hist_ref[c * RADIX_SIZE..(c + 1) * RADIX_SIZE]);
-            for (i, &k) in src_ref.iter().enumerate().take(end).skip(start) {
-                let d = ((k >> shift) & (RADIX_SIZE as u64 - 1)) as usize;
-                let out = offsets[d] as usize;
-                offsets[d] += 1;
-                // SAFETY: the offset scheme assigns each destination slot to
-                // exactly one source element across all chunks.
-                unsafe { dst_view.write(out, k) };
-                payload_ref(i, out);
+            offsets.copy_from_slice(&hist[c * RADIX_SIZE..(c + 1) * RADIX_SIZE]);
+            for &r in chunk_of(c) {
+                let slot = &mut offsets[digit(r)];
+                // SAFETY: the digit-major offsets give every (digit, chunk)
+                // pair a disjoint destination range, so each slot receives
+                // exactly one record across all chunks.
+                unsafe { dst_view.write(*slot as usize, r) };
+                *slot += 1;
             }
-        });
-    }
+        }
+    });
     true
+}
+
+/// Adds the digit counts of `records` at `shift` to `counts`.
+///
+/// Four interleaved counter rows keep runs of equal digits from
+/// serializing on one counter; near-constant digit columns (the top byte of
+/// chain keys and of positive weights) are made of such runs.
+fn count_digits(records: &[u64], shift: u32, counts: &mut [u32]) {
+    let digit = |r: u64| (r >> shift) as usize & (RADIX_SIZE - 1);
+    let mut rows = [[0u32; RADIX_SIZE]; 4];
+    let mut quads = records.chunks_exact(4);
+    for q in &mut quads {
+        rows[0][digit(q[0])] += 1;
+        rows[1][digit(q[1])] += 1;
+        rows[2][digit(q[2])] += 1;
+        rows[3][digit(q[3])] += 1;
+    }
+    for &r in quads.remainder() {
+        rows[0][digit(r)] += 1;
+    }
+    for (d, count) in counts.iter_mut().enumerate() {
+        *count += rows[0][d] + rows[1][d] + rows[2][d] + rows[3][d];
+    }
 }
 
 #[cfg(test)]
@@ -203,59 +196,81 @@ mod tests {
         *state
     }
 
+    /// The reference order: a stable sort by the high word.
+    fn stable_by_high_word(records: &[u64]) -> Vec<u64> {
+        let mut expect = records.to_vec();
+        expect.sort_by_key(|&r| r >> 32);
+        expect
+    }
+
     #[test]
-    fn radix_sorts_like_std() {
+    fn sorts_by_high_word_like_a_stable_std_sort() {
         for ctx in ctxs() {
-            for n in [0usize, 1, 100, 16 * 1024, 100_000] {
+            for n in [0usize, 1, 100, 16 * 1024 - 1, 16 * 1024, 100_000] {
                 let mut state = 7u64 + n as u64;
-                let mut keys: Vec<u64> = (0..n).map(|_| xorshift(&mut state)).collect();
-                let mut expect = keys.clone();
-                expect.sort_unstable();
-                par_radix_sort_u64(&ctx, &mut keys);
-                assert_eq!(keys, expect, "n={n}");
+                let mut records: Vec<u64> = (0..n).map(|_| xorshift(&mut state)).collect();
+                let expect = stable_by_high_word(&records);
+                par_radix_sort_by_high_word(&ctx, &mut records);
+                assert_eq!(records, expect, "n={n}");
             }
         }
     }
 
     #[test]
-    fn radix_small_key_range_uses_skip_passes() {
-        for ctx in ctxs() {
-            let n = 80_000usize;
-            let mut state = 99u64;
-            // Keys only occupy the low 10 bits: 6 of 8 passes are identity.
-            let mut keys: Vec<u64> = (0..n).map(|_| xorshift(&mut state) & 0x3FF).collect();
-            let mut expect = keys.clone();
-            expect.sort_unstable();
-            par_radix_sort_u64(&ctx, &mut keys);
-            assert_eq!(keys, expect);
-        }
-    }
-
-    #[test]
-    fn radix_pairs_stable_and_consistent() {
+    fn equal_keys_keep_their_payload_order() {
+        // 257 distinct keys over 70k records: every key repeats ~270 times
+        // with payloads in scrambled order, which only a stable sort keeps.
         for ctx in ctxs() {
             let n = 70_000usize;
             let mut state = 1234u64;
-            let mut keys: Vec<u64> = (0..n).map(|_| xorshift(&mut state) % 257).collect();
-            let mut values: Vec<u32> = (0..n as u32).collect();
-            let expect: Vec<(u64, u32)> = {
-                let mut pairs: Vec<(u64, u32)> =
-                    keys.iter().copied().zip(values.iter().copied()).collect();
-                pairs.sort_by_key(|&(k, v)| (k, v)); // stable ⇒ value order = index order
-                pairs
-            };
-            par_radix_sort_pairs(&ctx, &mut keys, &mut values);
-            let got: Vec<(u64, u32)> = keys.into_iter().zip(values).collect();
-            assert_eq!(got, expect);
+            let mut records: Vec<u64> = (0..n)
+                .map(|_| ((xorshift(&mut state) % 257) << 32) | (xorshift(&mut state) >> 32))
+                .collect();
+            let expect = stable_by_high_word(&records);
+            par_radix_sort_by_high_word(&ctx, &mut records);
+            assert_eq!(records, expect);
         }
     }
 
     #[test]
-    fn radix_all_equal_keys() {
+    fn all_equal_keys_are_left_in_place() {
         for ctx in ctxs() {
-            let mut keys = vec![42u64; 50_000];
-            par_radix_sort_u64(&ctx, &mut keys);
-            assert!(keys.iter().all(|&k| k == 42));
+            let mut records: Vec<u64> = (0..50_000u64).rev().map(|i| (42 << 32) | i).collect();
+            let expect = records.clone();
+            par_radix_sort_by_high_word(&ctx, &mut records);
+            assert_eq!(records, expect);
         }
+    }
+
+    #[test]
+    fn trace_records_only_the_scatters_that_run() {
+        // Keys below 2^10 leave the top two high-word digits constant: all
+        // four histograms are read, two scatters run.
+        let n = 80_000usize;
+        let mut state = 99u64;
+        let template: Vec<u64> = (0..n)
+            .map(|i| ((xorshift(&mut state) & 0x3FF) << 32) | i as u64)
+            .collect();
+        let mut totals = Vec::new();
+        for ctx in ctxs() {
+            let (ctx, tracer) = ctx.with_tracing();
+            let mut records = template.clone();
+            par_radix_sort_by_high_word(&ctx, &mut records);
+            assert_eq!(records, stable_by_high_word(&template));
+            let trace = tracer.snapshot();
+            let count = |kind| trace.events.iter().filter(|e| e.kind == kind).count();
+            assert_eq!(count(KernelKind::Reduce), 4, "one histogram per digit");
+            assert_eq!(
+                count(KernelKind::RadixPass),
+                2,
+                "one scatter per live digit"
+            );
+            assert_eq!(trace.len(), 6, "nothing else is traced");
+            let bytes: u64 = trace.events.iter().map(|e| e.bytes).sum();
+            let elements: u64 = trace.events.iter().map(|e| e.n).sum();
+            assert_eq!((elements, bytes), (6 * n as u64, 8 * n as u64 * 8));
+            totals.push((elements, bytes));
+        }
+        assert_eq!(totals[0], totals[1], "serial and threaded trace alike");
     }
 }

@@ -1,10 +1,14 @@
 //! Stable parallel merge sort.
 //!
-//! Used for the initial edge sort (weight-descending with a deterministic
-//! tie-break — the paper's §3.1.1 requires a *consistent* total order for
-//! equal weights so the dendrogram is unique). Chunks are sorted in parallel
-//! with the standard library's stable sort, then merged pairwise in rounds;
-//! each merge is performed by a single task, pairs run in parallel.
+//! The comparison sort for keys that do not pack into one `u64` word:
+//! Kruskal's weighted edges (`pandora-mst`'s `kruskal.rs`) and the k-NN
+//! graph's candidate edges (`knn_graph.rs`). PANDORA's own two sorts, the
+//! canonical edge order and the chain sort, run on [`crate::radix`]; the
+//! canonical order uses this sort only for runs of equal weights, which it
+//! orders by their endpoints.
+//! Chunks are sorted in parallel with the standard library's stable sort,
+//! then merged pairwise in rounds; each merge is performed by a single
+//! task, pairs run in parallel.
 
 use crate::trace::KernelKind;
 use crate::{ExecCtx, UnsafeSlice};

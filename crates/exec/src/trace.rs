@@ -20,7 +20,8 @@ pub enum KernelKind {
     Reduce,
     /// Parallel prefix sum over `n` elements.
     Scan,
-    /// One pass of a parallel radix sort (histogram + scatter).
+    /// The scatter of one parallel radix sort pass; the pass's histogram
+    /// read is traced as a [`KernelKind::Reduce`].
     RadixPass,
     /// Comparison-based parallel merge sort over `n` elements.
     MergeSort,

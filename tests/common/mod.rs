@@ -31,16 +31,28 @@ pub struct MstCase {
 /// How edge weights are drawn — duplicate/tied weights are the adversarial
 /// cases for the sorted-order tie-break.
 #[derive(Clone, Copy, Debug)]
-enum WeightMode {
+pub enum WeightMode {
     /// ~Distinct weights (2^20 levels; collisions possible but rare).
     Distinct,
     /// Heavily quantized: many ties, few distinct values.
     Quantized,
     /// Every weight equal: the dendrogram is decided by tie-break alone.
     AllEqual,
+    /// Signed weights with both zeros: `-0.0` and `+0.0` are distinct
+    /// weights to the canonical order, and negatives sort last. Never
+    /// picked by [`mst_strategy`], so its case stream is unchanged.
+    Signed,
 }
 
 impl WeightMode {
+    /// Every mode, for suites that sweep them.
+    pub const ALL: [WeightMode; 4] = [
+        WeightMode::Distinct,
+        WeightMode::Quantized,
+        WeightMode::AllEqual,
+        WeightMode::Signed,
+    ];
+
     fn pick(rng: &mut StdRng) -> Self {
         match rng.gen_range(0..4u32) {
             0 => Self::AllEqual,
@@ -54,12 +66,17 @@ impl WeightMode {
             Self::Distinct => rng.gen_range(0..1 << 20) as f32 / 64.0,
             Self::Quantized => rng.gen_range(0..6) as f32 * 0.5,
             Self::AllEqual => 2.5,
+            Self::Signed => match rng.gen_range(0..4u32) {
+                0 => -0.0,
+                1 => 0.0,
+                _ => rng.gen_range(-64..64) as f32 * 0.25,
+            },
         }
     }
 }
 
 /// The tree shapes the dendrogram stage is most sensitive to.
-const SHAPES: [&str; 7] = [
+pub const SHAPES: [&str; 7] = [
     "tiny",  // n ∈ {0, 1, 2}: empty, vertex-only, single-edge
     "chain", // pure path: maximum dendrogram height
     "star",  // one hub: maximum degree, flattest hierarchy
@@ -137,6 +154,16 @@ fn build_tree(shape: &str, n: usize, wmode: WeightMode, rng: &mut StdRng) -> Mst
         edges,
         params: format!("shape={shape} n={n} weights={wmode:?}"),
     }
+}
+
+/// A deterministic tree of an exact shape, size and weight mode, with its
+/// edges scrambled like [`mst_strategy`]'s (for suites that need sizes the
+/// strategy does not sample).
+pub fn tree_case(shape: &str, n: usize, wmode: WeightMode, seed: u64) -> MstCase {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut case = build_tree(shape, n, wmode, &mut rng);
+    case.edges.shuffle(&mut rng);
+    case
 }
 
 /// A deterministic all-equal-weights random tree (the n = 1000 tie-break

@@ -4,7 +4,9 @@
 //! adversarial generated trees (chains, stars, balanced binary, tied
 //! weights, n ∈ {0, 1, 2}) and on pipeline-produced MSTs through
 //! [`Session::run`]. The ground truth is the sequential union–find oracle
-//! (paper Algorithm 2).
+//! (paper Algorithm 2). At 20,000–40,000 vertices, where both PANDORA
+//! sorts take their radix paths, the canonical order itself is also
+//! checked against a plain comparison sort.
 //!
 //! Run under `PANDORA_THREADS ∈ {1, 4}` by the CI matrix; replay one case
 //! with `PROPTEST_CASE=<index>`.
@@ -13,7 +15,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{all_equal_weights_tree, mst_strategy};
+use common::{all_equal_weights_tree, mst_strategy, tree_case, WeightMode, SHAPES};
 use proptest::prelude::*;
 
 use pandora::core::baseline::dendrogram_union_find;
@@ -21,6 +23,7 @@ use pandora::core::expansion::{assign_chain_keys_into, sort_chain_keys};
 use pandora::core::levels::build_hierarchy;
 use pandora::core::{DendrogramBackend, DendrogramWorkspace, SortedMst};
 use pandora::data::synthetic::gaussian_blobs;
+use pandora::exec::atomic::f32_to_ordered_u32_desc;
 use pandora::exec::ExecCtx;
 use pandora::hdbscan::{ClusterRequest, DatasetIndex};
 
@@ -115,6 +118,56 @@ fn all_equal_weights_at_n_1000_are_deterministic() {
                 backend.name(),
                 case.params
             );
+        }
+    }
+}
+
+/// Radix-scale oracle: at 20,000–40,000 vertices both PANDORA sorts run
+/// their radix paths, so the canonical order is checked against a plain
+/// comparison sort of `(weight word, src, dst)` triples, bit for bit, and
+/// every backend × context against the union–find oracle. It runs every
+/// shape under every weight mode, signed zeros and negatives included.
+#[test]
+fn canonical_order_and_dendrograms_match_oracles_at_radix_scale() {
+    let grid: Vec<(&str, WeightMode)> = SHAPES
+        .iter()
+        .filter(|&&shape| shape != "tiny")
+        .flat_map(|&shape| WeightMode::ALL.map(|wmode| (shape, wmode)))
+        .collect();
+    for (i, &(shape, wmode)) in grid.iter().enumerate() {
+        let n = 20_000 + 20_000 * i / (grid.len() - 1);
+        let case = tree_case(shape, n, wmode, 0x5047 + i as u64);
+
+        let mut triples: Vec<(u32, u32, u32)> = case
+            .edges
+            .iter()
+            .map(|e| (f32_to_ordered_u32_desc(e.w), e.u.min(e.v), e.u.max(e.v)))
+            .collect();
+        triples.sort_by_key(|&t| t);
+        let expect_src: Vec<u32> = triples.iter().map(|t| t.1).collect();
+        let expect_dst: Vec<u32> = triples.iter().map(|t| t.2).collect();
+        let expect_words: Vec<u32> = triples.iter().map(|t| t.0).collect();
+
+        let mut oracle = None;
+        for (ctx_name, ctx) in contexts() {
+            let mst = SortedMst::from_edges(&ctx, case.n_vertices, &case.edges);
+            let what = format!("ctx={ctx_name} case[{}]", case.params);
+            assert_eq!(mst.src, expect_src, "{what}: src");
+            assert_eq!(mst.dst, expect_dst, "{what}: dst");
+            // The weight word is one-to-one on the weight's bits, so this
+            // tells -0.0 from +0.0, which `==` on f32 would not.
+            let words: Vec<u32> = mst
+                .weight
+                .iter()
+                .map(|&w| f32_to_ordered_u32_desc(w))
+                .collect();
+            assert_eq!(words, expect_words, "{what}: weight bits");
+            let oracle = oracle.get_or_insert_with(|| dendrogram_union_find(&mst));
+            for backend in DendrogramBackend::ALL {
+                let mut ws = DendrogramWorkspace::new();
+                let (got, _) = backend.build(&ctx, &mst, &mut ws);
+                assert_eq!(&got, &*oracle, "backend={} {what}", backend.name());
+            }
         }
     }
 }

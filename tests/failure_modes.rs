@@ -46,6 +46,37 @@ fn nan_weight_rejected() {
     let _ = SortedMst::from_edges(&ctx, 2, &[Edge::new(0, 1, f32::NAN)]);
 }
 
+/// A 20,000-edge path on the thread pool whose last edge is `bad`: large
+/// enough for the canonical sort's parallel path, so a check raised on a
+/// pool worker would surface as the pool's generic panic instead of its
+/// own message.
+fn sort_threaded_with_last_edge(bad: Edge) {
+    let n = 20_001u32;
+    let mut edges: Vec<Edge> = (0..n - 1)
+        .map(|i| Edge::new(i, i + 1, (i % 97) as f32))
+        .collect();
+    *edges.last_mut().expect("the path has edges") = bad;
+    let _ = SortedMst::from_edges(&ExecCtx::threads(), n as usize, &edges);
+}
+
+#[test]
+#[should_panic(expected = "self-loop edge 7 - 7")]
+fn self_loops_rejected_on_the_threaded_path() {
+    sort_threaded_with_last_edge(Edge::new(7, 7, 1.0));
+}
+
+#[test]
+#[should_panic(expected = "edge endpoint out of range")]
+fn out_of_range_endpoint_rejected_on_the_threaded_path() {
+    sort_threaded_with_last_edge(Edge::new(0, 20_001, 1.0));
+}
+
+#[test]
+#[should_panic(expected = "NaN edge weight")]
+fn nan_weight_rejected_on_the_threaded_path() {
+    sort_threaded_with_last_edge(Edge::new(19_999, 20_000, f32::NAN));
+}
+
 #[test]
 fn cycle_detected_by_validation() {
     // A "tree" with a duplicated edge instead of a connector: right count,

@@ -7,6 +7,7 @@ use pandora::core::levels::build_hierarchy;
 use pandora::core::pandora as pandora_algo;
 use pandora::core::validate::check_lcda_theorem;
 use pandora::core::{Edge, SortedMst};
+use pandora::exec::radix::par_radix_sort_by_high_word;
 use pandora::exec::scan::{exclusive_scan_in_place, seq_exclusive_scan};
 use pandora::exec::sort::par_sort_by_key;
 use pandora::exec::ExecCtx;
@@ -128,12 +129,21 @@ proptest! {
     }
 
     #[test]
-    fn radix_sort_matches_std(xs in prop::collection::vec(any::<u64>(), 0..60_000)) {
+    fn radix_sort_matches_std(
+        xs in prop::collection::vec((0u32..64, any::<u32>()), 0..60_000)
+    ) {
+        // 64 distinct high words, spread over all four of their bytes so
+        // every digit pass runs, repeat hundreds of times each with low
+        // words in random order: only a stable sort keeps that order.
         let ctx = ExecCtx::threads();
-        let mut par = xs.clone();
-        pandora::exec::radix::par_radix_sort_u64(&ctx, &mut par);
-        let mut expect = xs;
-        expect.sort_unstable();
+        let records: Vec<u64> = xs
+            .iter()
+            .map(|&(word, low)| ((word.wrapping_mul(0x0404_0405) as u64) << 32) | low as u64)
+            .collect();
+        let mut par = records.clone();
+        par_radix_sort_by_high_word(&ctx, &mut par);
+        let mut expect = records;
+        expect.sort_by_key(|&r| r >> 32);
         prop_assert_eq!(par, expect);
     }
 }

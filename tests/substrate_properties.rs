@@ -1,6 +1,6 @@
 //! Property tests for the newer substrate and algorithm pieces: partition,
-//! histogram, radix pairs, the mixed baseline, single-level expansion and
-//! the k-NN-graph MST.
+//! histogram, radix key–value records, the mixed baseline, single-level
+//! expansion and the k-NN-graph MST.
 
 use proptest::prelude::*;
 
@@ -9,7 +9,7 @@ use pandora::core::single_level::dendrogram_single_level;
 use pandora::core::{Edge, SortedMst};
 use pandora::exec::histogram::histogram;
 use pandora::exec::partition::partition_indices;
-use pandora::exec::radix::par_radix_sort_pairs;
+use pandora::exec::radix::par_radix_sort_by_high_word;
 use pandora::exec::ExecCtx;
 
 fn tree_strategy() -> impl Strategy<Value = (usize, Vec<Edge>)> {
@@ -58,15 +58,18 @@ proptest! {
 
     #[test]
     fn radix_pairs_keep_key_value_binding(
-        pairs in prop::collection::vec((any::<u64>(), any::<u32>()), 0..40_000)
+        pairs in prop::collection::vec((any::<u32>(), any::<u32>()), 0..40_000)
     ) {
+        // Packed `(key << 32) | value` records: the sort moves each value
+        // with its key, although it orders by the key word alone.
         let ctx = ExecCtx::threads();
-        let mut keys: Vec<u64> = pairs.iter().map(|&(k, _)| k).collect();
-        let mut values: Vec<u32> = pairs.iter().map(|&(_, v)| v).collect();
-        par_radix_sort_pairs(&ctx, &mut keys, &mut values);
-        prop_assert!(keys.windows(2).all(|w| w[0] <= w[1]));
+        let mut records: Vec<u64> =
+            pairs.iter().map(|&(k, v)| ((k as u64) << 32) | v as u64).collect();
+        par_radix_sort_by_high_word(&ctx, &mut records);
+        prop_assert!(records.windows(2).all(|w| w[0] >> 32 <= w[1] >> 32));
         // The multiset of (key, value) pairs is preserved.
-        let mut got: Vec<(u64, u32)> = keys.into_iter().zip(values).collect();
+        let mut got: Vec<(u32, u32)> =
+            records.iter().map(|&r| ((r >> 32) as u32, r as u32)).collect();
         let mut expect = pairs;
         got.sort_unstable();
         expect.sort_unstable();
