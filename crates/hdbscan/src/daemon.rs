@@ -24,6 +24,8 @@
 //!                 ▼
 //!        worker lanes (default: one per `ExecCtx::threads()` lane)
 //!        each run: registry lookup → Session::run → canonical payload
+//!                  (a finished hierarchy cached on the index skips the
+//!                   spanning tree and the dendrogram)
 //! ```
 //!
 //! **Ownership and lifetimes.** The [`DatasetRegistry`] owns one
@@ -33,6 +35,8 @@
 //! last in-flight request finishes. Sessions are drawn per request and
 //! their scratch returns to the index's internal pool, so steady-state
 //! serving allocates nothing per request (the [`crate::serve`] contract).
+//! The index's hierarchy cache goes with it: a replacement index starts
+//! with an empty cache.
 //!
 //! A daemon end to end, from this side of the socket:
 //!
@@ -248,8 +252,10 @@ impl DatasetRegistry {
                     // Borůvka cache effectiveness: queries answered by a
                     // merge-surviving witness vs. full tree re-searches, and
                     // how many cold lanes warmed from the shared endgame
-                    // snapshot (docs/SERVING.md, "stats").
+                    // snapshot; then the rung above them, runs answered by
+                    // a finished hierarchy (docs/SERVING.md, "stats").
                     let boruvka = index.emst().stats();
+                    let hierarchies = index.hierarchy_stats();
                     Json::obj(vec![
                         ("name", Json::Str(name.clone())),
                         ("n", Json::Int(index.len() as i64)),
@@ -262,6 +268,10 @@ impl DatasetRegistry {
                             "snapshot_adopts",
                             Json::Int(boruvka.snapshot_adopts() as i64),
                         ),
+                        ("hierarchy_hits", Json::Int(hierarchies.hits as i64)),
+                        ("hierarchy_misses", Json::Int(hierarchies.misses as i64)),
+                        ("hierarchies", Json::Int(hierarchies.entries as i64)),
+                        ("hierarchy_bytes", Json::Int(hierarchies.bytes as i64)),
                     ])
                 })
                 .collect(),
@@ -275,7 +285,8 @@ impl DatasetRegistry {
 pub struct CounterSnapshot {
     /// Responses written, of any kind (successes and typed errors).
     pub served: u64,
-    /// Actual `Session::run` executions (each sweep member counts once).
+    /// Actual `Session::run` executions (each sweep member counts once),
+    /// whether or not the index's hierarchy cache answered them.
     /// Coalesced followers do **not** bump this — the protocol test's
     /// proof that duplicates share one computation.
     pub engine_runs: u64,

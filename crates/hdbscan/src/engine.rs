@@ -40,12 +40,12 @@
 
 use std::sync::Arc;
 
-use pandora_core::DendrogramWorkspace;
+use pandora_core::{DendrogramBackend, DendrogramWorkspace};
 use pandora_exec::ExecCtx;
 use pandora_mst::PointSet;
 
 use crate::pipeline::{Hdbscan, HdbscanParams, HdbscanResult, StageTimings};
-use crate::serve::{finish_pipeline, ClusterRequest, DatasetIndex, Session};
+use crate::serve::{extract_clusters, finish_hierarchy, ClusterRequest, DatasetIndex, Session};
 
 /// A reusable HDBSCAN\* pipeline bound to one dataset (see module docs).
 ///
@@ -170,15 +170,17 @@ impl<'a> HdbscanEngine<'a> {
             // nothing to cluster, nothing to mis-serve).
             let ctx = self.ctx.clone();
             let request = self.request_with(min_pts);
-            return finish_pipeline(
+            let mut timings = StageTimings::default();
+            let hierarchy = finish_hierarchy(
                 &ctx,
                 0,
                 Vec::new(),
                 &[],
-                &request,
+                DendrogramBackend::resolve(request.dendrogram).concrete_for(0),
                 &mut self.empty_dendro,
-                StageTimings::default(),
+                &mut timings,
             );
+            return extract_clusters(&ctx, hierarchy, &request, timings);
         }
         let freeze_s = self.prepare(min_pts);
         let request = self.request_with(min_pts);

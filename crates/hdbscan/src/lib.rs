@@ -35,7 +35,7 @@ pub use outlier::glosh_scores;
 pub use pandora_core::DendrogramBackend;
 pub use pandora_mst::{Linkage, MetricKind};
 pub use pipeline::{Hdbscan, HdbscanParams, HdbscanResult, StageTimings};
-pub use serve::{ClusterRequest, DatasetIndex, Session};
+pub use serve::{ClusterRequest, DatasetIndex, HierarchyStats, Session};
 pub use stability::{cluster_stabilities, extract_labels, select_clusters};
 pub use validity::dbcv;
 

@@ -44,6 +44,12 @@ impl Default for HdbscanParams {
 }
 
 /// Per-stage wall-clock seconds.
+///
+/// A stage a run did not execute reads 0. A [`crate::Session::run`] never
+/// builds the kd-tree (`tree_build_s`; the freeze paid it), and when the
+/// index's hierarchy cache answers the request it also skips the core
+/// distances, the spanning tree and the dendrogram (`core_s`, `mst_s`,
+/// `dendrogram_s`): only `extract_s` is spent.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimings {
     /// kd-tree construction.

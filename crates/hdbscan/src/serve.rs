@@ -8,10 +8,13 @@
 //! the same dataset simultaneously. This module splits the engine along
 //! the read/write boundary the PANDORA stages already have:
 //!
-//! * [`DatasetIndex`] — the immutable tier: a validated point set, the
+//! * [`DatasetIndex`] — the shared tier: a validated point set, the
 //!   frozen kd-tree with its AoSoA leaf blocks, and sorted k-NN rows wide
-//!   enough for every `minPts` up to the freeze ceiling. `Send + Sync`;
-//!   wrap it in an [`Arc`] and share it.
+//!   enough for every `minPts` up to the freeze ceiling, all immutable
+//!   after the freeze; plus a bounded cache of finished hierarchies that
+//!   lets requests differing only in extraction parameters skip the
+//!   spanning tree and the dendrogram. `Send + Sync`; wrap it in an
+//!   [`Arc`] and share it.
 //! * [`Session`] — the cheap mutable tier: pooled Borůvka round buffers,
 //!   the dendrogram workspace and the endgame cache. Each in-flight
 //!   request owns one; finished sessions return their scratch to a
@@ -60,6 +63,11 @@ use pandora_mst::{
 use crate::condensed::condense;
 use crate::pipeline::{HdbscanParams, HdbscanResult, StageTimings};
 use crate::stability::{cluster_stabilities, extract_labels, select_clusters};
+
+mod hierarchy;
+
+pub use hierarchy::HierarchyStats;
+use hierarchy::{Hierarchy, HierarchyCache, HierarchyKey};
 
 /// One validated clustering request: the per-query parameters of a
 /// [`Session::run`].
@@ -239,8 +247,19 @@ struct SessionState {
 /// small thread pools still absorb modest session bursts warm.
 const MIN_POOLED_SESSIONS: usize = 16;
 
-/// The immutable, `Arc`-shareable tier of the serving API: one dataset,
-/// frozen once, read by every concurrent request (see the module docs).
+/// The `Arc`-shareable tier of the serving API: one dataset, frozen once,
+/// read by every concurrent request (see the module docs).
+///
+/// Besides the frozen substrate, the index owns two pieces of shared state
+/// that never change a result: the parked scratch of finished sessions,
+/// and a cache of finished hierarchies. A hierarchy (core distances,
+/// canonical spanning tree, dendrogram and its level statistics) is keyed
+/// by `min_pts`, the resolved linkage, the effective metric and the
+/// concrete dendrogram backend. The cache holds at most as many bytes as
+/// the index's sorted k-NN rows (`rows_k × n × 8`; an entry costs about
+/// 28 bytes per point) and evicts the least recently used entry first. It
+/// lives and dies with the index: a replacement index starts empty.
+/// [`DatasetIndex::hierarchy_stats`] reports it.
 pub struct DatasetIndex {
     emst: EmstIndex,
     ctx: ExecCtx,
@@ -248,6 +267,8 @@ pub struct DatasetIndex {
     pool: Mutex<Vec<SessionState>>,
     /// Most scratch sets the pool retains (see [`DatasetIndex::pooled_cap`]).
     pool_cap: usize,
+    /// Finished hierarchies of recent requests (see the type docs).
+    hierarchies: HierarchyCache,
 }
 
 /// Compile-time proof the index can be shared across serving threads and
@@ -317,11 +338,16 @@ impl DatasetIndex {
         // W lanes churns up to 2·W sessions through overlapping check-ins,
         // while a small pool has no use for dozens of parked O(n) sets.
         let pool_cap = (2 * ctx.lanes()).max(MIN_POOLED_SESSIONS);
+        // The hierarchy cache may hold as much as the rows themselves: one
+        // f32 distance and one u32 index per captured neighbour.
+        let row_bytes = std::mem::size_of::<f32>() + std::mem::size_of::<u32>();
+        let hierarchies = HierarchyCache::new(emst.rows_k() * emst.len() * row_bytes);
         Ok(Self {
             emst,
             ctx,
             pool: Mutex::new(Vec::new()),
             pool_cap,
+            hierarchies,
         })
     }
 
@@ -368,6 +394,13 @@ impl DatasetIndex {
     /// serving every steady-state lane a warm set.
     pub fn pooled_cap(&self) -> usize {
         self.pool_cap
+    }
+
+    /// Hits, misses, entries held and bytes held of the index's cache of
+    /// finished hierarchies (see the type docs). Every successful
+    /// [`Session::run`] is exactly one hit or one miss.
+    pub fn hierarchy_stats(&self) -> HierarchyStats {
+        self.hierarchies.stats()
     }
 
     /// Draws a session on the index's own execution context. Cheap: the
@@ -431,13 +464,23 @@ impl Session {
 
     /// Answers one clustering request, reusing every warm stage buffer.
     ///
+    /// After validation, the request's hierarchy key (`min_pts`, resolved
+    /// linkage, effective metric, concrete dendrogram backend) is looked
+    /// up in the index's cache of finished hierarchies (see
+    /// [`DatasetIndex`]). On a hit, the cached core distances, spanning
+    /// tree and dendrogram are copied into the result and only condensing,
+    /// selection and labelling run. On a miss, the full pipeline runs and
+    /// its hierarchy is offered to the cache.
+    ///
     /// For single linkage (the default), the result is **bit-identical**
-    /// to [`crate::Hdbscan::run`] with the request's parameters — the
-    /// frozen rows, the pooled buffers and the endgame cache are all
-    /// strictly conservative optimizations. `timings.tree_build_s` is
-    /// always 0: the substrate was paid once, at [`DatasetIndex::freeze`].
-    /// Other linkage criteria run the NN-chain engine over the same
-    /// substrate (see [`ClusterRequest::linkage`]).
+    /// to [`crate::Hdbscan::run`] with the request's parameters, hit or
+    /// miss — the frozen rows, the pooled buffers, the endgame cache and
+    /// the hierarchy cache are all strictly conservative optimizations.
+    /// Only the timings tell them apart: `timings.tree_build_s` is always
+    /// 0 (the substrate was paid once, at [`DatasetIndex::freeze`]), and on
+    /// a hit `core_s`, `mst_s`, `dendrogram_s` and `pandora_stats.timings`
+    /// read 0 as well. Other linkage criteria run the NN-chain engine over
+    /// the same substrate (see [`ClusterRequest::linkage`]).
     ///
     /// # Errors
     ///
@@ -488,6 +531,21 @@ impl Session {
             });
         }
         let ctx = self.ctx.clone();
+        let key = HierarchyKey {
+            min_pts: request.min_pts,
+            linkage,
+            metric,
+            backend: DendrogramBackend::resolve(request.dendrogram)
+                .concrete_for(self.index.len().saturating_sub(1)),
+        };
+        if let Some(cached) = self.index.hierarchies.get(&key) {
+            return Ok(extract_clusters(
+                &ctx,
+                Hierarchy::clone(&cached),
+                request,
+                StageTimings::default(),
+            ));
+        }
         let mut timings = StageTimings::default();
 
         // Spanning-structure stage against the frozen substrate. Single
@@ -517,15 +575,17 @@ impl Session {
         timings.core_s = emst.timings.core_s;
         timings.mst_s = emst.timings.boruvka_s;
 
-        Ok(finish_pipeline(
+        let hierarchy = finish_hierarchy(
             &ctx,
             self.index.len(),
             emst.core2,
             &emst.edges,
-            request,
+            key.backend,
             &mut self.state.dendro,
-            timings,
-        ))
+            &mut timings,
+        );
+        self.index.hierarchies.insert(key, &hierarchy);
+        Ok(extract_clusters(&ctx, hierarchy, request, timings))
     }
 }
 
@@ -535,38 +595,59 @@ impl Drop for Session {
     }
 }
 
-/// The dendrogram + extraction back half of the pipeline, shared by
-/// [`Session::run`] and the legacy engine shim: sorts the MST, builds the
-/// dendrogram with the resolved backend (request > `PANDORA_DENDROGRAM`
-/// env > α-contraction) through the reusable workspace, condenses and
-/// extracts flat clusters.
-pub(crate) fn finish_pipeline(
+/// The hierarchy half of the pipeline, shared by a cache miss in
+/// [`Session::run`] and the legacy engine shim: sorts the spanning tree
+/// into canonical order and builds its dendrogram with the concrete
+/// `backend` through the reusable workspace. Sets `timings.dendrogram_s`
+/// (sort included).
+pub(crate) fn finish_hierarchy(
     ctx: &ExecCtx,
     n: usize,
     core2: Vec<f32>,
     edges: &[Edge],
-    request: &ClusterRequest,
+    backend: DendrogramBackend,
     dendro_ws: &mut DendrogramWorkspace,
-    mut timings: StageTimings,
-) -> HdbscanResult {
+    timings: &mut StageTimings,
+) -> Hierarchy {
     let t = Instant::now();
     ctx.set_phase("sort");
-    let sort_start = Instant::now();
     let mst = SortedMst::from_edges(ctx, n, edges);
-    let input_sort_s = sort_start.elapsed().as_secs_f64();
-    let backend = DendrogramBackend::resolve(request.dendrogram);
+    let input_sort_s = t.elapsed().as_secs_f64();
     let (dendrogram, mut pandora_stats) = backend.build(ctx, &mst, dendro_ws);
     pandora_stats.timings.sort_s += input_sort_s;
     timings.dendrogram_s = t.elapsed().as_secs_f64();
+    Hierarchy {
+        core2,
+        mst,
+        dendrogram,
+        pandora_stats,
+    }
+}
 
+/// The extraction half of the pipeline, shared by every path: condenses
+/// the hierarchy's dendrogram, selects flat clusters and labels the
+/// points. Of `request`, only `min_cluster_size` and
+/// `allow_single_cluster` are read.
+pub(crate) fn extract_clusters(
+    ctx: &ExecCtx,
+    hierarchy: Hierarchy,
+    request: &ClusterRequest,
+    mut timings: StageTimings,
+) -> HdbscanResult {
     let t = Instant::now();
     ctx.set_phase("extract");
-    let condensed = condense(&dendrogram, request.min_cluster_size);
+    let condensed = condense(&hierarchy.dendrogram, request.min_cluster_size);
     let stabilities = cluster_stabilities(&condensed);
     let selected = select_clusters(&condensed, &stabilities, request.allow_single_cluster);
     let (labels, probabilities) = extract_labels(&condensed, &selected);
     timings.extract_s = t.elapsed().as_secs_f64();
 
+    let Hierarchy {
+        core2,
+        mst,
+        dendrogram,
+        pandora_stats,
+    } = hierarchy;
     HdbscanResult {
         core2,
         mst,

@@ -11,7 +11,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use pandora::exec::ExecCtx;
-use pandora::hdbscan::{Hdbscan, HdbscanParams};
+use pandora::hdbscan::{
+    cluster_stabilities, condense, extract_labels, select_clusters, Hdbscan, HdbscanParams,
+};
 use pandora::mst::{
     boruvka_mst, core_distances2, Euclidean, KdTree, KnnHeap, MutualReachability, PointSet,
 };
@@ -153,22 +155,57 @@ fn steady_state_queries_do_not_allocate() {
     //     k-NN rows, Borůvka buffers, contraction hierarchy, chain keys) is
     //     reused, so a complete warm `run_with` allocates only its outputs
     //     (result vectors, condensed tree, a few per-level bookkeeping
-    //     vectors) — a small constant w.r.t. n. At n = 2000 a single leaked
-    //     per-point or per-round reallocation pattern adds thousands of
-    //     allocations, an order of magnitude past this bound; steady-state
-    //     reuse is thereby proven, not assumed.
+    //     vectors) plus the copy of its hierarchy the index caches — a
+    //     small constant w.r.t. n. Each rep asks for a fresh `min_pts`, so
+    //     every measured run is a cache miss that really runs Borůvka and
+    //     the dendrogram. At n = 2000 a single leaked per-point or
+    //     per-round reallocation pattern adds thousands of allocations, an
+    //     order of magnitude past this bound; steady-state reuse is
+    //     thereby proven, not assumed.
     let driver = Hdbscan::with_ctx(HdbscanParams::default(), ExecCtx::serial());
     let mut engine = driver.engine(&points);
     engine.prepare(8);
     let _ = engine.run_with(8); // first run: populates every workspace
+    let mut fresh_min_pts = [7usize, 6, 5].into_iter();
     let warm_allocs = min_allocs_over(3, || {
-        let result = engine.run_with(8);
+        let min_pts = fresh_min_pts.next().expect("one fresh min_pts per rep");
+        let result = engine.run_with(min_pts);
         assert_eq!(result.labels.len(), n);
     });
+    let index = engine.index().expect("warm engine has an index");
+    assert_eq!(index.hierarchy_stats().hits, 0, "the warm runs all missed");
     assert!(
         warm_allocs <= 160,
         "a warm engine run made {warm_allocs} allocations \
          (stage workspaces are not being reused)"
+    );
+
+    // --- Cache hit: a repeat `min_pts` copies the eight arrays of the
+    //     cached hierarchy and runs only the extraction, so it allocates
+    //     what the extraction functions allocate on the same dendrogram,
+    //     plus that copy, plus at most two strings per set default
+    //     (PANDORA_DENDROGRAM, PANDORA_LINKAGE) read while resolving the
+    //     key. A hit that ran Borůvka or the dendrogram would add its
+    //     core distances, edges, sorted tree, dendrogram and level counts
+    //     on top.
+    let probe = engine.run_with(5);
+    let extract_allocs = min_allocs_over(3, || {
+        let condensed = condense(&probe.dendrogram, HdbscanParams::default().min_cluster_size);
+        let stabilities = cluster_stabilities(&condensed);
+        let selected = select_clusters(&condensed, &stabilities, false);
+        let (labels, _) = extract_labels(&condensed, &selected);
+        assert_eq!(labels.len(), n);
+    });
+    let hit_allocs = min_allocs_over(3, || {
+        let result = engine.run_with(5);
+        assert_eq!(result.labels.len(), n);
+    });
+    let index = engine.index().expect("warm engine has an index");
+    assert_eq!(index.hierarchy_stats().hits, 4, "the repeats all hit");
+    assert!(
+        hit_allocs <= extract_allocs + 8 + 4,
+        "a cache-hit engine run made {hit_allocs} allocations, \
+         the extraction alone {extract_allocs}"
     );
     // And the books balance: nothing stays leased between runs.
     let session = engine.session().expect("warm engine has a session");

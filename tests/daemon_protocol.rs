@@ -262,16 +262,41 @@ fn stats_exposes_boruvka_witness_and_snapshot_counters() {
     // The per-dataset `stats` rows carry the Borůvka effectiveness
     // counters (docs/SERVING.md): witness hits, tree re-searches and
     // endgame-snapshot adoptions — present from the first reply (all
-    // zero before any engine work) and moving once a request runs.
+    // zero before any engine work) and moving once a request runs. Beside
+    // them sit the hierarchy cache's hits, misses, entries and bytes: a
+    // request that differs from an earlier one only in min_cluster_size
+    // is a hit that never reaches Borůvka, and a replacing `load` starts
+    // the dataset's new index with an empty cache.
     let daemon = Daemon::bind("127.0.0.1:0", DaemonConfig::new().workers(2)).expect("bind");
+    let points = blobs(400, 41);
     daemon
         .registry()
-        .register("d", freeze(blobs(400, 41), 8), false)
+        .register("d", freeze(points.clone(), 8), false)
         .expect("register");
     let mut client = Client::connect(&daemon);
 
-    let dataset_row = |line: &str| -> (usize, usize, usize) {
-        let parsed = Json::parse(line).expect("stats is valid JSON");
+    #[derive(Debug, PartialEq)]
+    struct Row {
+        witness_hits: usize,
+        researches: usize,
+        snapshot_adopts: usize,
+        hierarchy_hits: usize,
+        hierarchy_misses: usize,
+        hierarchies: usize,
+        hierarchy_bytes: usize,
+    }
+    const ZERO: Row = Row {
+        witness_hits: 0,
+        researches: 0,
+        snapshot_adopts: 0,
+        hierarchy_hits: 0,
+        hierarchy_misses: 0,
+        hierarchies: 0,
+        hierarchy_bytes: 0,
+    };
+    let mut dataset_row = |id: i64| -> Row {
+        let line = client.call(&format!(r#"{{"id":{id},"method":"stats"}}"#));
+        let parsed = Json::parse(&line).expect("stats is valid JSON");
         let datasets = parsed
             .get("result")
             .and_then(|r| r.get("datasets"))
@@ -286,25 +311,68 @@ fn stats_exposes_boruvka_witness_and_snapshot_counters() {
                 .and_then(Json::as_usize)
                 .unwrap_or_else(|| panic!("no {key} counter in: {line}"))
         };
-        (
-            field("witness_hits"),
-            field("researches"),
-            field("snapshot_adopts"),
-        )
+        Row {
+            witness_hits: field("witness_hits"),
+            researches: field("researches"),
+            snapshot_adopts: field("snapshot_adopts"),
+            hierarchy_hits: field("hierarchy_hits"),
+            hierarchy_misses: field("hierarchy_misses"),
+            hierarchies: field("hierarchies"),
+            hierarchy_bytes: field("hierarchy_bytes"),
+        }
     };
 
-    let line = client.call(r#"{"id":1,"method":"stats"}"#);
     assert_eq!(
-        dataset_row(&line),
-        (0, 0, 0),
-        "counters must exist and read zero before any engine work: {line}"
+        dataset_row(1),
+        ZERO,
+        "counters must exist and read zero before any engine work"
     );
 
-    let ok = client.call(r#"{"id":2,"method":"cluster","params":{"dataset":"d","min_pts":4}}"#);
+    let cluster = |id: i64, mcs: usize| {
+        format!(
+            r#"{{"id":{id},"method":"cluster","params":{{"dataset":"d","min_pts":4,"min_cluster_size":{mcs}}}}}"#
+        )
+    };
+    let mut other = Client::connect(&daemon);
+    let ok = other.call(&cluster(2, 5));
     assert!(ok.contains(r#""result""#), "{ok}");
-    let line = client.call(r#"{"id":3,"method":"stats"}"#);
-    let (hits, _, _) = dataset_row(&line);
-    assert!(hits > 0, "a cluster run must score witness hits: {line}");
+    let first = dataset_row(3);
+    assert!(
+        first.witness_hits > 0,
+        "a cluster run must score witness hits: {first:?}"
+    );
+    assert_eq!(
+        (
+            first.hierarchy_hits,
+            first.hierarchy_misses,
+            first.hierarchies
+        ),
+        (0, 1, 1),
+        "the first cluster request is one miss, and its hierarchy is held"
+    );
+    assert!(first.hierarchy_bytes > 0, "{first:?}");
+
+    // Same min_pts, another min_cluster_size: the held hierarchy answers.
+    let ok = other.call(&cluster(4, 9));
+    assert!(ok.contains(r#""result""#), "{ok}");
+    let second = dataset_row(5);
+    assert_eq!(
+        second,
+        Row {
+            hierarchy_hits: 1,
+            ..first
+        },
+        "an extraction-only change is one hit that never reaches Borůvka"
+    );
+
+    // A replacing load swaps in a fresh index, with an empty cache.
+    let coords: Vec<String> = points.coords().iter().map(|v| format!("{v}")).collect();
+    let swap = other.call(&format!(
+        r#"{{"id":6,"method":"load","params":{{"name":"d","dim":2,"points":[{}],"max_min_pts":8,"replace":true}}}}"#,
+        coords.join(",")
+    ));
+    assert!(swap.contains(r#""n":400"#), "{swap}");
+    assert_eq!(dataset_row(7), ZERO, "a replaced dataset starts from zero");
 
     daemon.shutdown();
     daemon.join();

@@ -108,7 +108,9 @@ proptest! {
         // repeated, interleaved. Every answer must match the one-shot
         // pipeline regardless of what the engine served before (the
         // endgame cache and row reuse must never leak state between
-        // requests).
+        // requests). The repeated 8 is a hierarchy-cache hit; the widening
+        // re-freeze at 16 starts an empty cache, so the second 2 is a
+        // warm miss.
         let n = points.len();
         let requests: Vec<usize> = [8usize, 2, 8, 16, 2, 1]
             .iter()

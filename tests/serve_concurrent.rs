@@ -1,18 +1,25 @@
 //! The serving API's contract, stress-tested: one `Arc<DatasetIndex>`
 //! shared by many threads must answer every mixed request **bit-identical**
 //! to the cold one-shot pipeline, with the scratch books balanced and no
-//! panic reachable from user input.
+//! panic reachable from user input — whether the index's hierarchy cache
+//! answers a request or not.
 //!
 //! The CI thread matrix runs this file under both `PANDORA_THREADS=1` and
 //! `PANDORA_THREADS=4`, so the threaded-context paths (`ExecCtx::threads`
 //! inside a serving thread, concurrent broadcasts on the global pool) are
 //! exercised at both extremes.
 
+use std::collections::HashSet;
 use std::sync::Arc;
+
+use rand::prelude::*;
 
 use pandora::data::synthetic::gaussian_blobs;
 use pandora::exec::ExecCtx;
-use pandora::hdbscan::{ClusterRequest, DatasetIndex, Hdbscan, HdbscanResult, PandoraError};
+use pandora::hdbscan::{
+    ClusterRequest, DatasetIndex, DendrogramBackend, Hdbscan, HdbscanResult, Linkage, MetricKind,
+    PandoraError,
+};
 use pandora::mst::PointSet;
 
 /// Asserts two pipeline results agree in every deterministic field.
@@ -22,20 +29,62 @@ fn assert_results_identical(a: &HdbscanResult, b: &HdbscanResult, what: &str) {
     assert_eq!(a.mst.dst, b.mst.dst, "{what}: MST destinations");
     assert_eq!(a.mst.weight, b.mst.weight, "{what}: MST weights");
     assert_eq!(a.dendrogram, b.dendrogram, "{what}: dendrogram");
+    let (ca, cb) = (&a.condensed, &b.condensed);
+    assert_eq!(ca.parent, cb.parent, "{what}: condensed parents");
+    assert_eq!(ca.child, cb.child, "{what}: condensed children");
+    assert_eq!(ca.lambda, cb.lambda, "{what}: condensed lambdas");
+    assert_eq!(ca.size, cb.size, "{what}: condensed sizes");
+    assert_eq!(ca.cluster_birth, cb.cluster_birth, "{what}: cluster births");
+    assert_eq!(
+        ca.cluster_parent, cb.cluster_parent,
+        "{what}: cluster parents"
+    );
     assert_eq!(a.labels, b.labels, "{what}: labels");
     assert_eq!(a.probabilities, b.probabilities, "{what}: probabilities");
     assert_eq!(a.stabilities, b.stabilities, "{what}: stabilities");
 }
 
+/// A cold reference for `request`: a fresh index frozen at the request's
+/// own `min_pts` and one run on a fresh session — for a default request,
+/// exactly what `Hdbscan::run` does.
+fn cold_run(points: &PointSet, request: &ClusterRequest) -> HdbscanResult {
+    let index = DatasetIndex::freeze_with_ctx(ExecCtx::serial(), points.clone(), request.min_pts)
+        .expect("freeze");
+    Arc::new(index)
+        .session()
+        .run(request)
+        .expect("every mix member is a valid request")
+}
+
+/// What the index's hierarchy cache keys `request` by: `min_pts`, the
+/// resolved linkage, the effective metric and the concrete backend.
+fn hierarchy_key(
+    request: &ClusterRequest,
+    n: usize,
+) -> (usize, Linkage, MetricKind, DendrogramBackend) {
+    let linkage = Linkage::resolve(request.linkage);
+    (
+        request.min_pts,
+        linkage,
+        request.effective_metric(linkage),
+        DendrogramBackend::resolve(request.dendrogram).concrete_for(n - 1),
+    )
+}
+
 #[test]
 fn concurrent_sessions_are_bit_identical_to_cold_runs() {
     const THREADS: usize = 4;
-    const REQUESTS_PER_THREAD: usize = 6;
+    const REQUESTS_PER_THREAD: usize = 16;
+    const STREAM_SEED: u64 = 0x5EED_CAC4E;
 
     let (points, _) = gaussian_blobs(900, 2, 4, 110.0, 0.9, 31);
+    let n = points.len();
     // The mixed request matrix: minPts and min_cluster_size both vary, so
     // concurrent sessions exercise different row prefixes, different
     // metric ranks in the endgame cache, and different condense cuts.
+    // Several members share a hierarchy and differ only in extraction
+    // parameters (cache hits); a pinned backend, an explicit Euclidean
+    // metric and two NN-chain linkages give keys of their own.
     let mix = [
         ClusterRequest::new().min_pts(2),
         ClusterRequest::new().min_pts(3).min_cluster_size(3),
@@ -43,51 +92,130 @@ fn concurrent_sessions_are_bit_identical_to_cold_runs() {
         ClusterRequest::new().min_pts(16),
         ClusterRequest::new().min_pts(1), // plain single linkage
         ClusterRequest::new().min_pts(4).allow_single_cluster(true),
+        ClusterRequest::new().min_pts(2).min_cluster_size(12),
+        ClusterRequest::new()
+            .min_pts(8)
+            .min_cluster_size(3)
+            .allow_single_cluster(true),
+        ClusterRequest::new()
+            .min_pts(4)
+            .min_cluster_size(8)
+            .dendrogram(DendrogramBackend::WorkOptimal),
+        ClusterRequest::new()
+            .min_pts(4)
+            .dendrogram(DendrogramBackend::AlphaContraction),
+        ClusterRequest::new()
+            .min_pts(6)
+            .metric(MetricKind::Euclidean),
+        ClusterRequest::new()
+            .min_pts(6)
+            .min_cluster_size(20)
+            .metric(MetricKind::Euclidean),
+        ClusterRequest::new()
+            .min_pts(3)
+            .min_cluster_size(8)
+            .linkage(Linkage::Average),
+        ClusterRequest::new().min_pts(2).linkage(Linkage::Ward),
+        ClusterRequest::new().min_pts(12).min_cluster_size(6),
+        ClusterRequest::new().min_pts(5),
     ];
+    let keys: Vec<_> = mix.iter().map(|r| hierarchy_key(r, n)).collect();
+    let distinct_keys = keys.iter().collect::<HashSet<_>>().len();
 
     // Ground truth per mix member, computed cold (fresh substrate each).
-    let cold: Vec<HdbscanResult> = mix
-        .iter()
-        .map(|request| Hdbscan::with_ctx(request.to_params(), ExecCtx::serial()).run(&points))
+    let cold: Vec<HdbscanResult> = mix.iter().map(|r| cold_run(&points, r)).collect();
+
+    // One seeded stream, split into one slice per serving thread.
+    let mut rng = StdRng::seed_from_u64(STREAM_SEED);
+    let stream: Vec<usize> = (0..THREADS * REQUESTS_PER_THREAD)
+        .map(|_| rng.gen_range(0..mix.len()))
         .collect();
 
-    let index = Arc::new(DatasetIndex::freeze(points, 16).expect("finite dataset freezes"));
+    for (name, ctx) in [
+        ("serial", ExecCtx::serial()),
+        ("threaded", ExecCtx::threads()),
+    ] {
+        let index =
+            Arc::new(DatasetIndex::freeze(points.clone(), 16).expect("finite dataset freezes"));
 
-    // N threads × M requests, every thread walking the mix at a different
-    // offset so distinct requests are genuinely in flight simultaneously.
-    std::thread::scope(|scope| {
-        for thread in 0..THREADS {
-            let index = Arc::clone(&index);
-            let cold = &cold;
-            let mix = &mix;
-            scope.spawn(move || {
-                let mut session = index.session();
-                for i in 0..REQUESTS_PER_THREAD {
-                    let which = (thread * 2 + i) % mix.len();
-                    let served = session
-                        .run(&mix[which])
-                        .expect("every mix member is a valid request");
-                    assert_results_identical(
-                        &served,
-                        &cold[which],
-                        &format!("thread {thread} request {i} (mix {which})"),
-                    );
-                    assert_eq!(
-                        session.scratch_outstanding(),
-                        0,
-                        "thread {thread}: leaked scratch after request {i}"
-                    );
-                }
-            });
-        }
-    });
+        // N threads × M requests, distinct requests genuinely in flight
+        // simultaneously. Each thread returns its hits (the runs whose
+        // front-half timings read 0) and its re-misses (runs that missed
+        // a key this session had already run: the key was evicted since,
+        // and the session's warm scratch computed it again).
+        let (hits, re_misses) = std::thread::scope(|scope| {
+            let handles: Vec<_> = stream
+                .chunks(REQUESTS_PER_THREAD)
+                .enumerate()
+                .map(|(thread, slice)| {
+                    let (index, ctx, mix, cold, keys) = (&index, &ctx, &mix, &cold, &keys);
+                    scope.spawn(move || {
+                        let mut session = index.session_with_ctx(ctx.clone());
+                        let mut seen = HashSet::new();
+                        let (mut hits, mut re_misses) = (0u64, 0u64);
+                        for (i, &which) in slice.iter().enumerate() {
+                            let what = format!("{name}: thread {thread} request {i} (mix {which})");
+                            let served = session
+                                .run(&mix[which])
+                                .expect("every mix member is a valid request");
+                            assert_results_identical(&served, &cold[which], &what);
+                            assert_eq!(session.scratch_outstanding(), 0, "{what}: leaked scratch");
+                            let t = served.timings;
+                            if t.core_s == 0.0 && t.mst_s == 0.0 && t.dendrogram_s == 0.0 {
+                                hits += 1;
+                                let phases = served.pandora_stats.timings;
+                                assert_eq!(phases.total(), 0.0, "{what}: hit phase timings");
+                            } else {
+                                assert!(
+                                    t.dendrogram_s > 0.0,
+                                    "{what}: a miss times its dendrogram"
+                                );
+                                if seen.contains(&keys[which]) {
+                                    re_misses += 1;
+                                }
+                            }
+                            seen.insert(keys[which]);
+                        }
+                        (hits, re_misses)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("serving thread"))
+                .fold((0, 0), |(h, m), (dh, dm)| (h + dh, m + dm))
+        });
 
-    // Every session parked its scratch on drop; the pool serves it back.
-    assert_eq!(index.pooled_sessions(), THREADS);
-    let mut warm = index.session();
-    assert_eq!(index.pooled_sessions(), THREADS - 1);
-    let served = warm.run(&mix[0]).expect("warm session still serves");
-    assert_results_identical(&served, &cold[0], "post-stress warm session");
+        let stats = index.hierarchy_stats();
+        assert_eq!(
+            stats.hits + stats.misses,
+            stream.len() as u64,
+            "{name}: every run is one hit or one miss"
+        );
+        assert_eq!(
+            stats.hits, hits,
+            "{name}: exactly the hits read 0 front-half timings"
+        );
+        assert!(
+            stats.entries < distinct_keys,
+            "{name}: the budget must admit fewer than the {distinct_keys} keys ({stats:?})"
+        );
+        assert!(
+            re_misses > 0,
+            "{name}: evicted keys must miss again ({stats:?})"
+        );
+
+        // Every session parked its scratch on drop; the pool serves it back.
+        assert_eq!(index.pooled_sessions(), THREADS);
+        let mut warm = index.session();
+        assert_eq!(index.pooled_sessions(), THREADS - 1);
+        let served = warm.run(&mix[0]).expect("warm session still serves");
+        assert_results_identical(
+            &served,
+            &cold[0],
+            &format!("{name}: post-stress warm session"),
+        );
+    }
 }
 
 #[test]
@@ -129,6 +257,11 @@ fn a_second_session_warms_from_the_shared_endgame_store() {
     // adopts them instead of re-proving the bounds from scratch. Observable
     // as an adoption tick plus a strictly smaller tree re-search bill on
     // the engine counters, with answers still bit-identical to cold.
+    //
+    // The two requests pin different concrete dendrogram backends (every
+    // backend is bit-identical), so they share the metric rank but not a
+    // hierarchy-cache key: the second run is a miss that really reaches
+    // Borůvka, whatever PANDORA_DENDROGRAM says.
     let (points, _) = gaussian_blobs(600, 2, 4, 160.0, 0.8, 21);
     let cold = Hdbscan::with_ctx(
         ClusterRequest::new().min_pts(4).to_params(),
@@ -141,7 +274,11 @@ fn a_second_session_warms_from_the_shared_endgame_store() {
 
     let mut first = index.session();
     let served = first
-        .run(&ClusterRequest::new().min_pts(4))
+        .run(
+            &ClusterRequest::new()
+                .min_pts(4)
+                .dendrogram(DendrogramBackend::AlphaContraction),
+        )
         .expect("valid request");
     assert_results_identical(&served, &cold, "first (cold-store) session");
     assert!(
@@ -162,7 +299,11 @@ fn a_second_session_warms_from_the_shared_endgame_store() {
     // `first` is still alive, so this session starts from a fresh scratch.
     let mut second = index.session();
     let served = second
-        .run(&ClusterRequest::new().min_pts(4))
+        .run(
+            &ClusterRequest::new()
+                .min_pts(4)
+                .dendrogram(DendrogramBackend::WorkOptimal),
+        )
         .expect("valid request");
     assert_results_identical(&served, &cold, "second (adopting) session");
     assert_eq!(
@@ -227,6 +368,9 @@ fn request_order_cannot_leak_state_between_sessions() {
     // Two sessions over one index, interleaved wildly different requests:
     // the endgame cache and pooled buffers inside each session must never
     // bleed into the other's answers (each is compared against cold).
+    // Repeats of a min_pts are hierarchy-cache hits here; the eviction
+    // stream of `concurrent_sessions_are_bit_identical_to_cold_runs`
+    // covers warm Borůvka runs after other requests.
     let (points, _) = gaussian_blobs(400, 2, 3, 70.0, 0.8, 13);
     let orders: [&[usize]; 2] = [&[16, 2, 8, 2, 16], &[2, 16, 2, 8, 8]];
     let cold: Vec<HdbscanResult> = [2usize, 8, 16]
