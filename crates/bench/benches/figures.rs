@@ -9,11 +9,11 @@ use pandora_bench::suite::fig12_suite;
 use pandora_core::baseline::dendrogram_union_find;
 use pandora_core::{pandora, SortedMst};
 use pandora_exec::ExecCtx;
-use pandora_mst::{emst, EmstParams};
+use pandora_mst::emst;
 
 fn mst_of(points: &pandora_mst::PointSet, min_pts: usize) -> SortedMst {
     let ctx = ExecCtx::threads();
-    let edges = emst(&ctx, points, &EmstParams::with_min_pts(min_pts)).edges;
+    let edges = emst(&ctx, points, min_pts).edges;
     SortedMst::from_edges(&ctx, points.len(), &edges)
 }
 

@@ -3,8 +3,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use pandora_data::by_name;
+use std::sync::Arc;
+
 use pandora_exec::ExecCtx;
-use pandora_hdbscan::{Hdbscan, HdbscanParams};
+use pandora_hdbscan::{ClusterRequest, DatasetIndex, Hdbscan, HdbscanParams};
 
 fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("hdbscan_pipeline");
@@ -41,19 +43,22 @@ fn bench_mpts_sensitivity(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_engine_sweep(c: &mut Criterion) {
-    // The serving shape: one engine per dataset, a whole mpts sweep per
-    // iteration (amortized build + k-NN + pooled buffers) vs the same four
-    // requests served by cold one-shot pipelines.
+fn bench_session_sweep(c: &mut Criterion) {
+    // The serving shape: one frozen index and one session per dataset, a
+    // whole mpts sweep per iteration (amortized build + k-NN + pooled
+    // buffers) vs the same four requests served by cold one-shot pipelines.
     let points = by_name("Uniform100M3D").unwrap().generate(20_000, 8);
     let sweep = [2usize, 4, 8, 16];
-    let mut group = c.benchmark_group("hdbscan_engine");
+    let mut group = c.benchmark_group("hdbscan_sweep");
     group.sample_size(10);
-    group.bench_function("sweep_engine", |b| {
-        let driver = Hdbscan::with_ctx(HdbscanParams::default(), ExecCtx::threads());
+    group.bench_function("sweep_session", |b| {
         b.iter(|| {
-            let mut engine = driver.engine(&points);
-            engine.sweep_min_pts(&sweep)
+            let index = Arc::new(DatasetIndex::freeze(points.clone(), 16).unwrap());
+            let mut session = index.session();
+            sweep
+                .iter()
+                .map(|&min_pts| session.run(&ClusterRequest::new().min_pts(min_pts)))
+                .collect::<Vec<_>>()
         })
     });
     group.bench_function("sweep_cold_runs", |b| {
@@ -79,6 +84,6 @@ fn bench_engine_sweep(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().measurement_time(std::time::Duration::from_secs(5));
-    targets = bench_pipeline, bench_mpts_sensitivity, bench_engine_sweep
+    targets = bench_pipeline, bench_mpts_sensitivity, bench_session_sweep
 );
 criterion_main!(benches);

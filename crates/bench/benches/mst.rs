@@ -3,10 +3,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use pandora_data::by_name;
-use pandora_exec::ExecCtx;
+use pandora_exec::{ExecCtx, ScratchPool};
 use pandora_mst::{
-    boruvka_mst, boruvka_mst_seeded, core_distances2, emst, EmstParams, Euclidean, KdTree,
-    MutualReachability,
+    boruvka_mst, core_distances2, emst, BoruvkaExtras, Euclidean, KdTree, MutualReachability,
 };
 
 fn bench_kdtree_build(c: &mut Criterion) {
@@ -49,7 +48,17 @@ fn bench_boruvka(c: &mut Criterion) {
         group.throughput(Throughput::Elements(points.len() as u64));
         group.bench_with_input(BenchmarkId::new("euclidean", name), &points, |b, points| {
             let tree = KdTree::build(&ctx, points);
-            b.iter(|| boruvka_mst(&ctx, points, &tree, &Euclidean))
+            b.iter(|| {
+                let pool = ScratchPool::new();
+                boruvka_mst(
+                    &ctx,
+                    points,
+                    &tree,
+                    &Euclidean,
+                    BoruvkaExtras::default(),
+                    &pool,
+                )
+            })
         });
         group.bench_with_input(
             BenchmarkId::new("mutual_reachability", name),
@@ -60,7 +69,13 @@ fn bench_boruvka(c: &mut Criterion) {
                 let mut node_core2 = Vec::new();
                 tree.min_core2_into(&core2, &mut node_core2);
                 let metric = MutualReachability { core2: &core2 };
-                b.iter(|| boruvka_mst_seeded(&ctx, points, &tree, &metric, None, &node_core2))
+                b.iter(|| {
+                    let extras = BoruvkaExtras {
+                        node_core2: &node_core2,
+                        ..Default::default()
+                    };
+                    boruvka_mst(&ctx, points, &tree, &metric, extras, &ScratchPool::new())
+                })
             },
         );
     }
@@ -68,9 +83,8 @@ fn bench_boruvka(c: &mut Criterion) {
 }
 
 fn bench_emst_pipeline(c: &mut Criterion) {
-    // The orchestrated end-to-end EMST (build → core → Borůvka) — the
-    // number the tentpole speedup claims are measured on (fig01's EMST
-    // stage at PR scale).
+    // The one-shot end-to-end EMST (freeze → core → Borůvka) — fig01's
+    // cold EMST stage.
     let ctx = ExecCtx::threads();
     let mut group = c.benchmark_group("emst_pipeline");
     group.sample_size(10);
@@ -78,7 +92,7 @@ fn bench_emst_pipeline(c: &mut Criterion) {
         let points = by_name(name).unwrap().generate(n, 42);
         group.throughput(Throughput::Elements(points.len() as u64));
         group.bench_with_input(BenchmarkId::new("min_pts2", name), &points, |b, points| {
-            b.iter(|| emst(&ctx, points, &EmstParams::default()))
+            b.iter(|| emst(&ctx, points, 2))
         });
     }
     group.finish();

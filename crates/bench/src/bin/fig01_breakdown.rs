@@ -103,7 +103,7 @@ fn main() {
                 "  EMST: core distances".into(),
                 fmt_s(run.emst_timings.core_s),
             ],
-            vec!["  EMST: Borůvka".into(), fmt_s(run.emst_timings.boruvka_s)],
+            vec!["  EMST: Borůvka".into(), fmt_s(run.emst_timings.mst_s)],
             vec!["PANDORA dendrogram".into(), fmt_s(run.pandora_wall.total())],
             vec![
                 "UnionFind-MT dendrogram".into(),
@@ -182,14 +182,14 @@ fn main() {
                     "serial".into(),
                     fmt_s(serial.tree_build_s),
                     fmt_s(serial.core_s),
-                    fmt_s(serial.boruvka_s),
+                    fmt_s(serial.mst_s),
                     fmt_s(serial.total()),
                 ],
                 vec![
                     "threaded".into(),
                     fmt_s(threaded.tree_build_s),
                     fmt_s(threaded.core_s),
-                    fmt_s(threaded.boruvka_s),
+                    fmt_s(threaded.mst_s),
                     fmt_s(threaded.total()),
                 ],
             ],
@@ -252,7 +252,7 @@ fn main() {
         // Engine canary bar: the warm sweep must beat the cold runs by a
         // real margin (CI uses 1.2; the measured amortization at 20k points
         // is ~2.5x, so a pass is far from the noise floor while any
-        // regression that de-amortizes the engine lands well below it).
+        // regression that de-amortizes the sweep lands well below it).
         let min_engine_speedup = std::env::var("PANDORA_BENCH_MIN_ENGINE_SPEEDUP")
             .ok()
             .and_then(|v| v.parse::<f64>().ok())
@@ -260,7 +260,7 @@ fn main() {
         if enforce && engine.speedup < min_engine_speedup {
             eprintln!(
                 "FAIL: engine sweep ({:.1} ms) vs cold runs ({:.1} ms) is only \
-                 {:.2}x (required ≥ {min_engine_speedup:.2}x) — the engine \
+                 {:.2}x (required ≥ {min_engine_speedup:.2}x) — the sweep \
                  stopped amortizing the shared substrate",
                 engine.sweep_s * 1e3,
                 engine.cold_s * 1e3,

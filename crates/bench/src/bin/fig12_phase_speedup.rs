@@ -77,7 +77,7 @@ fn main() {
             ds.label.to_string(),
             ratio(serial.tree_build_s, threaded.tree_build_s),
             ratio(serial.core_s, threaded.core_s),
-            ratio(serial.boruvka_s, threaded.boruvka_s),
+            ratio(serial.mst_s, threaded.mst_s),
             ratio(serial.total(), threaded.total()),
         ]);
     }

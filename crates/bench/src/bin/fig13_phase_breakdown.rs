@@ -11,7 +11,7 @@ use pandora_bench::suite::{bench_scale, fig12_suite};
 use pandora_core::{DendrogramBackend, DendrogramWorkspace, SortedMst};
 use pandora_exec::device::DeviceModel;
 use pandora_exec::ExecCtx;
-use pandora_mst::{emst, EmstParams};
+use pandora_mst::emst;
 
 fn main() {
     let n = bench_scale();
@@ -69,7 +69,7 @@ fn main() {
     let mut race_rows = Vec::new();
     for ds in fig12_suite() {
         let points = ds.generate(n, 5);
-        let result = emst(&ctx, &points, &EmstParams::with_min_pts(2));
+        let result = emst(&ctx, &points, 2);
         let mst = SortedMst::from_edges(&ctx, points.len(), &result.edges);
         let mut ws = DendrogramWorkspace::new();
         let mut row = vec![ds.label.to_string()];

@@ -9,7 +9,7 @@
 //! 1.1–1.5× (vs 1.6–2.4× for UnionFind-MT), while EMST grows for both.
 //!
 //! The sweep itself runs the way the paper's study implies it should be
-//! served: through one engine substrate per dataset
+//! served: through one frozen index per dataset
 //! ([`pandora_bench::harness::run_pipeline_swept`]) — the kd-tree is built
 //! once, a single k-NN pass at `max(mpts)` yields every member's core
 //! distances by prefix, and all stage buffers are recycled. The measured
@@ -79,7 +79,7 @@ fn main() {
         );
         let canary = engine_vs_cold(&points, &sweep, 1);
         println!(
-            "engine amortization — shared substrate {} (build + k-NN at max mpts), \
+            "sweep amortization — shared substrate {} (build + k-NN at max mpts), \
              sweep {} vs four cold runs {}: {:.2}x, identical results",
             fmt_s(prepare_s),
             fmt_s(canary.sweep_s),

@@ -10,7 +10,7 @@ use pandora_core::census::{chain_lengths, hierarchy_census};
 use pandora_core::levels::build_hierarchy;
 use pandora_core::{pandora, SortedMst};
 use pandora_exec::ExecCtx;
-use pandora_mst::{emst, EmstParams};
+use pandora_mst::emst;
 
 fn main() {
     let n = bench_scale();
@@ -20,7 +20,7 @@ fn main() {
     let mut rows = Vec::new();
     for ds in fig12_suite() {
         let points = ds.generate(n, 9);
-        let edges = emst(&ctx, &points, &EmstParams::default()).edges;
+        let edges = emst(&ctx, &points, 2).edges;
         let mst = SortedMst::from_edges(&ctx, points.len(), &edges);
 
         let hierarchy = build_hierarchy(&ctx, &mst);

@@ -9,7 +9,7 @@ use pandora_bench::suite::bench_scale;
 use pandora_core::pandora;
 use pandora_data::all_datasets;
 use pandora_exec::ExecCtx;
-use pandora_mst::{emst, EmstParams};
+use pandora_mst::emst;
 
 fn main() {
     let n = bench_scale();
@@ -18,7 +18,7 @@ fn main() {
     let mut rows = Vec::new();
     for spec in all_datasets() {
         let points = spec.generate(n, 7);
-        let edges = emst(&ctx, &points, &EmstParams::default()).edges;
+        let edges = emst(&ctx, &points, 2).edges;
         let dendro = pandora::dendrogram(&ctx, points.len(), &edges);
         rows.push(vec![
             spec.name.to_string(),

@@ -12,8 +12,7 @@ use pandora_exec::trace::Trace;
 use pandora_exec::{ExecCtx, ScratchPool};
 use pandora_hdbscan::{ClusterRequest, DatasetIndex, Hdbscan, HdbscanParams};
 use pandora_mst::{
-    emst, emst_from_index, emst_into, nnchain_merges, EmstIndex, EmstParams, EmstScratch,
-    EmstTimings, EmstWorkspace, Linkage, PointSet,
+    emst, emst_from_index, nnchain_merges, EmstIndex, EmstScratch, Linkage, PointSet, StageTimings,
 };
 
 /// Everything the figure binaries need from one dataset run: real wall-clock
@@ -25,7 +24,7 @@ pub struct PipelineRun {
     /// Measured EMST wall time (tree build + core distances + Borůvka).
     pub mst_wall_s: f64,
     /// EMST stage decomposition (build / core / Borůvka).
-    pub emst_timings: EmstTimings,
+    pub emst_timings: StageTimings,
     /// Measured PANDORA phase times (sort / contraction / expansion).
     pub pandora_wall: PhaseTimings,
     /// Measured UnionFind-MT baseline: (parallel sort, sequential pass).
@@ -48,9 +47,9 @@ pub fn run_pipeline(points: &PointSet, min_pts: usize) -> PipelineRun {
     let n = points.len();
 
     // EMST stage (traced as phases "emst_build" / "emst_core" /
-    // "emst_boruvka" by the orchestrator).
+    // "emst_boruvka" by the freeze and the request).
     let t = Instant::now();
-    let result = emst(&ctx, points, &EmstParams::with_min_pts(min_pts));
+    let result = emst(&ctx, points, min_pts);
     let edges: Vec<Edge> = result.edges;
     let mst_wall_s = t.elapsed().as_secs_f64();
     let mst_trace = tracer.snapshot();
@@ -80,12 +79,12 @@ pub fn run_pipeline(points: &PointSet, min_pts: usize) -> PipelineRun {
     }
 }
 
-/// Runs the full pipeline once per `min_pts` through a **shared engine
-/// substrate** ([`EmstWorkspace`] + [`DendrogramWorkspace`]): the kd-tree
-/// is built once, one k-NN pass at the sweep maximum serves every member's
-/// core distances, and all stage buffers are recycled — the serving-shaped
-/// counterpart of calling [`run_pipeline`] per `min_pts`, with bit-identical
-/// results.
+/// Runs the full pipeline once per `min_pts` through a **shared
+/// substrate** ([`EmstIndex`] + [`EmstScratch`] + [`DendrogramWorkspace`]):
+/// the kd-tree is built once, one k-NN pass at the sweep maximum serves
+/// every member's core distances, and all stage buffers are recycled — the
+/// serving-shaped counterpart of calling [`run_pipeline`] per `min_pts`,
+/// with bit-identical results.
 ///
 /// Each returned run's `mst_trace` is the member's *incremental* EMST trace
 /// with the shared build/k-NN trace prepended, so device projections stay
@@ -96,12 +95,13 @@ pub fn run_pipeline_swept(points: &PointSet, min_pts_list: &[usize]) -> (f64, Ve
     let (ctx, tracer) = ExecCtx::threads().with_tracing();
     let n = points.len();
 
-    let mut emst_ws = EmstWorkspace::new();
-    let mut dendro_ws = DendrogramWorkspace::new();
-    let prepare_s = match min_pts_list.iter().max() {
-        Some(&max) => emst_ws.prepare(&ctx, points, max),
-        None => 0.0,
+    let Some(&max) = min_pts_list.iter().max() else {
+        return (0.0, Vec::new());
     };
+    let index = EmstIndex::freeze(&ctx, points.clone(), max).expect("bench sweep freezes cleanly");
+    let prepare_s = index.build_seconds() + index.rows_seconds();
+    let mut emst_scratch = EmstScratch::new();
+    let mut dendro_ws = DendrogramWorkspace::new();
     let shared_trace = tracer.snapshot();
     tracer.reset();
 
@@ -109,7 +109,8 @@ pub fn run_pipeline_swept(points: &PointSet, min_pts_list: &[usize]) -> (f64, Ve
         .iter()
         .map(|&min_pts| {
             let t = Instant::now();
-            let result = emst_into(&ctx, points, min_pts, &mut emst_ws);
+            let result = emst_from_index(&ctx, &index, min_pts, &mut emst_scratch)
+                .expect("valid sweep member");
             let edges: Vec<Edge> = result.edges;
             let mst_wall_s = t.elapsed().as_secs_f64();
             let incremental = tracer.snapshot();
@@ -152,13 +153,15 @@ pub fn run_pipeline_swept(points: &PointSet, min_pts_list: &[usize]) -> (f64, Ve
     (prepare_s, runs)
 }
 
-/// Measured engine-vs-cold amortization: wall seconds of one
-/// [`pandora_hdbscan::HdbscanEngine`] sweep against the sum of one-shot
-/// [`Hdbscan::run`] calls over the same `min_pts` list (identical results;
-/// best of `reps` for each side).
+/// Measured sweep-vs-cold amortization: wall seconds of one sweep (a
+/// [`DatasetIndex`] frozen at the list's maximum, then one
+/// [`pandora_hdbscan::Session`] answering every member) against the sum of
+/// one-shot [`Hdbscan::run`] calls over the same `min_pts` list
+/// (identical results; best of `reps` for each side).
 #[derive(Debug, Clone)]
 pub struct EngineCanary {
-    /// Engine sweep wall seconds (tree + k-NN shared, buffers pooled).
+    /// Sweep wall seconds, freeze included (tree + k-NN shared, buffers
+    /// pooled).
     pub sweep_s: f64,
     /// Sum of cold one-shot wall seconds.
     pub cold_s: f64,
@@ -166,17 +169,27 @@ pub struct EngineCanary {
     pub speedup: f64,
 }
 
-/// Runs the engine sweep and the cold one-shot baseline (best of `reps`
-/// each) and asserts the labels agree — the CI engine canary's measurement.
+/// Runs the sweep and the cold one-shot baseline (best of `reps` each)
+/// and asserts the labels agree — the CI engine canary's measurement.
 pub fn engine_vs_cold(points: &PointSet, min_pts_list: &[usize], reps: usize) -> EngineCanary {
     let ctx = ExecCtx::threads();
+    let max = min_pts_list.iter().copied().max().unwrap_or(1);
     let mut sweep_s = f64::INFINITY;
     let mut sweep_labels: Vec<Vec<i32>> = Vec::new();
     for _ in 0..reps.max(1) {
-        let driver = Hdbscan::with_ctx(HdbscanParams::default(), ctx.clone());
-        let mut engine = driver.engine(points);
         let t = Instant::now();
-        let results = engine.sweep_min_pts(min_pts_list);
+        let index = DatasetIndex::freeze_with_ctx(ctx.clone(), points.clone(), max)
+            .map(Arc::new)
+            .expect("bench sweep freezes cleanly");
+        let mut session = index.session();
+        let results: Vec<_> = min_pts_list
+            .iter()
+            .map(|&min_pts| {
+                session
+                    .run(&ClusterRequest::new().min_pts(min_pts))
+                    .expect("valid sweep member")
+            })
+            .collect();
         let spent = t.elapsed().as_secs_f64();
         if spent < sweep_s {
             sweep_s = spent;
@@ -204,7 +217,7 @@ pub fn engine_vs_cold(points: &PointSet, min_pts_list: &[usize], reps: usize) ->
         if spent < cold_s {
             cold_s = spent;
         }
-        assert_eq!(cold, sweep_labels, "engine and one-shot labels diverged");
+        assert_eq!(cold, sweep_labels, "sweep and one-shot labels diverged");
     }
     EngineCanary {
         sweep_s,
@@ -458,12 +471,12 @@ pub fn emst_serial_vs_threaded(
     points: &PointSet,
     min_pts: usize,
     reps: usize,
-) -> (EmstTimings, EmstTimings, usize) {
-    let best_of = |ctx: &ExecCtx| -> EmstTimings {
-        let mut best: Option<EmstTimings> = None;
+) -> (StageTimings, StageTimings, usize) {
+    let best_of = |ctx: &ExecCtx| -> StageTimings {
+        let mut best: Option<StageTimings> = None;
         for _ in 0..reps.max(1) {
-            let run = emst(ctx, points, &EmstParams::with_min_pts(min_pts));
-            if best.is_none_or(|b: EmstTimings| run.timings.total() < b.total()) {
+            let run = emst(ctx, points, min_pts);
+            if best.is_none_or(|b: StageTimings| run.timings.total() < b.total()) {
                 best = Some(run.timings);
             }
         }
@@ -507,7 +520,7 @@ pub fn emst_cold_vs_warm(points: &PointSet, min_pts: usize, reps: usize) -> Cold
     let mut cold_edges: Vec<Edge> = Vec::new();
     for _ in 0..reps.max(1) {
         let t = Instant::now();
-        let run = emst(&ctx, points, &EmstParams::with_min_pts(min_pts));
+        let run = emst(&ctx, points, min_pts);
         let spent = t.elapsed().as_secs_f64();
         if spent < cold_s {
             cold_s = spent;
@@ -575,7 +588,7 @@ impl DendroCanary {
 pub fn dendro_serial_vs_threaded(points: &PointSet, min_pts: usize, reps: usize) -> DendroCanary {
     let threaded_ctx = ExecCtx::threads();
     let lanes = threaded_ctx.lanes();
-    let result = emst(&threaded_ctx, points, &EmstParams::with_min_pts(min_pts));
+    let result = emst(&threaded_ctx, points, min_pts);
     let mst = SortedMst::from_edges(&threaded_ctx, points.len(), &result.edges);
 
     let best_alpha = |ctx: &ExecCtx| -> (pandora_core::Dendrogram, PhaseTimings) {
@@ -714,8 +727,8 @@ pub fn write_bench_ci_json(
     path: &str,
     n: usize,
     min_pts: usize,
-    serial: &EmstTimings,
-    threaded: &EmstTimings,
+    serial: &StageTimings,
+    threaded: &StageTimings,
     lanes: usize,
     engine: Option<&EngineCanary>,
     serve: Option<&ServeCanary>,
@@ -724,12 +737,12 @@ pub fn write_bench_ci_json(
     daemon: Option<&DaemonCanary>,
     cold: Option<&ColdWarmCanary>,
 ) -> std::io::Result<()> {
-    let phase = |t: &EmstTimings| {
+    let phase = |t: &StageTimings| {
         format!(
             "{{\"build_ms\": {:.3}, \"core_ms\": {:.3}, \"boruvka_ms\": {:.3}, \"emst_ms\": {:.3}}}",
             t.tree_build_s * 1e3,
             t.core_s * 1e3,
-            t.boruvka_s * 1e3,
+            t.mst_s * 1e3,
             t.total() * 1e3
         )
     };

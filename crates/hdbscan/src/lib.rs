@@ -21,7 +21,6 @@
 pub mod condensed;
 pub mod daemon;
 pub mod dbscan;
-pub mod engine;
 pub mod outlier;
 pub mod pipeline;
 pub mod serve;
@@ -30,7 +29,6 @@ pub mod validity;
 
 pub use condensed::{condense, CondensedTree};
 pub use dbscan::{dbscan_star, epsilon_profile};
-pub use engine::HdbscanEngine;
 pub use outlier::glosh_scores;
 pub use pandora_core::DendrogramBackend;
 pub use pandora_mst::{Linkage, MetricKind};

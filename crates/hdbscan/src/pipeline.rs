@@ -8,18 +8,25 @@
 //! Every stage is timed separately, matching the decompositions in the
 //! paper's Figures 1, 12 and 15.
 //!
-//! This one-shot driver is pinned to the pipeline above: single linkage on
-//! the Borůvka EMST fast path. The serving API
-//! ([`crate::serve::ClusterRequest::linkage`]) additionally dispatches
-//! complete / average / Ward linkage through the NN-chain engine; stage 2
-//! then produces the merge sequence (itself a spanning tree) instead of
-//! the EMST, and stages 3–4 run unchanged.
+//! This one-shot driver runs the pipeline above through the serving API:
+//! one frozen [`DatasetIndex`] and one session request, which leaves the
+//! linkage unset. That means single linkage on the Borůvka EMST fast path
+//! unless `PANDORA_LINKAGE` names another criterion; the serving API
+//! ([`crate::serve::ClusterRequest::linkage`]) dispatches complete /
+//! average / Ward linkage through the NN-chain engine, where stage 2
+//! produces the merge sequence (itself a spanning tree) instead of the
+//! EMST and stages 3–4 run unchanged.
 
-use pandora_core::{Dendrogram, PandoraStats, SortedMst};
+use std::sync::Arc;
+
+use pandora_core::{Dendrogram, DendrogramBackend, DendrogramWorkspace, PandoraStats, SortedMst};
 use pandora_exec::ExecCtx;
 use pandora_mst::PointSet;
+// Defined once, next to the EMST result it starts out in.
+pub use pandora_mst::StageTimings;
 
 use crate::condensed::CondensedTree;
+use crate::serve::{extract_clusters, finish_hierarchy, ClusterRequest, DatasetIndex};
 
 /// HDBSCAN\* parameters.
 #[derive(Debug, Clone, Copy)]
@@ -40,39 +47,6 @@ impl Default for HdbscanParams {
             min_cluster_size: 5,
             allow_single_cluster: false,
         }
-    }
-}
-
-/// Per-stage wall-clock seconds.
-///
-/// A stage a run did not execute reads 0. A [`crate::Session::run`] never
-/// builds the kd-tree (`tree_build_s`; the freeze paid it), and when the
-/// index's hierarchy cache answers the request it also skips the core
-/// distances, the spanning tree and the dendrogram (`core_s`, `mst_s`,
-/// `dendrogram_s`): only `extract_s` is spent.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageTimings {
-    /// kd-tree construction.
-    pub tree_build_s: f64,
-    /// Core-distance k-NN queries.
-    pub core_s: f64,
-    /// Borůvka MST under mutual reachability.
-    pub mst_s: f64,
-    /// Dendrogram construction (all PANDORA phases).
-    pub dendrogram_s: f64,
-    /// Condensed tree + stability extraction.
-    pub extract_s: f64,
-}
-
-impl StageTimings {
-    /// Total pipeline seconds.
-    pub fn total(&self) -> f64 {
-        self.tree_build_s + self.core_s + self.mst_s + self.dendrogram_s + self.extract_s
-    }
-
-    /// The paper's "EMST" stage (tree build + core distances + Borůvka).
-    pub fn emst_s(&self) -> f64 {
-        self.tree_build_s + self.core_s + self.mst_s
     }
 }
 
@@ -152,16 +126,58 @@ impl Hdbscan {
         &self.ctx
     }
 
-    /// Runs the full pipeline once.
+    /// Runs the full pipeline once: one [`DatasetIndex`] freeze at ceiling
+    /// `min_pts`, then one [`crate::Session::run`].
     ///
-    /// Thin wrapper over a one-off [`crate::engine::HdbscanEngine`]: build
-    /// the stage workspaces, answer this one request, drop them. Serving
-    /// several requests over the same dataset (or sweeping `minPts`) should
-    /// hold an engine instead — [`Hdbscan::engine`] — which amortizes the
-    /// kd-tree build, the k-NN pass and every stage buffer across runs
-    /// while producing bit-identical results.
+    /// Serving several requests over the same dataset (or sweeping
+    /// `minPts`) should freeze the index once and hold a session instead,
+    /// which amortizes the kd-tree build, the k-NN pass and every stage
+    /// buffer across runs while producing bit-identical results. The
+    /// timings of this run include the freeze (`tree_build_s`, and the
+    /// k-NN pass in `core_s`). An empty point set yields an empty result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `min_pts` is 0, if it exceeds the point count (for two or
+    /// more points), or if `min_cluster_size` is 0. The serving API
+    /// ([`DatasetIndex`] and [`crate::Session`]) reports these as errors.
     pub fn run(&self, points: &PointSet) -> HdbscanResult {
-        self.engine(points).run_with(self.params.min_pts)
+        let params = self.params;
+        assert!(
+            params.min_pts >= 1,
+            "invalid min_pts = 0: must be at least 1"
+        );
+        let request = ClusterRequest::new()
+            .min_pts(params.min_pts)
+            .min_cluster_size(params.min_cluster_size)
+            .allow_single_cluster(params.allow_single_cluster);
+        if points.is_empty() {
+            // No index exists for an empty dataset: run the back half of the
+            // pipeline over an empty spanning tree.
+            let mut timings = StageTimings::default();
+            let backend = DendrogramBackend::resolve(request.dendrogram).concrete_for(0);
+            let mut dendro = DendrogramWorkspace::new();
+            let hierarchy = finish_hierarchy(
+                &self.ctx,
+                0,
+                Vec::new(),
+                &[],
+                backend,
+                &mut dendro,
+                &mut timings,
+            );
+            return extract_clusters(&self.ctx, hierarchy, &request, timings);
+        }
+        let index = DatasetIndex::freeze_with_ctx(self.ctx.clone(), points.clone(), params.min_pts)
+            .map(Arc::new)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let mut result = index
+            .session()
+            .run(&request)
+            .unwrap_or_else(|e| panic!("{e}"));
+        result.timings.tree_build_s = index.emst().build_seconds();
+        result.timings.core_s += index.emst().rows_seconds();
+        result
     }
 }
 
@@ -239,6 +255,27 @@ mod tests {
         assert!(result.timings.total() > 0.0);
         assert!(result.timings.emst_s() > 0.0);
         assert_eq!(result.pandora_stats.level_edge_counts[0], 399);
+    }
+
+    #[test]
+    #[should_panic(expected = "min_pts = 0")]
+    fn zero_min_pts_panics() {
+        let (points, _) = gaussian_blobs(50, 2, 1, 20.0, 0.5, 2);
+        let params = HdbscanParams {
+            min_pts: 0,
+            ..Default::default()
+        };
+        let _ = Hdbscan::new(params).run(&points);
+    }
+
+    #[test]
+    #[should_panic(expected = "min_pts = 0")]
+    fn zero_min_pts_panics_on_an_empty_set() {
+        let params = HdbscanParams {
+            min_pts: 0,
+            ..Default::default()
+        };
+        let _ = Hdbscan::new(params).run(&PointSet::new(vec![], 2));
     }
 
     #[test]

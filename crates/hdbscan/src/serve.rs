@@ -1,12 +1,10 @@
-//! The concurrent serving API: one shared [`DatasetIndex`], many
-//! per-request [`Session`]s.
+//! The serving API, and the one path every HDBSCAN\* run takes: one
+//! shared [`DatasetIndex`], many per-request [`Session`]s.
 //!
-//! The engine of PR 4 ([`crate::engine::HdbscanEngine`]) amortizes the
-//! spatial substrate across *sequential* requests, but it is `&mut self`
-//! and lifetime-bound to one borrower — one request at a time per dataset.
 //! A serving deployment wants T threads answering clustering requests over
-//! the same dataset simultaneously. This module splits the engine along
-//! the read/write boundary the PANDORA stages already have:
+//! the same dataset simultaneously, and a `minPts` sweep wants to pay the
+//! spatial substrate once. This module splits the pipeline along the
+//! read/write boundary the PANDORA stages already have:
 //!
 //! * [`DatasetIndex`] — the shared tier: a validated point set, the
 //!   frozen kd-tree with its AoSoA leaf blocks, and sorted k-NN rows wide
@@ -223,7 +221,7 @@ impl ClusterRequest {
         })
     }
 
-    /// The equivalent driver parameters (for the legacy one-shot API).
+    /// The equivalent parameters of the one-shot [`crate::Hdbscan`] driver.
     pub fn to_params(&self) -> HdbscanParams {
         HdbscanParams {
             min_pts: self.min_pts,
@@ -546,7 +544,6 @@ impl Session {
                 StageTimings::default(),
             ));
         }
-        let mut timings = StageTimings::default();
 
         // Spanning-structure stage against the frozen substrate. Single
         // linkage keeps the Borůvka EMST fast path (phases emst_core /
@@ -571,10 +568,7 @@ impl Session {
                 &mut self.state.emst,
             )?
         };
-        timings.tree_build_s = emst.timings.tree_build_s;
-        timings.core_s = emst.timings.core_s;
-        timings.mst_s = emst.timings.boruvka_s;
-
+        let mut timings = emst.timings;
         let hierarchy = finish_hierarchy(
             &ctx,
             self.index.len(),
@@ -596,7 +590,8 @@ impl Drop for Session {
 }
 
 /// The hierarchy half of the pipeline, shared by a cache miss in
-/// [`Session::run`] and the legacy engine shim: sorts the spanning tree
+/// [`Session::run`] and the empty-set path of [`crate::Hdbscan::run`]
+/// (which has no index to draw a session from): sorts the spanning tree
 /// into canonical order and builds its dendrogram with the concrete
 /// `backend` through the reusable workspace. Sets `timings.dendrogram_s`
 /// (sort included).

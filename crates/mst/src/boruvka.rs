@@ -62,9 +62,9 @@ fn pack_candidate(d2: f32, p: u32) -> u64 {
 }
 
 /// Cumulative effectiveness counters for the witness machinery, shared by
-/// every Borůvka run over one dataset (the owner — an
-/// [`crate::index::EmstIndex`] or workspace — hands a reference to each run
-/// via [`BoruvkaExtras::stats`]).
+/// every Borůvka run over one dataset (the owning
+/// [`crate::index::EmstIndex`] hands a reference to each run via
+/// [`BoruvkaExtras::stats`]).
 ///
 /// All counters are monotone and relaxed: lanes accumulate locally and
 /// flush once per chunk, so the atomics see O(chunks) traffic, not O(n).
@@ -398,18 +398,15 @@ fn apply_snapshot(
     true
 }
 
-/// Optional configuration of a [`boruvka_mst_with`] run, bundled so the
+/// Optional configuration of a [`boruvka_mst`] run, bundled so the
 /// entry point reads as *what extras are engaged* rather than a positional
-/// argument soup. [`Default`] is the bare run: no seeds, no rows, no
-/// pruning bounds, no cross-run cache.
+/// argument soup. [`Default`] is the bare run: no rows, no pruning bounds,
+/// no cross-run cache, no counters.
 ///
 /// Every extra is strictly conservative — engaging any subset changes the
 /// work performed, never the returned MST.
 #[derive(Debug, Default)]
 pub struct BoruvkaExtras<'a> {
-    /// Exact per-point first-round candidates (`(_, u32::MAX)` = none);
-    /// see [`boruvka_mst_seeded`].
-    pub seeds: Option<&'a [(f32, u32)]>,
     /// Sorted k-NN rows driving the first-round row screen and the
     /// boundary filter (see [`KnnRows`]).
     pub rows: Option<KnnRows<'a>>,
@@ -491,92 +488,33 @@ pub fn row_witness_scan<M: Metric>(
 
 /// Computes the MST of `points` under `metric` using parallel Borůvka.
 ///
-/// The `tree` must index the same point set. Pass per-node core minima for
-/// mutual-reachability subtree pruning via [`BoruvkaExtras::node_core2`]
-/// on the [`boruvka_mst_with`] entry point — this bare convenience runs
-/// without pruning bounds (identical edges, more traversal). Returns the
-/// `n-1` edges with weights = `sqrt` of the metric's squared distance.
+/// The `tree` must index the same point set. [`BoruvkaExtras`] engages
+/// the optional accelerations (pass [`BoruvkaExtras::default`] for the
+/// bare run), and every round-persistent buffer is drawn from (and
+/// returned to) the caller-owned `scratch` pool, so a long-lived caller
+/// pays the buffer allocations once per *dataset*, not once per MST.
+/// Returns the `n-1` edges with weights = `sqrt` of the metric's squared
+/// distance.
+///
+/// The `rows` screen (see [`KnnRows`]) resolves most first-round queries
+/// without touching the tree: a point whose cheapest foreign row member
+/// sits strictly below its row's k-th distance has provably found its exact
+/// nearest foreign neighbour, and a point with no such member gains the
+/// k-th distance as a boundary-filter lower bound. `node_core2` enables
+/// mutual-reachability subtree pruning. The `cache` pair
+/// `(endgame cache, minPts rank)` carries late-round bounds across runs
+/// (see [`EndgameCache`]); pass the metric's `minPts` (1 for plain
+/// Euclidean). Every optimization is strictly conservative, so the result
+/// is **bit-identical** to the bare run: winners are exact and the
+/// tie-breaks are unchanged.
 ///
 /// # Panics
 ///
 /// Panics if a round adds no edge, which cannot happen for finite metric
 /// distances ([`PointSet::new`] rejects non-finite coordinates) — the check
 /// is unconditional so corrupt distances fail loudly instead of spinning.
+/// Also panics if a provided `rows` shape does not match `points.len()`.
 pub fn boruvka_mst<M: Metric>(
-    ctx: &ExecCtx,
-    points: &PointSet,
-    tree: &KdTree,
-    metric: &M,
-) -> Vec<Edge> {
-    let scratch = ScratchPool::new();
-    boruvka_mst_with(
-        ctx,
-        points,
-        tree,
-        metric,
-        BoruvkaExtras::default(),
-        &scratch,
-    )
-}
-
-/// [`boruvka_mst`] with optional per-point first-round candidates and
-/// per-node core-minimum pruning bounds.
-///
-/// Each seed is an **exact** metric distance to a specific other point
-/// (e.g. the cheapest mutual-reachability neighbour captured by the
-/// core-distance k-NN pass) or `(_, u32::MAX)` for "no candidate". Seeds
-/// warm-start the first round exactly like later rounds are warm-started
-/// by their predecessor, pruning the all-nearest-neighbour round that
-/// otherwise dominates; the result is identical with or without seeds.
-///
-/// # Panics
-///
-/// As [`boruvka_mst`]; additionally if `seeds.len() != points.len()`.
-pub fn boruvka_mst_seeded<M: Metric>(
-    ctx: &ExecCtx,
-    points: &PointSet,
-    tree: &KdTree,
-    metric: &M,
-    seeds: Option<Vec<(f32, u32)>>,
-    node_core2: &[f32],
-) -> Vec<Edge> {
-    let scratch = ScratchPool::new();
-    boruvka_mst_with(
-        ctx,
-        points,
-        tree,
-        metric,
-        BoruvkaExtras {
-            seeds: seeds.as_deref(),
-            node_core2,
-            ..Default::default()
-        },
-        &scratch,
-    )
-}
-
-/// The full-configuration Borůvka entry point: [`BoruvkaExtras`] (seeds,
-/// sorted k-NN rows, subtree pruning bounds, endgame cache) plus a
-/// caller-owned [`ScratchPool`] all round-persistent buffers are drawn
-/// from (and returned to), so a long-lived workspace pays the buffer
-/// allocations once per *dataset*, not once per MST.
-///
-/// The `rows` screen (see [`KnnRows`]) resolves most first-round queries
-/// without touching the tree: a point whose cheapest foreign row member
-/// sits strictly below its row's k-th distance has provably found its exact
-/// nearest foreign neighbour, and a point with no such member gains the
-/// k-th distance as a boundary-filter lower bound. The `cache` pair
-/// `(endgame cache, minPts rank)` carries late-round bounds across runs
-/// (see [`EndgameCache`]); pass the metric's `minPts` (1 for plain
-/// Euclidean). Every optimization is strictly conservative, so the result
-/// is **bit-identical** to the bare [`boruvka_mst`] run: winners are exact
-/// and the tie-breaks are unchanged.
-///
-/// # Panics
-///
-/// As [`boruvka_mst`]; additionally if a provided `seeds` or `rows` shape
-/// does not match `points.len()`.
-pub fn boruvka_mst_with<M: Metric>(
     ctx: &ExecCtx,
     points: &PointSet,
     tree: &KdTree,
@@ -585,18 +523,12 @@ pub fn boruvka_mst_with<M: Metric>(
     scratch: &ScratchPool,
 ) -> Vec<Edge> {
     let BoruvkaExtras {
-        seeds,
         rows,
         node_core2,
         mut cache,
         stats,
     } = extras;
     let n = points.len();
-    if let Some(seeds) = seeds {
-        // Checked even for degenerate inputs: a mis-sized seeds array is a
-        // caller bug that should not go unnoticed until n grows past 1.
-        assert_eq!(seeds.len(), n, "one seed per point");
-    }
     if let Some(rows) = &rows {
         assert_eq!(rows.d2.len(), n * rows.k, "one sorted k-NN row per point");
         assert_eq!(rows.idx.len(), n * rows.k, "one sorted k-NN row per point");
@@ -617,12 +549,9 @@ pub fn boruvka_mst_with<M: Metric>(
     candidate.resize(n, u64::MAX);
     // Per-point best known foreign candidate: an exact metric distance to
     // the witness point (`u32::MAX` = none yet). Carried across rounds as
-    // the warm-start seed; optionally pre-filled by the caller.
+    // the warm-start seed.
     let mut best_of = scratch.take_pairs();
-    match seeds {
-        Some(seeds) => best_of.extend_from_slice(seeds),
-        None => best_of.resize(n, (f32::INFINITY, u32::MAX)),
-    }
+    best_of.resize(n, (f32::INFINITY, u32::MAX));
     // 2-hop witness per point: the best known foreign candidate in a
     // component *different* from the primary witness's, refreshed by every
     // row screen. When a merge kills the primary this one usually survives
@@ -632,10 +561,9 @@ pub fn boruvka_mst_with<M: Metric>(
     // Witness provenance, 1 = canonical: `best_of[q]` was written by an
     // exact canonically-tie-broken search (tree traversal or certifying
     // row screen) *together with* `lower[q] = best_of[q].0`. Only such a
-    // witness may answer a query outright — caller seeds and promoted
-    // 2-hop witnesses are exact distances but not necessarily the
-    // smallest-index winner under duplicate weights, so they only ever
-    // serve as upper-bound seeds.
+    // witness may answer a query outright — promoted 2-hop witnesses are
+    // exact distances but not necessarily the smallest-index winner under
+    // duplicate weights, so they only ever serve as upper-bound seeds.
     let mut canon = scratch.take_u32();
     canon.resize(n, 0);
     // Per-point monotone **lower** bound on the nearest-foreign squared
@@ -1045,13 +973,26 @@ mod tests {
         )
     }
 
+    /// The bare run: no extras, a run-local pool.
+    fn bare(ctx: &ExecCtx, points: &PointSet, tree: &KdTree) -> Vec<Edge> {
+        let pool = ScratchPool::new();
+        boruvka_mst(
+            ctx,
+            points,
+            tree,
+            &Euclidean,
+            BoruvkaExtras::default(),
+            &pool,
+        )
+    }
+
     #[test]
     fn matches_prim_total_weight_euclidean() {
         let ctx = ExecCtx::serial();
         for (n, dim, seed) in [(50usize, 2usize, 1u64), (200, 3, 2), (300, 5, 3)] {
             let points = random_points(n, dim, seed);
             let tree = KdTree::build(&ctx, &points);
-            let got = boruvka_mst(&ctx, &points, &tree, &Euclidean);
+            let got = bare(&ctx, &points, &tree);
             assert_eq!(got.len(), n - 1);
             let expect = prim_mst(&points, &Euclidean);
             let wa = total_weight(&got);
@@ -1077,7 +1018,7 @@ mod tests {
         let mut node_core2 = Vec::new();
         tree.min_core2_into(&core2, &mut node_core2);
         let scratch = ScratchPool::new();
-        let got = boruvka_mst_with(
+        let got = boruvka_mst(
             &ctx,
             &points,
             &tree,
@@ -1099,8 +1040,8 @@ mod tests {
         let points = random_points(500, 2, 17);
         let tree_s = KdTree::build(&ExecCtx::serial(), &points);
         let tree_p = KdTree::build(&ExecCtx::threads(), &points);
-        let a = boruvka_mst(&ExecCtx::serial(), &points, &tree_s, &Euclidean);
-        let b = boruvka_mst(&ExecCtx::threads(), &points, &tree_p, &Euclidean);
+        let a = bare(&ExecCtx::serial(), &points, &tree_s);
+        let b = bare(&ExecCtx::threads(), &points, &tree_p);
         assert!((total_weight(&a) - total_weight(&b)).abs() < 1e-3);
     }
 
@@ -1109,10 +1050,10 @@ mod tests {
         let ctx = ExecCtx::serial();
         let one = PointSet::new(vec![0.0, 0.0], 2);
         let tree = KdTree::build(&ctx, &one);
-        assert!(boruvka_mst(&ctx, &one, &tree, &Euclidean).is_empty());
+        assert!(bare(&ctx, &one, &tree).is_empty());
         let two = PointSet::new(vec![0.0, 0.0, 1.0, 0.0], 2);
         let tree = KdTree::build(&ctx, &two);
-        let edges = boruvka_mst(&ctx, &two, &tree, &Euclidean);
+        let edges = bare(&ctx, &two, &tree);
         assert_eq!(edges.len(), 1);
         assert!((edges[0].w - 1.0).abs() < 1e-6);
     }
@@ -1123,7 +1064,7 @@ mod tests {
         // 10 identical points: zero-weight tree.
         let points = PointSet::new(vec![1.0; 20], 2);
         let tree = KdTree::build(&ctx, &points);
-        let edges = boruvka_mst(&ctx, &points, &tree, &Euclidean);
+        let edges = bare(&ctx, &points, &tree);
         assert_eq!(edges.len(), 9);
         assert!(edges.iter().all(|e| e.w == 0.0));
     }

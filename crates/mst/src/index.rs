@@ -1,14 +1,11 @@
-//! The frozen EMST substrate: an immutable, `Send + Sync` index one
-//! dataset, shared by arbitrarily many concurrent requests.
+//! The EMST stage: an immutable, `Send + Sync` index over one dataset,
+//! shared by arbitrarily many concurrent requests, and the one-shot
+//! [`emst`] built on it.
 //!
-//! [`crate::workspace::EmstWorkspace`] amortizes the spatial substrate
-//! across *sequential* runs, but it is a single-owner structure: the rows
-//! grow on demand, the kd-tree is built lazily, and every run threads
-//! `&mut` state. A serving deployment wants the opposite split — cuSLINK
-//! ships its pipeline as independently reusable building blocks behind a
-//! stable API, and ParChain's framework draws the same boundary between
-//! the immutable proximity substrate and per-query state. This module is
-//! that boundary for the EMST stage:
+//! cuSLINK ships its pipeline as independently reusable building blocks
+//! behind a stable API, and ParChain's framework draws the same boundary
+//! between the immutable proximity substrate and per-query state. This
+//! module is that boundary for the EMST stage:
 //!
 //! * [`EmstIndex`] — everything that is **read-only after a freeze step**:
 //!   the validated [`PointSet`], the kd-tree (with its AoSoA leaf blocks),
@@ -21,25 +18,135 @@
 //!   cross-run [`EndgameCache`]. Cheap to create, reusable across
 //!   requests, never shared between two in-flight runs.
 //!
-//! [`emst_from_index`] answers one `minPts` request from the pair, with
-//! results **bit-identical** to the one-shot [`crate::emst::emst`] path
-//! (enforced by `tests/serve_concurrent.rs` and the engine equivalence
-//! proptests). Every entry point is fallible: bad datasets and bad
-//! parameters come back as [`PandoraError`], never a panic.
+//! [`emst_from_index`] answers one `minPts` request from the pair. A
+//! one-shot [`emst`] is one freeze plus one such request, so every EMST in
+//! the stack runs the same code: the kd-tree build (traced phase
+//! `emst_build`), the sorted k-NN rows and core distances by prefix
+//! (`emst_core`), and Borůvka with the row screen, the merge-surviving
+//! witnesses and the subtree core bounds engaged (`emst_boruvka`). The
+//! index entry points are fallible: bad datasets and bad parameters come
+//! back as [`PandoraError`], never a panic.
 
 use std::time::Instant;
 
 use pandora_core::Edge;
 use pandora_exec::{ExecCtx, ScratchPool};
 
-use crate::boruvka::{boruvka_mst_with, BoruvkaExtras, BoruvkaStats, EndgameCache, EndgameStore};
-use crate::emst::{Emst, EmstTimings};
+use crate::boruvka::{boruvka_mst, BoruvkaExtras, BoruvkaStats, EndgameCache, EndgameStore};
 use crate::error::PandoraError;
-use crate::kdtree::{KdTree, DEFAULT_LEAF_SIZE};
+use crate::kdtree::KdTree;
 use crate::knn::{core2_from_rows, knn_rows_into, KnnRows};
 use crate::metric::{Euclidean, MetricKind, MutualReachability};
 use crate::point::PointSet;
-use crate::workspace::ROW_SLACK;
+
+/// Extra neighbours captured past the largest `minPts` an index serves.
+///
+/// The row screen proves a row-resolved winner exact only when it sits
+/// *strictly below* the row's k-th distance; at `minPts = k + 1` the core
+/// distance **is** the k-th distance, so a slack-free row can never certify
+/// the ceiling itself. A few spare neighbours restore the screen for every
+/// `minPts` up to the ceiling at a marginal one-off k-NN cost.
+pub const ROW_SLACK: usize = 8;
+
+/// Per-stage wall-clock seconds of one pipeline run. The EMST stage fills
+/// the first three fields; the HDBSCAN\* pipeline adds the dendrogram and
+/// the extraction.
+///
+/// A stage a run did not execute reads 0. A request served from a frozen
+/// index never builds the kd-tree (`tree_build_s`; the freeze paid it), and
+/// when the serving tier's cache of finished hierarchies answers a request
+/// it also skips the core distances, the spanning tree and the dendrogram
+/// (`core_s`, `mst_s`, `dendrogram_s`): only `extract_s` is spent.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StageTimings {
+    /// kd-tree construction.
+    pub tree_build_s: f64,
+    /// Core-distance k-NN queries.
+    pub core_s: f64,
+    /// Spanning tree: Borůvka MST (or the NN-chain merges).
+    pub mst_s: f64,
+    /// Dendrogram construction (all PANDORA phases).
+    pub dendrogram_s: f64,
+    /// Condensed tree + stability extraction.
+    pub extract_s: f64,
+}
+
+impl StageTimings {
+    /// Total pipeline seconds.
+    pub fn total(&self) -> f64 {
+        self.tree_build_s + self.core_s + self.mst_s + self.dendrogram_s + self.extract_s
+    }
+
+    /// The paper's "EMST" stage (tree build + core distances + Borůvka).
+    pub fn emst_s(&self) -> f64 {
+        self.tree_build_s + self.core_s + self.mst_s
+    }
+}
+
+/// The result of an EMST run.
+#[derive(Debug, Clone)]
+pub struct Emst {
+    /// The `n − 1` MST edges (weights are metric distances, not squared).
+    pub edges: Vec<Edge>,
+    /// Squared core distance per point (all zero when `min_pts <= 1`).
+    pub core2: Vec<f32>,
+    /// Stage timings (the dendrogram and extraction fields read 0).
+    pub timings: StageTimings,
+}
+
+/// Runs the whole EMST stage once on `points`: one [`EmstIndex::freeze`]
+/// at ceiling `min_pts`, then one [`emst_from_index`] request.
+///
+/// Returns the mutual-reachability MST for `min_pts >= 2` and the
+/// Euclidean MST otherwise (`min_pts = 0` counts as 1). An empty set
+/// returns no edges and no core distances. The timings include the
+/// freeze: `tree_build_s` is the kd-tree build and `core_s` adds the k-NN
+/// pass.
+///
+/// # Panics
+///
+/// Panics if `min_pts` exceeds the point count for a set of two or more
+/// points (the `min_pts`-th neighbour does not exist), before anything
+/// dataset-sized is allocated. Serving code should freeze an
+/// [`EmstIndex`] instead, which reports this as an error.
+pub fn emst(ctx: &ExecCtx, points: &PointSet, min_pts: usize) -> Emst {
+    if points.is_empty() {
+        return Emst {
+            edges: Vec::new(),
+            core2: Vec::new(),
+            timings: StageTimings::default(),
+        };
+    }
+    let min_pts = min_pts.max(1);
+    let run = check_min_pts(min_pts, points.len(), "min_pts")
+        .and_then(|()| EmstIndex::freeze(ctx, points.clone(), min_pts))
+        .and_then(|index| {
+            let mut run = emst_from_index(ctx, &index, min_pts, &mut EmstScratch::new())?;
+            run.timings.tree_build_s = index.build_s;
+            run.timings.core_s += index.rows_s;
+            Ok(run)
+        });
+    // pandora-lint: allow(PL001) — the one-shot entry documents this panic; serving code freezes an index and gets the error
+    run.unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Mutual-reachability MST with **caller-provided** squared core distances
+/// (e.g. subset MSTs evaluated under a global metric, as DBCV needs).
+///
+/// Builds the tree, computes the subtree core minima for pruning, and runs
+/// Borůvka; `core2.len()` must equal `points.len()`.
+pub fn emst_with_core2(ctx: &ExecCtx, points: &PointSet, core2: &[f32]) -> Vec<Edge> {
+    assert_eq!(core2.len(), points.len(), "one core distance per point");
+    let tree = KdTree::build(ctx, points);
+    let mut node_core2 = Vec::new();
+    tree.min_core2_into(core2, &mut node_core2);
+    let extras = BoruvkaExtras {
+        node_core2: &node_core2,
+        ..Default::default()
+    };
+    let metric = MutualReachability { core2 };
+    boruvka_mst(ctx, points, &tree, &metric, extras, &ScratchPool::new())
+}
 
 /// An immutable, shareable EMST substrate for one dataset (module docs).
 ///
@@ -96,16 +203,6 @@ impl EmstIndex {
         points: PointSet,
         max_min_pts: usize,
     ) -> Result<Self, PandoraError> {
-        Self::freeze_with_leaf_size(ctx, points, max_min_pts, DEFAULT_LEAF_SIZE)
-    }
-
-    /// [`EmstIndex::freeze`] with a caller-chosen kd-tree leaf capacity.
-    pub fn freeze_with_leaf_size(
-        ctx: &ExecCtx,
-        points: PointSet,
-        max_min_pts: usize,
-        leaf_size: usize,
-    ) -> Result<Self, PandoraError> {
         let n = points.len();
         if n == 0 {
             return Err(PandoraError::EmptyDataset);
@@ -114,7 +211,7 @@ impl EmstIndex {
 
         ctx.set_phase("emst_build");
         let t = Instant::now();
-        let tree = KdTree::build_with_leaf_size(ctx, &points, leaf_size);
+        let tree = KdTree::build(ctx, &points);
         let build_s = t.elapsed().as_secs_f64();
 
         // One sorted pass at the ceiling; every smaller minPts is a prefix.
@@ -329,85 +426,14 @@ impl EmstScratch {
     }
 }
 
-/// The per-request EMST stage body shared by the frozen-index path
-/// ([`emst_from_index`]) and the single-owner workspace path
-/// ([`crate::workspace::emst_into`]): per-subtree pruning bounds, metric
-/// selection, and the fully-configured Borůvka run. **One implementation**
-/// — the two public surfaces differ only in where the tree, rows and
-/// core distances come from, so they cannot drift apart and silently
-/// break the bit-identicality contract.
-#[allow(clippy::too_many_arguments)] // internal seam between the two substrates
-pub(crate) fn run_request(
-    ctx: &ExecCtx,
-    points: &PointSet,
-    tree: &KdTree,
-    rows: Option<KnnRows<'_>>,
-    core2: &[f32],
-    min_pts: usize,
-    metric: MetricKind,
-    node_core2: &mut Vec<f32>,
-    endgame: &mut EndgameCache,
-    pool: &ScratchPool,
-    stats: Option<&BoruvkaStats>,
-) -> Vec<Edge> {
-    // Per-request metric selection: an explicitly Euclidean request (or a
-    // mutual-reachability one at `min_pts ≤ 1`, where every core distance
-    // is zero) takes the plain-Euclidean arm regardless of `min_pts`.
-    let euclidean = metric.effectively_euclidean(min_pts);
-    if !euclidean && points.len() > 1 {
-        // Per-subtree core minima for mutual-reachability pruning — a
-        // property of this request, computed into caller scratch so the
-        // (possibly shared) tree stays untouched.
-        tree.min_core2_into(core2, node_core2);
-    } else {
-        node_core2.clear();
-    }
-    ctx.set_phase("emst_boruvka");
-    // The endgame cache's metric rank is the `minPts` the bounds were
-    // proved under (1 = plain Euclidean, the base of the monotone family —
-    // which is why the Euclidean arm always registers rank 1, even when a
-    // request pairs the Euclidean metric with a larger `min_pts`).
-    if euclidean {
-        boruvka_mst_with(
-            ctx,
-            points,
-            tree,
-            &Euclidean,
-            BoruvkaExtras {
-                rows,
-                cache: Some((endgame, 1)),
-                stats,
-                ..Default::default()
-            },
-            pool,
-        )
-    } else {
-        let metric = MutualReachability { core2 };
-        boruvka_mst_with(
-            ctx,
-            points,
-            tree,
-            &metric,
-            BoruvkaExtras {
-                rows,
-                node_core2: node_core2.as_slice(),
-                cache: Some((endgame, min_pts.max(1))),
-                stats,
-                ..Default::default()
-            },
-            pool,
-        )
-    }
-}
-
 /// Answers one `minPts` request from a frozen [`EmstIndex`] and a
 /// per-request [`EmstScratch`].
 ///
-/// The returned MST edges and core distances are **bit-identical** to
-/// [`crate::emst::emst`] at the same `min_pts`: the row screen, the
-/// endgame transfer and the subtree bounds are all strictly conservative.
-/// Reported [`EmstTimings`] cover only this call (`tree_build_s` is always
-/// 0 — the build was paid by the freeze).
+/// The returned MST edges and core distances are **bit-identical** to a
+/// bare Borůvka run over fresh core distances at the same `min_pts`: the
+/// row screen, the endgame transfer and the subtree bounds are all
+/// strictly conservative. Reported [`StageTimings`] cover only this call
+/// (`tree_build_s` is always 0 — the build was paid by the freeze).
 ///
 /// # Errors
 ///
@@ -453,20 +479,43 @@ pub fn emst_from_index_with(
     let core_s = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
-    let edges = run_request(
-        ctx,
-        &index.points,
-        &index.tree,
-        index.rows(),
-        &core2,
-        min_pts,
-        metric,
-        &mut scratch.node_core2,
-        &mut scratch.endgame,
-        &scratch.pool,
-        Some(&index.stats),
-    );
-    let boruvka_s = t.elapsed().as_secs_f64();
+    // Per-request metric selection: an explicitly Euclidean request (or a
+    // mutual-reachability one at `min_pts ≤ 1`, where every core distance
+    // is zero) takes the plain-Euclidean arm regardless of `min_pts`.
+    let euclidean = metric.effectively_euclidean(min_pts);
+    if !euclidean && index.len() > 1 {
+        // Per-subtree core minima for mutual-reachability pruning — a
+        // property of this request, computed into scratch so the shared
+        // tree stays untouched.
+        index.tree.min_core2_into(&core2, &mut scratch.node_core2);
+    } else {
+        scratch.node_core2.clear();
+    }
+    ctx.set_phase("emst_boruvka");
+    // The endgame cache's metric rank is the `minPts` the bounds were
+    // proved under (1 = plain Euclidean, the base of the monotone family —
+    // which is why the Euclidean arm always registers rank 1, even when a
+    // request pairs the Euclidean metric with a larger `min_pts`).
+    let (points, tree, pool) = (&index.points, &index.tree, &scratch.pool);
+    let edges = if euclidean {
+        let extras = BoruvkaExtras {
+            rows: index.rows(),
+            cache: Some((&mut scratch.endgame, 1)),
+            stats: Some(&index.stats),
+            ..Default::default()
+        };
+        boruvka_mst(ctx, points, tree, &Euclidean, extras, pool)
+    } else {
+        let extras = BoruvkaExtras {
+            rows: index.rows(),
+            node_core2: &scratch.node_core2,
+            cache: Some((&mut scratch.endgame, min_pts)),
+            stats: Some(&index.stats),
+        };
+        let metric = MutualReachability { core2: &core2 };
+        boruvka_mst(ctx, points, tree, &metric, extras, pool)
+    };
+    let mst_s = t.elapsed().as_secs_f64();
     // Offer this run's endgame bounds back to the shared store so the next
     // cold scratch (another session, another daemon lane) starts warm.
     scratch.endgame.publish_to(&index.endgame_store);
@@ -474,10 +523,10 @@ pub fn emst_from_index_with(
     Ok(Emst {
         edges,
         core2,
-        timings: EmstTimings {
-            tree_build_s: 0.0,
+        timings: StageTimings {
             core_s,
-            boruvka_s,
+            mst_s,
+            ..Default::default()
         },
     })
 }
@@ -485,7 +534,10 @@ pub fn emst_from_index_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::emst::{emst, EmstParams};
+    use crate::knn::core_distances2;
+    use crate::kruskal::total_weight;
+    use crate::metric::Metric;
+    use crate::prim::prim_mst;
     use rand::prelude::*;
 
     fn random_points(n: usize, dim: usize, seed: u64) -> PointSet {
@@ -496,8 +548,102 @@ mod tests {
         )
     }
 
+    /// An EMST that shares nothing with the index path but the kernels:
+    /// fresh core distances and a bare Borůvka run (no rows, witnesses,
+    /// subtree bounds or endgame cache).
+    fn reference(ctx: &ExecCtx, points: &PointSet, min_pts: usize) -> Emst {
+        let tree = KdTree::build(ctx, points);
+        let core2 = core_distances2(ctx, points, &tree, min_pts.max(1));
+        let pool = ScratchPool::new();
+        let extras = BoruvkaExtras::default();
+        let edges = if min_pts <= 1 {
+            boruvka_mst(ctx, points, &tree, &Euclidean, extras, &pool)
+        } else {
+            let metric = MutualReachability { core2: &core2 };
+            boruvka_mst(ctx, points, &tree, &metric, extras, &pool)
+        };
+        Emst {
+            edges,
+            core2,
+            timings: StageTimings::default(),
+        }
+    }
+
+    fn assert_same_emst(got: &Emst, want: &Emst, what: &str) {
+        assert_eq!(got.core2, want.core2, "{what}");
+        assert_eq!(got.edges.len(), want.edges.len(), "{what}");
+        for (a, b) in got.edges.iter().zip(want.edges.iter()) {
+            assert_eq!(
+                (a.u, a.v, a.w.to_bits()),
+                (b.u, b.v, b.w.to_bits()),
+                "{what}"
+            );
+        }
+    }
+
     #[test]
-    fn frozen_index_matches_cold_runs_exactly() {
+    fn emst_matches_the_reference_and_prim() {
+        let ctx = ExecCtx::serial();
+        let points = random_points(300, 3, 7);
+        for min_pts in [0usize, 1, 2, 5] {
+            let result = emst(&ctx, &points, min_pts);
+            assert_same_emst(&result, &reference(&ctx, &points, min_pts), "one-shot");
+            let core2 = &result.core2;
+            let expect = if min_pts <= 1 {
+                assert!(core2.iter().all(|&c| c == 0.0));
+                prim_mst(&points, &Euclidean)
+            } else {
+                prim_mst(&points, &MutualReachability { core2 })
+            };
+            let (wa, wb) = (total_weight(&result.edges), total_weight(&expect));
+            assert!((wa - wb).abs() < 1e-3 * wb.max(1.0), "{wa} vs {wb}");
+        }
+    }
+
+    #[test]
+    fn emst_timings_include_the_freeze_and_every_phase_is_traced() {
+        let (ctx, tracer) = ExecCtx::serial().with_tracing();
+        let points = random_points(400, 2, 5);
+        let result = emst(&ctx, &points, 2);
+        assert!(result.timings.tree_build_s > 0.0);
+        assert!(result.timings.core_s > 0.0);
+        assert!(result.timings.mst_s > 0.0);
+        assert_eq!(result.timings.total(), result.timings.emst_s());
+        let phases = tracer.snapshot().phases();
+        for phase in ["emst_build", "emst_core", "emst_boruvka"] {
+            assert!(phases.contains(&phase), "missing phase {phase}");
+        }
+    }
+
+    #[test]
+    fn emst_on_tiny_and_empty_inputs() {
+        let ctx = ExecCtx::serial();
+        // Degenerate sets stay trivially well-defined for any min_pts
+        // (there is no neighbour, but also nothing to cluster).
+        for min_pts in [0usize, 1, 2, 7] {
+            let empty = emst(&ctx, &PointSet::new(vec![], 2), min_pts);
+            assert!(empty.edges.is_empty() && empty.core2.is_empty());
+            let one = emst(&ctx, &PointSet::new(vec![0.0, 0.0], 2), min_pts);
+            assert!(one.edges.is_empty());
+            assert_eq!(one.core2, vec![0.0]);
+        }
+    }
+
+    #[test]
+    fn with_custom_core2_respects_metric() {
+        let ctx = ExecCtx::serial();
+        let points = random_points(120, 2, 9);
+        // Inflated core distances dominate every pairwise distance.
+        let core2 = vec![1.0e6f32; 120];
+        let edges = emst_with_core2(&ctx, &points, &core2);
+        assert_eq!(edges.len(), 119);
+        let metric = MutualReachability { core2: &core2 };
+        assert!(metric.dist2(&points, 0, 1) == 1.0e6);
+        assert!(edges.iter().all(|e| (e.w - 1000.0).abs() < 1e-3));
+    }
+
+    #[test]
+    fn frozen_index_matches_the_reference_exactly() {
         let ctx = ExecCtx::serial();
         let points = random_points(400, 3, 11);
         let index = EmstIndex::freeze(&ctx, points.clone(), 16).expect("freeze a valid dataset");
@@ -505,12 +651,8 @@ mod tests {
         for min_pts in [1usize, 2, 4, 8, 16] {
             let served =
                 emst_from_index(&ctx, &index, min_pts, &mut scratch).expect("valid request");
-            let cold = emst(&ctx, &points, &EmstParams::with_min_pts(min_pts));
-            assert_eq!(served.core2, cold.core2, "min_pts={min_pts}");
-            assert_eq!(served.edges.len(), cold.edges.len());
-            for (a, b) in served.edges.iter().zip(cold.edges.iter()) {
-                assert_eq!((a.u, a.v, a.w), (b.u, b.v, b.w), "min_pts={min_pts}");
-            }
+            let want = reference(&ctx, &points, min_pts);
+            assert_same_emst(&served, &want, &format!("min_pts={min_pts}"));
             assert_eq!(served.timings.tree_build_s, 0.0);
         }
         assert_eq!(index.rows_k(), 15 + ROW_SLACK);
@@ -519,16 +661,15 @@ mod tests {
 
     #[test]
     fn shared_index_serves_concurrent_scratches() {
-        // The tentpole property at the mst layer: one &EmstIndex, many
-        // threads, each with its own EmstScratch — all answers identical
-        // to the cold path.
+        // One &EmstIndex, many threads, each with its own EmstScratch —
+        // all answers identical to the reference.
         let ctx = ExecCtx::serial();
         let points = random_points(300, 2, 7);
         let index =
             std::sync::Arc::new(EmstIndex::freeze(&ctx, points.clone(), 8).expect("freeze"));
-        let cold: Vec<_> = [2usize, 4, 8]
+        let wants: Vec<_> = [2usize, 4, 8]
             .iter()
-            .map(|&m| emst(&ctx, &points, &EmstParams::with_min_pts(m)))
+            .map(|&m| reference(&ctx, &points, m))
             .collect();
         let handles: Vec<_> = (0..4)
             .map(|t| {
@@ -545,14 +686,11 @@ mod tests {
             .collect();
         for h in handles {
             let (mine, served) = h.join().expect("serving thread");
-            let want = &cold[[2usize, 4, 8]
+            let want = &wants[[2usize, 4, 8]
                 .iter()
                 .position(|&m| m == mine)
                 .expect("member")];
-            assert_eq!(served.core2, want.core2, "min_pts={mine}");
-            for (a, b) in served.edges.iter().zip(want.edges.iter()) {
-                assert_eq!((a.u, a.v, a.w), (b.u, b.v, b.w), "min_pts={mine}");
-            }
+            assert_same_emst(&served, want, &format!("min_pts={mine}"));
         }
     }
 
@@ -632,13 +770,9 @@ mod tests {
         let _ = emst_from_index(&ctx, &a, 4, &mut scratch).expect("serve A again");
         assert!(scratch.endgame_is_warm());
         // ...then serve B with the SAME scratch: bounds must be dropped
-        // (rebind) and the answer must equal B's cold run exactly.
+        // (rebind) and the answer must equal B's reference exactly.
         let served = emst_from_index(&ctx, &b, 4, &mut scratch).expect("serve B");
-        let cold = emst(&ctx, &b_points, &EmstParams::with_min_pts(4));
-        assert_eq!(served.core2, cold.core2);
-        for (x, y) in served.edges.iter().zip(cold.edges.iter()) {
-            assert_eq!((x.u, x.v, x.w), (y.u, y.v, y.w));
-        }
+        assert_same_emst(&served, &reference(&ctx, &b_points, 4), "index B");
     }
 
     /// Well-separated blobs: late Borůvka rounds have blob-sized
@@ -669,7 +803,7 @@ mod tests {
         // request publishes its endgame snapshots to the index's shared
         // store, and a brand-new (cold) scratch set adopts them — dropping
         // its re-search volume below the cold run's — while staying
-        // bit-identical to the cold one-shot path.
+        // bit-identical to the reference.
         let ctx = ExecCtx::serial();
         let points = blob_points(150, 21);
         let index = EmstIndex::freeze(&ctx, points.clone(), 8).expect("freeze");
@@ -703,19 +837,10 @@ mod tests {
             "adopted bounds must cut re-searches ({warm_searches} vs {cold_searches})"
         );
 
-        // Bit-identical to each other and to the cold one-shot path.
-        let cold = emst(&ctx, &points, &EmstParams::with_min_pts(4));
-        assert_eq!(first.core2, cold.core2);
-        assert_eq!(second.core2, cold.core2);
-        for ((a, b), c) in first
-            .edges
-            .iter()
-            .zip(second.edges.iter())
-            .zip(cold.edges.iter())
-        {
-            assert_eq!((a.u, a.v, a.w), (b.u, b.v, b.w));
-            assert_eq!((a.u, a.v, a.w), (c.u, c.v, c.w));
-        }
+        // Bit-identical to the reference.
+        let want = reference(&ctx, &points, 4);
+        assert_same_emst(&first, &want, "publishing run");
+        assert_same_emst(&second, &want, "adopting run");
     }
 
     #[test]

@@ -1043,13 +1043,6 @@ impl KnnHeap {
         }
     }
 
-    /// The held neighbours in **heap order** (no particular order) —
-    /// cheaper than [`KnnHeap::sorted`] when the caller only needs the
-    /// membership, e.g. the Borůvka seed capture.
-    pub fn items(&self) -> &[(f32, u32)] {
-        &self.items
-    }
-
     /// Sorts the held neighbours ascending by `(distance, index)` in place
     /// and returns them. The heap stays usable (the next `reset` clears it).
     pub fn sorted(&mut self) -> &[(f32, u32)] {

@@ -34,41 +34,6 @@ pub fn core_distances2(
     tree: &KdTree,
     min_pts: usize,
 ) -> Vec<f32> {
-    core_pass(ctx, points, tree, min_pts, None)
-}
-
-/// [`core_distances2`] fused with neighbour capture: returns the squared
-/// core distances **and** every point's `min_pts - 1` nearest neighbours
-/// (row-major `n × (min_pts - 1)`, in no particular order within a row).
-///
-/// The EMST orchestrator uses the neighbour lists to seed the first
-/// Borůvka round: for a heap member `p` of `q`, the mutual-reachability
-/// distance collapses to `max(core2[q], core2[p])` (the Euclidean part is
-/// `≤ core2[q]` by definition), so the cheapest heap member is an exact
-/// first-round candidate that prunes the all-nearest-neighbour round.
-/// Same panics as [`core_distances2`].
-pub fn core_distances2_and_knn(
-    ctx: &ExecCtx,
-    points: &PointSet,
-    tree: &KdTree,
-    min_pts: usize,
-) -> (Vec<f32>, Vec<u32>) {
-    let n = points.len();
-    let mut nn = vec![u32::MAX; n * min_pts.saturating_sub(1)];
-    let core2 = core_pass(ctx, points, tree, min_pts, Some(&mut nn));
-    (core2, nn)
-}
-
-/// The shared core-distance traversal, optionally capturing each point's
-/// heap members into `nn` (row-major `n × (min_pts - 1)`, unordered — no
-/// consumer needs the neighbours sorted, so the per-query sort is skipped).
-fn core_pass(
-    ctx: &ExecCtx,
-    points: &PointSet,
-    tree: &KdTree,
-    min_pts: usize,
-    nn: Option<&mut [u32]>,
-) -> Vec<f32> {
     let n = points.len();
     assert!(min_pts >= 1, "min_pts must be at least 1");
     assert!(
@@ -83,10 +48,6 @@ fn core_pass(
     }
     {
         let core_view = UnsafeSlice::new(&mut core2);
-        let nn_view = nn.map(|s| {
-            assert_eq!(s.len(), n * k, "one neighbour row per point");
-            UnsafeSlice::new(s)
-        });
         let perm = tree.perm();
         ctx.for_each_chunk_traced(
             n,
@@ -105,12 +66,6 @@ fn core_pass(
                     debug_assert_eq!(heap.len(), k);
                     // SAFETY: perm is a permutation — row q is owned here.
                     unsafe { core_view.write(q, heap.max_d2()) };
-                    if let Some(view) = &nn_view {
-                        for (j, &(_, p)) in heap.items().iter().enumerate() {
-                            // SAFETY: as above.
-                            unsafe { view.write(q * k + j, p) };
-                        }
-                    }
                 }
             },
         );
@@ -123,8 +78,8 @@ fn core_pass(
 /// ascending by `(distance, index)` within a row, padded with
 /// `(f32::INFINITY, u32::MAX)` when fewer than `k` neighbours exist.
 ///
-/// This is the engine's one-pass-per-dataset substrate
-/// ([`crate::workspace::EmstWorkspace`]): because the `j`-th entry of a
+/// This is the frozen index's one-pass-per-dataset substrate
+/// ([`crate::index::EmstIndex`]): because the `j`-th entry of a
 /// sorted row is the exact distance to the `(j+1)`-th nearest neighbour,
 /// the squared core distance for **every** `min_pts ≤ k + 1` is a prefix
 /// lookup (`row_d2[min_pts - 2]`) — bit-identical to a fresh
@@ -182,8 +137,7 @@ pub fn knn_rows_into(
 /// `n × k`, ascending): the `(min_pts − 2)`-th entry of a sorted row is
 /// the exact distance to the `(min_pts − 1)`-th nearest neighbour, so the
 /// result is bit-identical to a fresh [`core_distances2`] query. This is
-/// the one implementation behind both serving substrates
-/// ([`crate::workspace::EmstWorkspace`] and [`crate::index::EmstIndex`]).
+/// how [`crate::index::EmstIndex`] serves every `min_pts` it was frozen for.
 ///
 /// Requires `min_pts >= 2`, `k >= min_pts - 1` and
 /// `core2.len() * k == row_d2.len()`; callers handle the

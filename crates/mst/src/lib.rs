@@ -12,20 +12,19 @@
 //!   per-worker scratch;
 //! * [`boruvka`] — parallel Borůvka MST over any [`metric::Metric`]
 //!   (Euclidean or mutual reachability), warm-started across rounds;
-//! * [`emst`](mod@emst) — the orchestrated build → core distances →
-//!   Borůvka pipeline with per-stage timings and kernel-trace phases;
+//! * [`index`] — the EMST stage: the frozen, shareable
+//!   [`index::EmstIndex`] (kd-tree plus sorted k-NN rows serving every
+//!   `minPts` up to a ceiling by prefix), per-request
+//!   [`index::EmstScratch`], and the one-shot [`index::emst`] (one freeze
+//!   plus one request) with per-stage timings and kernel-trace phases;
 //! * [`linkage`] / [`nnchain`] — the agglomerative generalization: a
 //!   per-request [`linkage::Linkage`] (single / complete / average / Ward)
 //!   served by a nearest-neighbor-chain engine (ParChain, arXiv
 //!   2106.04727) over the same frozen substrate, with per-request
 //!   [`metric::MetricKind`] selection;
-//! * [`workspace`] — the reusable [`workspace::EmstWorkspace`]: tree built
-//!   once per dataset, sorted k-NN rows serving every `minPts` by prefix,
-//!   pooled Borůvka buffers — the substrate of multi-`minPts` sweeps;
 //! * [`prim`] / [`kruskal`] — exact oracles and graph-input MST.
 
 pub mod boruvka;
-pub mod emst;
 pub mod error;
 pub mod index;
 pub mod kdtree;
@@ -37,20 +36,20 @@ pub mod metric;
 pub mod nnchain;
 pub mod point;
 pub mod prim;
-pub mod workspace;
 
 pub use boruvka::{
-    boruvka_mst, boruvka_mst_seeded, boruvka_mst_with, row_witness_scan, BoruvkaExtras,
-    BoruvkaStats, EndgameCache, EndgameStore, SnapshotSet,
+    boruvka_mst, row_witness_scan, BoruvkaExtras, BoruvkaStats, EndgameCache, EndgameStore,
+    SnapshotSet,
 };
-pub use emst::{emst, emst_with_core2, Emst, EmstParams, EmstTimings};
 pub use error::PandoraError;
-pub use index::{emst_from_index, emst_from_index_with, EmstIndex, EmstScratch};
+pub use index::{
+    emst, emst_from_index, emst_from_index_with, emst_with_core2, Emst, EmstIndex, EmstScratch,
+    StageTimings, ROW_SLACK,
+};
 pub use kdtree::{ForeignSearch, KdTree, KnnHeap};
-pub use knn::{core_distances2, core_distances2_and_knn, knn_rows_into, KnnRows};
+pub use knn::{core_distances2, knn_rows_into, KnnRows};
 pub use knn_graph::knn_graph_mst;
 pub use linkage::{Linkage, LINKAGE_ENV};
 pub use metric::{Euclidean, Metric, MetricKind, MutualReachability};
 pub use nnchain::{nnchain_from_index, nnchain_merges, NnChainRun};
 pub use point::PointSet;
-pub use workspace::{emst_into, emst_into_with, EmstWorkspace, ROW_SLACK};

@@ -63,9 +63,8 @@ use std::time::Instant;
 use pandora_core::Edge;
 use pandora_exec::{ExecCtx, ScratchPool, UnsafeSlice};
 
-use crate::emst::{Emst, EmstTimings};
 use crate::error::PandoraError;
-use crate::index::{EmstIndex, EmstScratch};
+use crate::index::{Emst, EmstIndex, EmstScratch, StageTimings};
 use crate::linkage::Linkage;
 use crate::metric::MetricKind;
 use crate::point::PointSet;
@@ -552,7 +551,7 @@ pub fn nnchain_merges(
 ///
 /// The returned [`Emst`] holds the merge list as its edges (a spanning
 /// tree; feed it to `SortedMst::from_edges` like any MST) and the core
-/// distances for `min_pts`; `boruvka_s` reports the NN-chain seconds.
+/// distances for `min_pts`; `mst_s` reports the NN-chain seconds.
 ///
 /// # Errors
 ///
@@ -587,10 +586,10 @@ pub fn nnchain_from_index(
     Ok(Emst {
         edges: run.merges,
         core2,
-        timings: EmstTimings {
-            tree_build_s: 0.0,
+        timings: StageTimings {
             core_s,
-            boruvka_s: run.init_s + run.chain_s,
+            mst_s: run.init_s + run.chain_s,
+            ..Default::default()
         },
     })
 }
@@ -598,7 +597,7 @@ pub fn nnchain_from_index(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::emst::{emst, EmstParams};
+    use crate::index::emst;
     use rand::prelude::*;
 
     fn random_points(n: usize, dim: usize, seed: u64) -> PointSet {
@@ -691,7 +690,7 @@ mod tests {
         let points = random_points(250, 2, 7);
         let ctx = ExecCtx::serial();
         let merges = euclid_run(&points, Linkage::Single, &ctx);
-        let tree = emst(&ctx, &points, &EmstParams::with_min_pts(1));
+        let tree = emst(&ctx, &points, 1);
         let canon = |edges: &[Edge]| {
             let mut v: Vec<(u32, u32, u32)> = edges
                 .iter()

@@ -15,10 +15,10 @@ use std::time::Instant;
 use pandora::core::baseline::dendrogram_union_find;
 use pandora::core::SortedMst;
 use pandora::data::seed_spreader::{Density, SeedSpreader};
-use pandora::exec::ExecCtx;
+use pandora::exec::{ExecCtx, ScratchPool};
 use pandora::mst::kruskal::total_weight;
 use pandora::mst::{
-    boruvka_mst_seeded, core_distances2, knn_graph_mst, KdTree, MutualReachability,
+    boruvka_mst, core_distances2, knn_graph_mst, BoruvkaExtras, KdTree, MutualReachability,
 };
 
 fn main() {
@@ -40,7 +40,11 @@ fn main() {
     let metric = MutualReachability { core2: &core2 };
 
     let t = Instant::now();
-    let exact_edges = boruvka_mst_seeded(&ctx, &points, &tree, &metric, None, &node_core2);
+    let extras = BoruvkaExtras {
+        node_core2: &node_core2,
+        ..Default::default()
+    };
+    let exact_edges = boruvka_mst(&ctx, &points, &tree, &metric, extras, &ScratchPool::new());
     let exact_s = t.elapsed().as_secs_f64();
     let exact_weight = total_weight(&exact_edges);
     let exact_mst = SortedMst::from_edges(&ctx, points.len(), &exact_edges);

@@ -10,7 +10,7 @@ use pandora::core::pandora as pandora_algo;
 use pandora::data::seed_spreader::{Density, SeedSpreader};
 use pandora::exec::device::DeviceModel;
 use pandora::exec::ExecCtx;
-use pandora::mst::{boruvka_mst_seeded, core_distances2, KdTree, MutualReachability};
+use pandora::mst::{core_distances2, emst_with_core2, KdTree};
 
 fn main() {
     let n: usize = std::env::var("PANDORA_SCALE")
@@ -26,10 +26,7 @@ fn main() {
     let (ctx, tracer) = ExecCtx::threads().with_tracing();
     let tree = KdTree::build(&ctx, &points);
     let core2 = core_distances2(&ctx, &points, &tree, 2);
-    let mut node_core2 = Vec::new();
-    tree.min_core2_into(&core2, &mut node_core2);
-    let metric = MutualReachability { core2: &core2 };
-    let edges = boruvka_mst_seeded(&ctx, &points, &tree, &metric, None, &node_core2);
+    let edges = emst_with_core2(&ctx, &points, &core2);
     tracer.reset(); // keep only the dendrogram kernels
 
     let t = std::time::Instant::now();

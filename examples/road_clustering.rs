@@ -12,8 +12,8 @@
 use pandora::core::pandora as pandora_algo;
 use pandora::core::SortedMst;
 use pandora::data::trajectories::road_network;
-use pandora::exec::ExecCtx;
-use pandora::mst::{boruvka_mst, Euclidean, KdTree};
+use pandora::exec::{ExecCtx, ScratchPool};
+use pandora::mst::{boruvka_mst, BoruvkaExtras, Euclidean, KdTree};
 
 fn main() {
     let ctx = ExecCtx::threads();
@@ -22,7 +22,15 @@ fn main() {
 
     // Plain single linkage: Euclidean MST → dendrogram.
     let tree = KdTree::build(&ctx, &points);
-    let edges = boruvka_mst(&ctx, &points, &tree, &Euclidean);
+    let pool = ScratchPool::new();
+    let edges = boruvka_mst(
+        &ctx,
+        &points,
+        &tree,
+        &Euclidean,
+        BoruvkaExtras::default(),
+        &pool,
+    );
     let mst = SortedMst::from_edges(&ctx, points.len(), &edges);
     let (dendro, stats) = pandora_algo::dendrogram_from_sorted(&ctx, &mst);
     println!(

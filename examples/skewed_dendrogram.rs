@@ -11,7 +11,7 @@ use pandora::core::pandora as pandora_algo;
 use pandora::core::{Dendrogram, SortedMst, INVALID};
 use pandora::data::synthetic::normal;
 use pandora::exec::ExecCtx;
-use pandora::mst::{emst, EmstParams};
+use pandora::mst::emst;
 
 /// Renders the edge-node tree sideways (root left), one node per line.
 fn render(d: &Dendrogram, mst: &SortedMst) {
@@ -47,7 +47,7 @@ fn main() {
     // 40 points from a 3-D standard normal, exactly as in Fig. 3.
     let points = normal(40, 3, 3);
 
-    let edges = emst(&ctx, &points, &EmstParams::default()).edges;
+    let edges = emst(&ctx, &points, 2).edges;
     let mst = SortedMst::from_edges(&ctx, points.len(), &edges);
     let (dendro, stats) = pandora_algo::dendrogram_from_sorted(&ctx, &mst);
 

@@ -49,9 +49,8 @@
 //! # Ok::<(), pandora::mst::PandoraError>(())
 //! ```
 //!
-//! The one-shot driver ([`hdbscan::Hdbscan::run`]) and the sequential
-//! sweep engine ([`hdbscan::Hdbscan::engine`]) remain as thin wrappers
-//! over the same two tiers, with bit-identical results.
+//! The one-shot driver ([`hdbscan::Hdbscan::run`]) is one freeze plus one
+//! session run over the same two tiers, with bit-identical results.
 
 pub use pandora_core as core;
 pub use pandora_data as data;
@@ -63,13 +62,13 @@ pub use pandora_mst as mst;
 pub mod prelude {
     pub use pandora_core::pandora::{dendrogram, dendrogram_with_stats};
     pub use pandora_core::{Dendrogram, Edge, SortedMst};
-    pub use pandora_exec::ExecCtx;
+    pub use pandora_exec::{ExecCtx, ScratchPool};
     pub use pandora_hdbscan::{
-        ClusterRequest, DatasetIndex, DendrogramBackend, Hdbscan, HdbscanEngine, HdbscanParams,
-        HdbscanResult, Session,
+        ClusterRequest, DatasetIndex, DendrogramBackend, Hdbscan, HdbscanParams, HdbscanResult,
+        Session,
     };
     pub use pandora_mst::{
-        boruvka_mst, core_distances2, EmstIndex, EmstScratch, Euclidean, KdTree, Linkage,
-        MetricKind, MutualReachability, PandoraError, PointSet,
+        boruvka_mst, core_distances2, BoruvkaExtras, EmstIndex, EmstScratch, Euclidean, KdTree,
+        Linkage, MetricKind, MutualReachability, PandoraError, PointSet,
     };
 }

@@ -9,10 +9,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use pandora::exec::ExecCtx;
+use pandora::exec::{ExecCtx, ScratchPool};
 use pandora::hdbscan::{
-    cluster_stabilities, condense, extract_labels, select_clusters, Hdbscan, HdbscanParams,
+    cluster_stabilities, condense, extract_labels, select_clusters, ClusterRequest, DatasetIndex,
+    HdbscanParams,
 };
 use pandora::mst::{
     boruvka_mst, core_distances2, Euclidean, KdTree, KnnHeap, MutualReachability, PointSet,
@@ -142,7 +144,8 @@ fn steady_state_queries_do_not_allocate() {
     //     n × rounds. With ~2000 points and ~10 rounds, a per-query or
     //     per-round-per-point allocation would blow well past the budget.
     let boruvka_allocs = min_allocs_over(3, || {
-        let edges = boruvka_mst(&ctx, &points, &tree, &metric);
+        let pool = ScratchPool::new();
+        let edges = boruvka_mst(&ctx, &points, &tree, &metric, Default::default(), &pool);
         assert_eq!(edges.len(), n - 1);
     });
     assert!(
@@ -151,10 +154,10 @@ fn steady_state_queries_do_not_allocate() {
          (steady-state queries must be allocation-free per lane)"
     );
 
-    // --- Warm engine: after the first run, every stage workspace (kd-tree,
-    //     k-NN rows, Borůvka buffers, contraction hierarchy, chain keys) is
-    //     reused, so a complete warm `run_with` allocates only its outputs
-    //     (result vectors, condensed tree, a few per-level bookkeeping
+    // --- Warm session: after the first run, every stage workspace
+    //     (kd-tree, k-NN rows, Borůvka buffers, contraction hierarchy,
+    //     chain keys) is reused, so a complete warm run allocates only its
+    //     outputs (result vectors, condensed tree, a few per-level bookkeeping
     //     vectors) plus the copy of its hierarchy the index caches — a
     //     small constant w.r.t. n. Each rep asks for a fresh `min_pts`, so
     //     every measured run is a cache miss that really runs Borůvka and
@@ -162,21 +165,23 @@ fn steady_state_queries_do_not_allocate() {
     //     per-round reallocation pattern adds thousands of allocations, an
     //     order of magnitude past this bound; steady-state reuse is
     //     thereby proven, not assumed.
-    let driver = Hdbscan::with_ctx(HdbscanParams::default(), ExecCtx::serial());
-    let mut engine = driver.engine(&points);
-    engine.prepare(8);
-    let _ = engine.run_with(8); // first run: populates every workspace
+    let index = DatasetIndex::freeze_with_ctx(ExecCtx::serial(), points.clone(), 8)
+        .map(Arc::new)
+        .expect("valid dataset");
+    let mut session = index.session();
+    let request = |min_pts| ClusterRequest::new().min_pts(min_pts);
+    // First run: populates every workspace.
+    let _ = session.run(&request(8)).expect("valid request");
     let mut fresh_min_pts = [7usize, 6, 5].into_iter();
     let warm_allocs = min_allocs_over(3, || {
         let min_pts = fresh_min_pts.next().expect("one fresh min_pts per rep");
-        let result = engine.run_with(min_pts);
+        let result = session.run(&request(min_pts)).expect("valid request");
         assert_eq!(result.labels.len(), n);
     });
-    let index = engine.index().expect("warm engine has an index");
     assert_eq!(index.hierarchy_stats().hits, 0, "the warm runs all missed");
     assert!(
         warm_allocs <= 160,
-        "a warm engine run made {warm_allocs} allocations \
+        "a warm session run made {warm_allocs} allocations \
          (stage workspaces are not being reused)"
     );
 
@@ -188,7 +193,7 @@ fn steady_state_queries_do_not_allocate() {
     //     key. A hit that ran Borůvka or the dendrogram would add its
     //     core distances, edges, sorted tree, dendrogram and level counts
     //     on top.
-    let probe = engine.run_with(5);
+    let probe = session.run(&request(5)).expect("valid request");
     let extract_allocs = min_allocs_over(3, || {
         let condensed = condense(&probe.dendrogram, HdbscanParams::default().min_cluster_size);
         let stabilities = cluster_stabilities(&condensed);
@@ -197,25 +202,23 @@ fn steady_state_queries_do_not_allocate() {
         assert_eq!(labels.len(), n);
     });
     let hit_allocs = min_allocs_over(3, || {
-        let result = engine.run_with(5);
+        let result = session.run(&request(5)).expect("valid request");
         assert_eq!(result.labels.len(), n);
     });
-    let index = engine.index().expect("warm engine has an index");
     assert_eq!(index.hierarchy_stats().hits, 4, "the repeats all hit");
     assert!(
         hit_allocs <= extract_allocs + 8 + 4,
-        "a cache-hit engine run made {hit_allocs} allocations, \
+        "a cache-hit session run made {hit_allocs} allocations, \
          the extraction alone {extract_allocs}"
     );
     // And the books balance: nothing stays leased between runs.
-    let session = engine.session().expect("warm engine has a session");
     assert_eq!(session.scratch_outstanding(), 0);
 
     // --- Warm dendrogram workspace, threaded path: once primed, a full
     //     α-contraction run through `ExecCtx::threads()` allocates only the
     //     returned dendrogram arrays, a few per-level bookkeeping vectors
     //     and the pool's per-region dispatch latches — the same constant
-    //     budget as the warm engine, nothing proportional to n. The tree
+    //     budget as the warm session, nothing proportional to n. The tree
     //     is larger than the dispatch grain so the threaded lanes really
     //     engage (under PANDORA_THREADS=1 the pool runs inline).
     use pandora::core::{dendrogram_from_sorted_with, DendrogramWorkspace, Edge, SortedMst};

@@ -1,5 +1,7 @@
 //! Shared adversarial sorted-MST generator for the differential suites
-//! (`dendrogram_differential.rs`, `census_crosscheck.rs`).
+//! (`dendrogram_differential.rs`, `census_crosscheck.rs`), and the
+//! independent EMST reference ([`reference_emst`]) the index path is
+//! checked against.
 //!
 //! [`mst_strategy`] implements the vendored-proptest [`Strategy`] trait
 //! directly, so every case is a pure function of the RNG stream: the
@@ -15,6 +17,35 @@ use proptest::prelude::*;
 use rand::prelude::*;
 
 use pandora::core::Edge;
+use pandora::exec::{ExecCtx, ScratchPool};
+use pandora::mst::{
+    boruvka_mst, core_distances2, BoruvkaExtras, Emst, Euclidean, KdTree, MutualReachability,
+    PointSet, StageTimings,
+};
+
+/// The EMST of `points` at `min_pts`, built without the index machinery:
+/// fresh [`core_distances2`] and a bare [`boruvka_mst`] run
+/// (`BoruvkaExtras::default()`: no k-NN rows, witnesses, subtree bounds or
+/// endgame cache). `min_pts <= 1` gives the Euclidean MST with all-zero
+/// core distances. Every acceleration the index engages is strictly
+/// conservative, so its results must equal this one bit for bit.
+pub fn reference_emst(ctx: &ExecCtx, points: &PointSet, min_pts: usize) -> Emst {
+    let tree = KdTree::build(ctx, points);
+    let core2 = core_distances2(ctx, points, &tree, min_pts.max(1));
+    let pool = ScratchPool::new();
+    let extras = BoruvkaExtras::default();
+    let edges = if min_pts <= 1 {
+        boruvka_mst(ctx, points, &tree, &Euclidean, extras, &pool)
+    } else {
+        let metric = MutualReachability { core2: &core2 };
+        boruvka_mst(ctx, points, &tree, &metric, extras, &pool)
+    };
+    Emst {
+        edges,
+        core2,
+        timings: StageTimings::default(),
+    }
+}
 
 /// One generated test tree plus the parameters that produced it.
 #[derive(Clone, Debug)]

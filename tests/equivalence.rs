@@ -3,25 +3,15 @@
 //! dataset family of Table 2, for multiple `minPts`, in both serial and
 //! parallel execution.
 
+mod common;
+
 use pandora::core::baseline::{dendrogram_top_down, dendrogram_union_find};
 use pandora::core::pandora as pandora_algo;
 use pandora::core::{Edge, SortedMst};
 use pandora::data::all_datasets;
 use pandora::exec::ExecCtx;
-use pandora::mst::{boruvka_mst_seeded, core_distances2, KdTree, MutualReachability};
 
-fn mutual_reachability_mst(
-    ctx: &ExecCtx,
-    points: &pandora::mst::PointSet,
-    min_pts: usize,
-) -> Vec<Edge> {
-    let tree = KdTree::build(ctx, points);
-    let core2 = core_distances2(ctx, points, &tree, min_pts);
-    let mut node_core2 = Vec::new();
-    tree.min_core2_into(&core2, &mut node_core2);
-    let metric = MutualReachability { core2: &core2 };
-    boruvka_mst_seeded(ctx, points, &tree, &metric, None, &node_core2)
-}
+use common::reference_emst;
 
 #[test]
 fn pandora_equals_union_find_on_all_table2_families() {
@@ -29,7 +19,7 @@ fn pandora_equals_union_find_on_all_table2_families() {
     for spec in all_datasets() {
         let points = spec.generate(2_500, 99);
         for min_pts in [2usize, 4] {
-            let edges = mutual_reachability_mst(&ctx, &points, min_pts);
+            let edges = reference_emst(&ctx, &points, min_pts).edges;
             let mst = SortedMst::from_edges(&ctx, points.len(), &edges);
             let (got, _) = pandora_algo::dendrogram_from_sorted(&ctx, &mst);
             got.validate().unwrap_or_else(|e| {
@@ -51,7 +41,7 @@ fn pandora_equals_top_down_on_selected_families() {
     for name in ["Hacc37M", "Uniform100M2D", "RoadNetwork3"] {
         let spec = pandora::data::by_name(name).unwrap();
         let points = spec.generate(1_200, 5);
-        let edges = mutual_reachability_mst(&ctx, &points, 2);
+        let edges = reference_emst(&ctx, &points, 2).edges;
         let mst = SortedMst::from_edges(&ctx, points.len(), &edges);
         let (got, _) = pandora_algo::dendrogram_from_sorted(&ctx, &mst);
         let expect = dendrogram_top_down(&mst);
@@ -63,7 +53,7 @@ fn pandora_equals_top_down_on_selected_families() {
 fn serial_and_parallel_agree_bit_for_bit() {
     for spec in all_datasets().into_iter().take(5) {
         let points = spec.generate(3_000, 123);
-        let edges = mutual_reachability_mst(&ExecCtx::threads(), &points, 2);
+        let edges = reference_emst(&ExecCtx::threads(), &points, 2).edges;
         let serial = pandora::core::pandora::dendrogram(&ExecCtx::serial(), points.len(), &edges);
         let parallel =
             pandora::core::pandora::dendrogram(&ExecCtx::threads(), points.len(), &edges);

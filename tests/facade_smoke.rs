@@ -42,7 +42,9 @@ fn prelude_covers_common_entry_points() {
     let tree = KdTree::build(&ctx, &points);
     let core2 = core_distances2(&ctx, &points, &tree, 2);
     assert_eq!(core2.len(), points.len());
-    let mst_edges = boruvka_mst(&ctx, &points, &tree, &Euclidean);
+    let pool = ScratchPool::new();
+    let extras = BoruvkaExtras::default();
+    let mst_edges = boruvka_mst(&ctx, &points, &tree, &Euclidean, extras, &pool);
     assert_eq!(mst_edges.len(), points.len() - 1);
     let _metric = MutualReachability { core2: &core2 };
 }

@@ -4,7 +4,7 @@
 use pandora::core::pandora as pandora_algo;
 use pandora::core::{Edge, SortedMst};
 use pandora::exec::ExecCtx;
-use pandora::mst::PointSet;
+use pandora::mst::{emst, PointSet};
 
 #[test]
 #[should_panic(expected = "must have")]
@@ -91,6 +91,27 @@ fn disconnected_forest_fails_validation() {
     // must catch the cycle implied by a disconnected "tree".
     let mst = SortedMst::from_sorted_arrays(4, vec![0, 2, 0], vec![1, 3, 1], vec![3.0, 2.0, 1.0]);
     assert!(mst.validate_tree().is_err());
+}
+
+/// `emst` at `min_pts = n + 1`: the `min_pts`-th neighbour does not exist.
+/// The request must be rejected before the k-NN pass, which would
+/// otherwise size an n × (n − 1) row table (32 MB here) first.
+fn emst_above_n(ctx: &ExecCtx) {
+    let n = 2_000u32;
+    let coords: Vec<f32> = (0..2 * n).map(|i| (i * 7 % 13) as f32).collect();
+    let _ = emst(ctx, &PointSet::new(coords, 2), n as usize + 1);
+}
+
+#[test]
+#[should_panic(expected = "exceeds the number of points")]
+fn emst_min_pts_above_n_rejected() {
+    emst_above_n(&ExecCtx::serial());
+}
+
+#[test]
+#[should_panic(expected = "exceeds the number of points")]
+fn emst_min_pts_above_n_rejected_on_the_threaded_path() {
+    emst_above_n(&ExecCtx::threads());
 }
 
 #[test]

@@ -1,10 +1,12 @@
 //! HDBSCAN\* result edge cases through the full pipeline: degenerate point
 //! counts (n ∈ {0, 1, 2}), extreme `cut` thresholds, oversized
 //! `min_cluster_size`, and `allow_single_cluster` — on both the one-shot
-//! driver and the engine path.
+//! driver and a session over a frozen index.
+
+use std::sync::Arc;
 
 use pandora::exec::ExecCtx;
-use pandora::hdbscan::{Hdbscan, HdbscanParams, HdbscanResult};
+use pandora::hdbscan::{ClusterRequest, DatasetIndex, Hdbscan, HdbscanParams, HdbscanResult};
 use pandora::mst::PointSet;
 
 fn run(points: &PointSet, params: HdbscanParams) -> HdbscanResult {
@@ -116,20 +118,20 @@ fn allow_single_cluster_recovers_one_blob() {
 }
 
 #[test]
-fn engine_handles_degenerate_sets_like_the_one_shot_path() {
-    for coords in [vec![], vec![1.0, 2.0], vec![0.0, 0.0, 1.0, 0.0]] {
+fn sessions_handle_degenerate_sets_like_the_one_shot_path() {
+    // An empty set cannot be frozen (see `empty_point_set` for its one-shot
+    // result); one and two points serve every min_pts up to the ceiling.
+    for coords in [vec![1.0, 2.0], vec![0.0, 0.0, 1.0, 0.0]] {
         let points = PointSet::new(coords, 2);
         let n = points.len();
-        let driver = Hdbscan::with_ctx(HdbscanParams::default(), ExecCtx::serial());
-        let mut engine = driver.engine(&points);
-        // min_pts capped at n (the degenerate sets accept any min_pts for
-        // n ≤ 1; two points cap the sweep at 2).
-        let sweep: Vec<usize> = [1usize, 2]
-            .iter()
-            .map(|&m| m.max(1).min(n.max(1)))
-            .collect();
-        let swept = engine.sweep_min_pts(&sweep);
-        for (result, &min_pts) in swept.iter().zip(&sweep) {
+        let index = DatasetIndex::freeze_with_ctx(ExecCtx::serial(), points.clone(), 2)
+            .map(Arc::new)
+            .expect("one or two points freeze at ceiling 2");
+        let mut session = index.session();
+        for min_pts in [1usize, 2] {
+            let result = session
+                .run(&ClusterRequest::new().min_pts(min_pts))
+                .expect("valid request");
             let one_shot = Hdbscan::with_ctx(
                 HdbscanParams {
                     min_pts,

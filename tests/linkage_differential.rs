@@ -25,7 +25,7 @@ use proptest::prelude::*;
 use pandora::core::{DendrogramBackend, Edge};
 use pandora::exec::{ExecCtx, ScratchPool};
 use pandora::hdbscan::{ClusterRequest, DatasetIndex};
-use pandora::mst::{emst, nnchain_merges, EmstParams, Linkage, PointSet};
+use pandora::mst::{emst, nnchain_merges, Linkage, PointSet};
 
 fn contexts() -> [(&'static str, ExecCtx); 2] {
     [
@@ -130,7 +130,7 @@ proptest! {
         let ctx = ExecCtx::serial();
         // min_pts = 1: mutual reachability degenerates to Euclidean, so
         // the comparison is tie-free and bitwise.
-        let tree = emst(&ctx, &case.points, &EmstParams::with_min_pts(1));
+        let tree = emst(&ctx, &case.points, 1);
         let merges = engine_merges(&ctx, &case.points, &[], Linkage::Single, false);
         let bits = |e: &[Edge]| {
             let mut v: Vec<(u32, u32, u32)> = e
@@ -160,8 +160,7 @@ proptest! {
             }
             let core2 = brute_core2(&case.points, min_pts);
             let floor = core2.iter().cloned().fold(f32::INFINITY, f32::min).sqrt();
-            let params = EmstParams::with_min_pts(min_pts);
-            let tree = emst(&ExecCtx::serial(), &case.points, &params);
+            let tree = emst(&ExecCtx::serial(), &case.points, min_pts);
             for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
                 let serial =
                     engine_merges(&ExecCtx::serial(), &case.points, &core2, linkage, true);

@@ -1,14 +1,27 @@
 //! Borůvka EMST validated against the dense Prim oracle across dataset
 //! families, metrics and execution contexts.
 
-use pandora::core::SortedMst;
+use pandora::core::{Edge, SortedMst};
 use pandora::data::all_datasets;
-use pandora::exec::ExecCtx;
+use pandora::exec::{ExecCtx, ScratchPool};
 use pandora::mst::kruskal::{kruskal_mst, total_weight};
 use pandora::mst::prim::prim_mst;
 use pandora::mst::{
-    boruvka_mst, boruvka_mst_seeded, core_distances2, Euclidean, KdTree, MutualReachability,
+    boruvka_mst, core_distances2, BoruvkaExtras, Euclidean, KdTree, MutualReachability, PointSet,
 };
+
+/// The bare Euclidean Borůvka run.
+fn euclidean_mst(ctx: &ExecCtx, points: &PointSet, tree: &KdTree) -> Vec<Edge> {
+    let pool = ScratchPool::new();
+    boruvka_mst(
+        ctx,
+        points,
+        tree,
+        &Euclidean,
+        BoruvkaExtras::default(),
+        &pool,
+    )
+}
 
 #[test]
 fn boruvka_matches_prim_across_families() {
@@ -16,7 +29,7 @@ fn boruvka_matches_prim_across_families() {
     for spec in all_datasets() {
         let points = spec.generate(700, 3);
         let tree = KdTree::build(&ctx, &points);
-        let got = boruvka_mst(&ctx, &points, &tree, &Euclidean);
+        let got = euclidean_mst(&ctx, &points, &tree);
         assert_eq!(got.len(), points.len() - 1, "{}", spec.name);
         let expect = prim_mst(&points, &Euclidean);
         let (wa, wb) = (total_weight(&got), total_weight(&expect));
@@ -39,7 +52,11 @@ fn boruvka_matches_prim_under_mutual_reachability() {
         let mut node_core2 = Vec::new();
         tree.min_core2_into(&core2, &mut node_core2);
         let metric = MutualReachability { core2: &core2 };
-        let got = boruvka_mst_seeded(&ctx, &points, &tree, &metric, None, &node_core2);
+        let extras = BoruvkaExtras {
+            node_core2: &node_core2,
+            ..Default::default()
+        };
+        let got = boruvka_mst(&ctx, &points, &tree, &metric, extras, &ScratchPool::new());
         let expect = prim_mst(&points, &metric);
         let (wa, wb) = (total_weight(&got), total_weight(&expect));
         assert!(
@@ -56,7 +73,7 @@ fn boruvka_output_is_a_spanning_tree() {
         .unwrap()
         .generate(5_000, 8);
     let tree = KdTree::build(&ctx, &points);
-    let edges = boruvka_mst(&ctx, &points, &tree, &Euclidean);
+    let edges = euclidean_mst(&ctx, &points, &tree);
     let mst = SortedMst::from_edges(&ctx, points.len(), &edges);
     mst.validate_tree().unwrap();
 }
@@ -79,7 +96,7 @@ fn kruskal_agrees_with_boruvka_on_dense_graph() {
     }
     let via_kruskal = kruskal_mst(&ctx, points.len(), &graph);
     let tree = KdTree::build(&ctx, &points);
-    let via_boruvka = boruvka_mst(&ctx, &points, &tree, &Euclidean);
+    let via_boruvka = euclidean_mst(&ctx, &points, &tree);
     let (wa, wb) = (total_weight(&via_kruskal), total_weight(&via_boruvka));
     assert!((wa - wb).abs() <= 1e-3 * wb.max(1.0), "{wa} vs {wb}");
 }

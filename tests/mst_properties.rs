@@ -5,17 +5,22 @@
 //! (contiguous subtree ranges, boxes containing their points, cached splits
 //! separating the children) must hold for every build configuration.
 
+mod common;
+
 use proptest::prelude::*;
 
 use pandora::core::pandora::dendrogram_from_sorted;
 use pandora::core::SortedMst;
-use pandora::exec::ExecCtx;
+use pandora::exec::{ExecCtx, ScratchPool};
 use pandora::mst::kruskal::total_weight;
 use pandora::mst::prim::prim_mst;
 use pandora::mst::{
     boruvka_mst, core_distances2, emst, emst_from_index, knn_rows_into, row_witness_scan,
-    EmstIndex, EmstParams, EmstScratch, Euclidean, KdTree, KnnRows, MutualReachability, PointSet,
+    BoruvkaExtras, Emst, EmstIndex, EmstScratch, Euclidean, KdTree, KnnRows, MutualReachability,
+    PointSet,
 };
+
+use common::reference_emst;
 
 /// Adversarial point sets. `mode` picks the family; coordinates are
 /// quantized to quarter-units so equal distances (the tie-break stress
@@ -40,6 +45,14 @@ fn adversarial_points() -> impl Strategy<Value = PointSet> {
     })
 }
 
+/// Bit-for-bit equality of two EMST results (core distances and edges).
+fn same_emst(a: &Emst, b: &Emst) -> bool {
+    let bits = |e: &Emst| -> Vec<(u32, u32, u32)> {
+        e.edges.iter().map(|x| (x.u, x.v, x.w.to_bits())).collect()
+    };
+    a.core2 == b.core2 && bits(a) == bits(b)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -47,7 +60,8 @@ proptest! {
     fn boruvka_matches_prim_euclidean(points in adversarial_points()) {
         let ctx = ExecCtx::serial();
         let tree = KdTree::build(&ctx, &points);
-        let got = boruvka_mst(&ctx, &points, &tree, &Euclidean);
+        let pool = ScratchPool::new();
+        let got = boruvka_mst(&ctx, &points, &tree, &Euclidean, BoruvkaExtras::default(), &pool);
         prop_assert_eq!(got.len(), points.len() - 1);
         let expect = prim_mst(&points, &Euclidean);
         let (wa, wb) = (total_weight(&got), total_weight(&expect));
@@ -63,7 +77,7 @@ proptest! {
     ) {
         let ctx = ExecCtx::serial();
         let min_pts = min_pts.min(points.len());
-        let result = emst(&ctx, &points, &EmstParams::with_min_pts(min_pts));
+        let result = emst(&ctx, &points, min_pts);
         prop_assert_eq!(result.edges.len(), points.len() - 1);
         let metric = MutualReachability { core2: &result.core2 };
         let expect = prim_mst(&points, &metric);
@@ -81,21 +95,16 @@ proptest! {
         // The whole parallel EMST stage must be deterministic across
         // execution contexts: the atomic min-edge reduction is commutative
         // and every tie is index-broken, so serial and threaded runs must
-        // produce the SAME edges (not just the same weight), and therefore
-        // identical dendrograms.
+        // produce the SAME edges (not just the same weight) as the
+        // independent reference, and therefore identical dendrograms.
         let min_pts = min_pts.min(points.len());
         let serial_ctx = ExecCtx::serial();
         let threaded_ctx = ExecCtx::threads();
-        let a = emst(&serial_ctx, &points, &EmstParams::with_min_pts(min_pts));
-        let b = emst(&threaded_ctx, &points, &EmstParams::with_min_pts(min_pts));
-        prop_assert_eq!(a.core2.as_slice(), b.core2.as_slice());
-        prop_assert_eq!(a.edges.len(), b.edges.len());
-        for (ea, eb) in a.edges.iter().zip(b.edges.iter()) {
-            prop_assert_eq!((ea.u, ea.v, ea.w), (eb.u, eb.v, eb.w));
-        }
-        let wa = total_weight(&a.edges);
-        let wb = total_weight(&b.edges);
-        prop_assert_eq!(wa, wb);
+        let a = emst(&serial_ctx, &points, min_pts);
+        let b = emst(&threaded_ctx, &points, min_pts);
+        let reference = reference_emst(&serial_ctx, &points, min_pts);
+        prop_assert!(same_emst(&a, &reference), "serial run vs reference, minPts={}", min_pts);
+        prop_assert!(same_emst(&b, &reference), "threaded run vs reference, minPts={}", min_pts);
         // Identical edges must condense into identical dendrograms.
         let mst_a = SortedMst::from_edges(&serial_ctx, points.len(), &a.edges);
         let mst_b = SortedMst::from_edges(&threaded_ctx, points.len(), &b.edges);
@@ -208,12 +217,13 @@ proptest! {
         // The frozen-index path layers every acceleration at once — row
         // screen, merge-surviving witnesses, endgame snapshots (second run
         // through the same scratch), shared-store adoption (fresh scratch
-        // after a publish) — and must still return the cold run's edges
-        // BIT-identically, serial and threaded, while the cold run itself
-        // matches the Prim oracle on these tie-heavy inputs.
+        // after a publish) — and must still return the bare reference
+        // run's edges BIT-identically, serial and threaded, while the
+        // reference itself matches the Prim oracle on these tie-heavy
+        // inputs.
         let min_pts = min_pts.min(points.len());
         let serial = ExecCtx::serial();
-        let cold = emst(&serial, &points, &EmstParams::with_min_pts(min_pts));
+        let cold = reference_emst(&serial, &points, min_pts);
         let metric = MutualReachability { core2: &cold.core2 };
         let oracle = prim_mst(&points, &metric);
         let (wc, wo) = (total_weight(&cold.edges), total_weight(&oracle));
@@ -230,14 +240,7 @@ proptest! {
             let adopted = emst_from_index(&ctx, &index, min_pts, &mut fresh)
                 .expect("valid request");
             for run in [&first, &second, &adopted] {
-                prop_assert_eq!(run.core2.as_slice(), cold.core2.as_slice());
-                prop_assert_eq!(run.edges.len(), cold.edges.len());
-                for (ea, eb) in run.edges.iter().zip(cold.edges.iter()) {
-                    prop_assert_eq!(
-                        (ea.u, ea.v, ea.w.to_bits()),
-                        (eb.u, eb.v, eb.w.to_bits())
-                    );
-                }
+                prop_assert!(same_emst(run, &cold), "index run vs reference, minPts={}", min_pts);
             }
         }
     }
