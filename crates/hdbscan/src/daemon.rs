@@ -23,9 +23,10 @@
 //!                 │
 //!                 ▼
 //!        worker lanes (default: one per `ExecCtx::threads()` lane)
-//!        each run: registry lookup → Session::run → canonical payload
+//!        each run: registry lookup → Session::run → payload encoded once
 //!                  (a finished hierarchy cached on the index skips the
-//!                   spanning tree and the dendrogram)
+//!                   spanning tree and the dendrogram; the leader and
+//!                   every coalesced waiter get the same payload bytes)
 //! ```
 //!
 //! **Ownership and lifetimes.** The [`DatasetRegistry`] owns one
@@ -595,7 +596,8 @@ impl Shared {
     }
 
     /// Executes one queued job and writes its response(s) — the leader's
-    /// and every coalesced follower's.
+    /// and every coalesced follower's. The payload is encoded once; each
+    /// response frames the same bytes under its own id.
     fn execute(&self, job: Job) {
         self.counters.active.incr();
         let (method, outcome) = match &job.work {
@@ -613,7 +615,7 @@ impl Shared {
         self.counters.coalesced.add(waiters.len() as u64);
         let respond = |id: &Json, sink: &Sink| {
             let line = match &outcome {
-                Ok(result) => proto::response_ok(id, result.clone()),
+                Ok(payload) => proto::response_ok_encoded(id, payload),
                 Err(error) => proto::response_err(id, error),
             };
             send_line(sink, &self.counters, line);
@@ -626,7 +628,8 @@ impl Shared {
         self.record_latency(method, job.enqueued);
     }
 
-    fn run_load(&self, params: &LoadParams) -> Result<Json, WireError> {
+    /// Runs one `load` request and returns its encoded payload.
+    fn run_load(&self, params: &LoadParams) -> Result<String, WireError> {
         let t = Instant::now();
         let points = PointSet::try_new(params.points.clone(), params.dim)
             .map_err(|e| proto::pandora_error(&e))?;
@@ -642,7 +645,8 @@ impl Shared {
             ("dim", Json::Int(dim as i64)),
             ("max_min_pts", Json::Int(params.max_min_pts as i64)),
             ("freeze_ms", Json::Float(t.elapsed().as_secs_f64() * 1e3)),
-        ]))
+        ])
+        .to_string())
     }
 
     fn lookup(&self, dataset: &str) -> Result<Arc<DatasetIndex>, WireError> {
@@ -654,17 +658,21 @@ impl Shared {
         })
     }
 
-    fn run_cluster(&self, params: &ClusterParams) -> Result<Json, WireError> {
+    /// Runs one `cluster` request and returns its encoded payload.
+    fn run_cluster(&self, params: &ClusterParams) -> Result<String, WireError> {
         let index = self.lookup(&params.dataset)?;
         let mut session = index.session_with_ctx(ExecCtx::serial());
         self.counters.engine_runs.incr();
         let result = session
             .run(&params.request)
             .map_err(|e| proto::pandora_error(&e))?;
-        Ok(proto::cluster_result(&result))
+        let mut payload = String::new();
+        proto::write_cluster_result(&mut payload, &result);
+        Ok(payload)
     }
 
-    fn run_sweep(&self, params: &SweepParams) -> Result<Json, WireError> {
+    /// Runs one `sweep` request and returns its encoded payload.
+    fn run_sweep(&self, params: &SweepParams) -> Result<String, WireError> {
         let index = self.lookup(&params.dataset)?;
         // One warm session for the whole sweep: the frozen substrate, the
         // pooled buffers and the endgame cache amortize across members —
@@ -678,7 +686,9 @@ impl Shared {
                 .map_err(|e| proto::pandora_error(&e))?;
             results.push(result);
         }
-        Ok(proto::sweep_result(&params.min_pts, &results))
+        let mut payload = String::new();
+        proto::write_sweep_result(&mut payload, &params.min_pts, &results);
+        Ok(payload)
     }
 
     /// The `stats` payload: liveness, registry, queue and latency state.
@@ -958,15 +968,18 @@ pub fn serve_once<R: Read, W: Write>(
 /// Executes one parsed request synchronously (the `serve_once` path).
 fn serve_inline(shared: &Arc<Shared>, request: WireRequest, output: &mut dyn Write) {
     let started = Instant::now();
-    let reply = |outcome: Result<Json, WireError>| match outcome {
-        Ok(result) => proto::response_ok(&request.id, result),
+    let reply = |outcome: Result<String, WireError>| match outcome {
+        Ok(payload) => proto::response_ok_encoded(&request.id, &payload),
         Err(error) => proto::response_err(&request.id, &error),
     };
     let (method, line) = match request.method {
-        Method::Stats => ("stats", reply(Ok(shared.stats_json()))),
+        Method::Stats => (
+            "stats",
+            proto::response_ok(&request.id, shared.stats_json()),
+        ),
         Method::Shutdown => (
             "shutdown",
-            reply(Ok(Json::obj(vec![("stopping", Json::Bool(true))]))),
+            proto::response_ok(&request.id, Json::obj(vec![("stopping", Json::Bool(true))])),
         ),
         Method::Load => (
             "load",

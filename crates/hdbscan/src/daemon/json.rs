@@ -4,9 +4,14 @@
 //! predictable subset of JSON: parse one request object per line, write one
 //! response object per line. This module provides exactly that — a
 //! [`Json`] tree, a fallible recursive-descent parser, and a writer whose
-//! float formatting is **round-trip exact** (Rust's shortest-representation
-//! `Display`), so a served `f32` probability parses back to the identical
-//! bits.
+//! float formatting is **round-trip exact**, so a served `f32` probability
+//! parses back to the identical bits. Numbers are written by the in-tree
+//! writers of the private `num` submodule: integers, and `f32` through Ryū
+//! in exactly the text of Rust's shortest-representation `Display` (its
+//! tests compare the two on every bit pattern in [0, 1], and an opt-in
+//! sweep covers all 2³²). The daemon's direct payload writers in
+//! [`proto`](super::proto) use the same number writers, so a tree and a
+//! direct write of one result give the same bytes.
 //!
 //! Nothing in here panics on untrusted input: parse errors are positioned
 //! [`JsonError`] values and nesting is depth-limited, so a hostile request
@@ -25,6 +30,8 @@
 //! assert!(Json::parse("[1, 2,").is_err()); // errors, never panics
 //! # Ok::<(), pandora_hdbscan::daemon::json::JsonError>(())
 //! ```
+
+mod num;
 
 use std::fmt::{self, Write as _};
 
@@ -158,18 +165,25 @@ impl Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the canonical serialization (see [`Display`](fmt::Display))
+    /// to `out`.
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
+            Json::Int(i) => num::write_i64(out, *i),
+            Json::Float(f) if f.is_finite() => {
+                let _ = write!(out, "{f}");
             }
-            Json::Float(f) => write_finite(out, f.is_finite(), *f),
             // NaN/inf cannot appear in JSON; the pipeline never emits them,
             // but degrade to null rather than emit garbage.
-            Json::F32(f) => write_finite(out, f.is_finite(), *f),
+            Json::Float(_) => out.push_str("null"),
+            Json::F32(f) => {
+                let mut buf = [0u8; num::F32_MAX_LEN];
+                let end = put_f32(&mut buf, 0, *f);
+                num::push_ascii(out, &buf[..end]);
+            }
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
@@ -206,14 +220,25 @@ impl fmt::Display for Json {
     }
 }
 
-/// Writes a float through Rust's shortest-round-trip `Display`, degrading
-/// non-finite values (invalid in JSON) to `null`.
-fn write_finite<T: fmt::Display>(out: &mut String, finite: bool, value: T) {
-    if finite {
-        let _ = write!(out, "{value}");
+/// Writes an `f32` as [`Json::F32`] does: its `Display` text, or `null`
+/// when it is not finite.
+fn put_f32(buf: &mut [u8], at: usize, value: f32) -> usize {
+    if value.is_finite() {
+        num::put_f32(buf, at, value)
     } else {
-        out.push_str("null");
+        buf[at..at + 4].copy_from_slice(b"null");
+        at + 4
     }
+}
+
+/// Appends the bytes of a [`Json::Arr`] of [`Json::Int`]s holding `values`.
+pub(crate) fn write_int_array(out: &mut String, values: impl IntoIterator<Item = i64>) {
+    num::write_array(out, values, num::I64_MAX_LEN, num::put_i64);
+}
+
+/// Appends the bytes of a [`Json::Arr`] of [`Json::F32`]s holding `values`.
+pub(crate) fn write_f32_array(out: &mut String, values: &[f32]) {
+    num::write_array(out, values.iter().copied(), num::F32_MAX_LEN, put_f32);
 }
 
 fn write_string(out: &mut String, s: &str) {

@@ -10,11 +10,15 @@
 //! ← {"id":1,"error":{"code":"bad_params","message":"invalid min_pts = 0: ..."}}
 //! ```
 //!
-//! Everything in this module is a pure function from bytes to values — the
-//! daemon, the protocol tests and the RPS bench all call the same encoders,
-//! which is what makes "the daemon's payload is bit-identical to an
-//! in-process [`Session::run`](crate::Session::run)" a checkable statement:
-//! both sides serialize through [`cluster_result`] and compare strings.
+//! Everything in this module is a pure function from bytes to values. The
+//! daemon writes `cluster` and `sweep` payloads with [`write_cluster_result`]
+//! and [`write_sweep_result`], straight from the result into one buffer.
+//! [`cluster_result`] and [`sweep_result`] build the same payloads as
+//! [`Json`] trees; they are the reference. The protocol tests and the
+//! benchmarks serialize an in-process [`Session::run`](crate::Session::run)
+//! through them and compare strings with the daemon's replies, which is
+//! what makes "the daemon's payload is bit-identical to an in-process run"
+//! a checkable statement.
 //!
 //! ```
 //! use pandora_hdbscan::daemon::proto::{self, Method};
@@ -31,7 +35,7 @@
 use pandora_core::DendrogramBackend;
 use pandora_mst::{Linkage, MetricKind, PandoraError};
 
-use super::json::Json;
+use super::json::{self, Json};
 use crate::pipeline::HdbscanResult;
 use crate::serve::ClusterRequest;
 
@@ -450,12 +454,14 @@ pub fn sweep_params(params: &Json) -> Result<SweepParams, WireError> {
     })
 }
 
-/// The canonical `cluster` result payload.
+/// The canonical `cluster` result payload, as a [`Json`] tree.
 ///
 /// Deliberately a pure function of `(dataset, request)` — no timings, no
 /// host-dependent fields — so duplicate requests (coalesced or not, served
 /// by the daemon or run in-process) produce byte-identical payloads. The
-/// protocol tests rely on this to assert bit-identity through the socket.
+/// daemon writes the same bytes with [`write_cluster_result`] without
+/// building the tree; this function is the reference the protocol tests
+/// and the benchmarks compare it against.
 pub fn cluster_result(result: &HdbscanResult) -> Json {
     Json::obj(vec![
         ("n_clusters", Json::Int(result.n_clusters() as i64)),
@@ -478,7 +484,7 @@ pub fn cluster_result(result: &HdbscanResult) -> Json {
 }
 
 /// The canonical `sweep` result payload: one [`cluster_result`] per swept
-/// `min_pts`, in request order.
+/// `min_pts`, in request order (the reference for [`write_sweep_result`]).
 pub fn sweep_result(min_pts: &[usize], results: &[HdbscanResult]) -> Json {
     let members = min_pts
         .iter()
@@ -494,14 +500,81 @@ pub fn sweep_result(min_pts: &[usize], results: &[HdbscanResult]) -> Json {
     Json::obj(vec![("results", Json::Arr(members))])
 }
 
+/// Appends the bytes of `cluster_result(result).to_string()` to `out`
+/// without building the tree: the daemon's `cluster` encoder. Its numbers
+/// go through the same writers as [`Json`]'s, and the protocol tests pin
+/// its bytes to [`cluster_result`].
+pub fn write_cluster_result(out: &mut String, result: &HdbscanResult) {
+    out.push('{');
+    write_cluster_fields(out, result);
+    out.push('}');
+}
+
+/// Appends the bytes of `sweep_result(min_pts, results).to_string()` to
+/// `out`, each member through the fields of [`write_cluster_result`].
+pub fn write_sweep_result(out: &mut String, min_pts: &[usize], results: &[HdbscanResult]) {
+    out.push_str("{\"results\":[");
+    for (i, (&m, result)) in min_pts.iter().zip(results).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"min_pts\":");
+        Json::Int(m as i64).write(out);
+        out.push(',');
+        write_cluster_fields(out, result);
+        out.push('}');
+    }
+    out.push_str("]}");
+}
+
+fn write_cluster_fields(out: &mut String, result: &HdbscanResult) {
+    // Room for a typical payload: per point, a short label and a
+    // probability of up to nine digits.
+    out.reserve(64 + 16 * result.labels.len());
+    out.push_str("\"n_clusters\":");
+    Json::Int(result.n_clusters() as i64).write(out);
+    out.push_str(",\"n_noise\":");
+    Json::Int(result.n_noise() as i64).write(out);
+    out.push_str(",\"labels\":");
+    json::write_int_array(out, result.labels.iter().map(|&l| i64::from(l)));
+    out.push_str(",\"probabilities\":");
+    json::write_f32_array(out, &result.probabilities);
+}
+
 /// Serializes a success response line (no trailing newline).
 pub fn response_ok(id: &Json, result: Json) -> String {
-    Json::obj(vec![("id", id.clone()), ("result", result)]).to_string()
+    envelope(id, "result", 0, |out| result.write(out))
+}
+
+/// Serializes a success response line (no trailing newline) around a
+/// payload that is already JSON text, such as one [`write_cluster_result`]
+/// wrote: the same bytes as [`response_ok`] on the parsed payload. The
+/// daemon encodes a payload once and frames it once per waiting client.
+pub fn response_ok_encoded(id: &Json, payload: &str) -> String {
+    envelope(id, "result", payload.len(), |out| out.push_str(payload))
 }
 
 /// Serializes an error response line (no trailing newline).
 pub fn response_err(id: &Json, error: &WireError) -> String {
-    Json::obj(vec![("id", id.clone()), ("error", error.to_json())]).to_string()
+    envelope(id, "error", 0, |out| error.to_json().write(out))
+}
+
+/// `{"id":<id>,"<key>":<member>}` in one buffer, sized up front when the
+/// member's length `member_len` is known, and with room left for the
+/// newline the daemon appends.
+fn envelope(id: &Json, key: &str, member_len: usize, member: impl FnOnce(&mut String)) -> String {
+    let mut line = String::with_capacity(member_len + 32);
+    line.push_str("{\"id\":");
+    id.write(&mut line);
+    line.push_str(",\"");
+    line.push_str(key);
+    line.push_str("\":");
+    // Grows only after a long id: the member, '}' and '\n' must fit.
+    line.reserve(member_len + 2);
+    member(&mut line);
+    line.push('}');
+    line.reserve(1);
+    line
 }
 
 #[cfg(test)]

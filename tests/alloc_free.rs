@@ -1,7 +1,8 @@
 //! Verifies the EMST hot path's allocation contract with a counting global
 //! allocator: steady-state k-NN and nearest-foreign queries must perform
 //! **zero** heap allocations per query, and the batched core-distance
-//! kernel must allocate only its output plus per-chunk scratch.
+//! kernel must allocate only its output plus per-chunk scratch; encoding a
+//! daemon payload into a buffer with room for it allocates nothing.
 //!
 //! This file holds a single test function: the allocation counter is
 //! process-global, so concurrently running tests would pollute each
@@ -12,6 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pandora::exec::{ExecCtx, ScratchPool};
+use pandora::hdbscan::daemon::proto;
 use pandora::hdbscan::{
     cluster_stabilities, condense, extract_labels, select_clusters, ClusterRequest, DatasetIndex,
     HdbscanParams,
@@ -213,6 +215,18 @@ fn steady_state_queries_do_not_allocate() {
     );
     // And the books balance: nothing stays leased between runs.
     assert_eq!(session.scratch_outstanding(), 0);
+
+    // --- Encoding a `cluster` payload: the daemon writes the labels and
+    //     probabilities straight into its reply buffer, so once the buffer
+    //     has room the encode allocates nothing (the reference `Json` tree
+    //     allocates a value per key and array, and the rendered line).
+    let mut payload = String::new();
+    proto::write_cluster_result(&mut payload, &probe); // sizes the buffer
+    let payload_allocs = min_allocs_over(3, || {
+        payload.clear();
+        proto::write_cluster_result(&mut payload, &probe);
+    });
+    assert_eq!(payload_allocs, 0, "writing a cluster payload allocated");
 
     // --- Warm dendrogram workspace, threaded path: once primed, a full
     //     α-contraction run through `ExecCtx::threads()` allocates only the

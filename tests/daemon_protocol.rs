@@ -3,7 +3,10 @@
 //! typed error (never a disconnect), duplicate in-flight requests provably
 //! coalesce (engine-run counter), a full queue sheds with a typed
 //! `overloaded` error instead of queueing unboundedly, and every response
-//! leaves in one write of one whole line.
+//! leaves in one write of one whole line. The daemon writes payloads
+//! straight from the result; every expected line here comes from the
+//! reference encoders (`cluster_result`, `sweep_result`, `response_ok`),
+//! and `reference_line` also pins the direct writers to them.
 //!
 //! CI runs this file in the `PANDORA_THREADS ∈ {1,4}` matrix, so the
 //! daemon's default worker-lane sizing is exercised at both extremes
@@ -16,11 +19,11 @@ use std::time::{Duration, Instant};
 
 use pandora::data::synthetic::gaussian_blobs;
 use pandora::exec::ExecCtx;
-use pandora::hdbscan::daemon::proto::{code, WireError};
+use pandora::hdbscan::daemon::proto::{code, Method, WireError};
 use pandora::hdbscan::daemon::{
     json::Json, proto, serve_once, Daemon, DaemonConfig, DatasetRegistry,
 };
-use pandora::hdbscan::{ClusterRequest, DatasetIndex};
+use pandora::hdbscan::{ClusterRequest, DatasetIndex, HdbscanResult};
 use pandora::mst::PointSet;
 
 /// One newline-delimited JSON-RPC connection.
@@ -66,12 +69,26 @@ fn freeze(points: PointSet, max_min_pts: usize) -> Arc<DatasetIndex> {
     Arc::new(DatasetIndex::freeze_with_ctx(ExecCtx::serial(), points, max_min_pts).expect("freeze"))
 }
 
+/// The reference response line for `result` under `id`, after checking
+/// that the daemon's direct writer frames the same bytes.
+fn reference_line(id: &Json, result: &HdbscanResult) -> String {
+    let line = proto::response_ok(id, proto::cluster_result(result));
+    let mut payload = String::new();
+    proto::write_cluster_result(&mut payload, result);
+    assert_eq!(
+        proto::response_ok_encoded(id, &payload),
+        line,
+        "write_cluster_result diverged from cluster_result"
+    );
+    line
+}
+
 /// The exact response line the daemon must produce for `request`, computed
-/// in-process through the same `Session::run` + canonical encoder.
-fn expected_cluster_line(index: &Arc<DatasetIndex>, id: i64, request: &ClusterRequest) -> String {
+/// in-process through the same `Session::run` + reference encoder.
+fn expected_cluster_line(index: &Arc<DatasetIndex>, id: &Json, request: &ClusterRequest) -> String {
     let mut session = index.session_with_ctx(ExecCtx::serial());
     let result = session.run(request).expect("valid request");
-    proto::response_ok(&Json::Int(id), proto::cluster_result(&result))
+    reference_line(id, &result)
 }
 
 fn error_code(line: &str) -> String {
@@ -111,7 +128,7 @@ fn concurrent_mixed_method_clients_get_bit_identical_payloads() {
                     ));
                     assert_eq!(
                         reply,
-                        expected_cluster_line(index, id, &request),
+                        expected_cluster_line(index, &Json::Int(id), &request),
                         "thread {thread} request {i}: wire payload diverged from Session::run"
                     );
                     // Interleave a stats call: must answer inline on the
@@ -149,22 +166,35 @@ fn every_response_leaves_in_one_write_ending_in_one_newline() {
     // The TCP lanes frame replies through the same function as
     // `serve_once`, so this in-memory run pins the socket framing too: a
     // line split across two writes lets Nagle hold its tail until the
-    // client's delayed ACK.
+    // client's delayed ACK. The cluster and sweep lines also cover the
+    // payload edge cases (all noise, allow_single_cluster, one and two
+    // points, several sweep members) and every kind of id the daemon
+    // echoes: integer, negative integer, string with escapes, null, float.
     let index = freeze(blobs(300, 37), 8);
     let registry = DatasetRegistry::new();
-    registry
-        .register("d", Arc::clone(&index), false)
-        .expect("register");
-    let input: String = [
+    let datasets = [
+        ("d", Arc::clone(&index)),
+        ("one", freeze(PointSet::new(vec![1.5, -2.0], 2), 2)),
+        ("two", freeze(PointSet::new(vec![0.0, 0.0, 3.0, 4.0], 2), 2)),
+    ];
+    for (name, index) in &datasets {
+        registry
+            .register(name, Arc::clone(index), false)
+            .expect("register");
+    }
+    let requests = [
         r#"{"id":1,"method":"cluster","params":{"dataset":"d","min_pts":4,"min_cluster_size":6}}"#,
         "{not json",
         r#"{"id":3,"method":"cluster","params":{"dataset":"missing"}}"#,
-        r#"{"id":4,"method":"stats"}"#,
-        r#"{"id":5,"method":"shutdown"}"#,
-    ]
-    .iter()
-    .map(|line| format!("{line}\n"))
-    .collect();
+        r#"{"id":-4,"method":"cluster","params":{"dataset":"d","min_pts":4,"min_cluster_size":400}}"#,
+        r#"{"id":"q\"uote\\back\nline\u0001","method":"cluster","params":{"dataset":"d","min_pts":8,"min_cluster_size":200,"allow_single_cluster":true}}"#,
+        r#"{"id":null,"method":"cluster","params":{"dataset":"one","min_pts":1}}"#,
+        r#"{"id":2.5,"method":"cluster","params":{"dataset":"two","min_pts":2,"min_cluster_size":2,"allow_single_cluster":true}}"#,
+        r#"{"id":8,"method":"sweep","params":{"dataset":"d","min_pts":[2,4,8],"min_cluster_size":6}}"#,
+        r#"{"id":9,"method":"stats"}"#,
+        r#"{"id":10,"method":"shutdown"}"#,
+    ];
+    let input: String = requests.iter().map(|line| format!("{line}\n")).collect();
     let mut log = WriteLog::default();
     serve_once(
         DaemonConfig::new().workers(1),
@@ -178,40 +208,87 @@ fn every_response_leaves_in_one_write_ending_in_one_newline() {
         .iter()
         .map(|w| String::from_utf8(w.clone()).expect("utf-8"))
         .collect();
-    assert_eq!(replies.len(), 5, "one write call per response: {replies:?}");
+    assert_eq!(
+        replies.len(),
+        requests.len(),
+        "one write call per response: {replies:?}"
+    );
     for reply in &replies {
         assert!(
             reply.ends_with('\n') && reply.matches('\n').count() == 1,
             "a write must carry exactly one whole line: {reply:?}"
         );
     }
-    let malformed = proto::parse_request("{not json").expect_err("malformed");
-    // `stats` carries timings: re-encode the reply's own result, which the
-    // shortest-round-trip floats make byte-stable.
-    let stats = Json::parse(replies[3].trim_end())
-        .ok()
-        .and_then(|v| v.get("result").cloned())
-        .expect("stats result");
-    let expected = [
-        expected_cluster_line(
-            &index,
-            1,
-            &ClusterRequest::new().min_pts(4).min_cluster_size(6),
-        ),
-        proto::response_err(&malformed.id, &malformed.error),
-        proto::response_err(
-            &Json::Int(3),
-            &WireError::new(code::UNKNOWN_DATASET, "no dataset loaded under: missing"),
-        ),
-        proto::response_ok(&Json::Int(4), stats),
-        proto::response_ok(
-            &Json::Int(5),
-            Json::obj(vec![("stopping", Json::Bool(true))]),
-        ),
-    ];
+    let index_of = |name: &str| {
+        datasets
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, index)| index)
+            .expect("a registered dataset")
+    };
+    let expected: Vec<String> = requests
+        .iter()
+        .zip(&replies)
+        .map(|(line, reply)| {
+            let request = match proto::parse_request(line) {
+                Ok(request) => request,
+                Err(e) => return proto::response_err(&e.id, &e.error),
+            };
+            let id = &request.id;
+            match request.method {
+                Method::Cluster => {
+                    let params = proto::cluster_params(&request.params).expect("valid params");
+                    if params.dataset == "missing" {
+                        let error = WireError::new(
+                            code::UNKNOWN_DATASET,
+                            "no dataset loaded under: missing",
+                        );
+                        return proto::response_err(id, &error);
+                    }
+                    expected_cluster_line(index_of(&params.dataset), id, &params.request)
+                }
+                Method::Sweep => {
+                    let params = proto::sweep_params(&request.params).expect("valid params");
+                    let mut session = index_of(&params.dataset).session_with_ctx(ExecCtx::serial());
+                    let results: Vec<HdbscanResult> = params
+                        .min_pts
+                        .iter()
+                        .map(|&m| session.run(&params.base.min_pts(m)).expect("valid"))
+                        .collect();
+                    let reference = proto::sweep_result(&params.min_pts, &results);
+                    let mut payload = String::new();
+                    proto::write_sweep_result(&mut payload, &params.min_pts, &results);
+                    assert_eq!(
+                        payload,
+                        reference.to_string(),
+                        "write_sweep_result diverged"
+                    );
+                    proto::response_ok(id, reference)
+                }
+                // `stats` carries timings: re-encode the reply's own result,
+                // which the shortest-round-trip floats make byte-stable.
+                Method::Stats => {
+                    let stats = Json::parse(reply.trim_end())
+                        .ok()
+                        .and_then(|v| v.get("result").cloned())
+                        .expect("stats result");
+                    proto::response_ok(id, stats)
+                }
+                Method::Shutdown => {
+                    proto::response_ok(id, Json::obj(vec![("stopping", Json::Bool(true))]))
+                }
+                Method::Load => unreachable!("no load line in this stream"),
+            }
+        })
+        .collect();
     for (reply, line) in replies.iter().zip(&expected) {
         assert_eq!(*reply, format!("{line}\n"));
     }
+    // The edge cases really are edge cases.
+    assert!(replies[3].contains(r#""n_clusters":0,"n_noise":300"#));
+    assert!(replies[4].contains(r#""n_clusters":1,"#), "{}", replies[4]);
+    assert!(replies[5].contains(r#"{"id":null,"result":{"n_clusters":0,"n_noise":1,"#));
+    assert!(replies[6].starts_with(r#"{"id":2.5,"#));
 }
 
 #[test]
@@ -239,6 +316,13 @@ fn wire_load_and_sweep_match_in_process_results() {
             .collect()
     };
     let expected = proto::response_ok(&Json::Int(2), proto::sweep_result(&min_pts, &results));
+    let mut payload = String::new();
+    proto::write_sweep_result(&mut payload, &min_pts, &results);
+    assert_eq!(
+        proto::response_ok_encoded(&Json::Int(2), &payload),
+        expected,
+        "write_sweep_result diverged from sweep_result"
+    );
     let reply = client.call(
         r#"{"id":2,"method":"sweep","params":{"dataset":"wire","min_pts":[2,4,9],"min_cluster_size":6}}"#,
     );
@@ -459,9 +543,10 @@ fn duplicate_inflight_requests_coalesce_into_one_engine_run() {
         DaemonConfig::new().workers(1).queue_depth(16),
     )
     .expect("bind");
+    let index = freeze(blobs(2000, 17), 16);
     daemon
         .registry()
-        .register("d", freeze(blobs(2000, 17), 16), false)
+        .register("d", Arc::clone(&index), false)
         .expect("register");
 
     let mut dupes: Vec<Client> = (0..DUPES).map(|_| Client::connect(&daemon)).collect();
@@ -472,26 +557,44 @@ fn duplicate_inflight_requests_coalesce_into_one_engine_run() {
     blocker.send(BLOCKER);
     wait_for_engine_start(&daemon, before.engine_runs);
 
-    // Five byte-identical requests from five connections: one leader gets
-    // queued, four attach to its in-flight computation.
-    for (i, client) in dupes.iter_mut().enumerate() {
+    // Five identical requests from five connections, each under its own
+    // kind of id: one leader gets queued, four attach to its in-flight
+    // computation and get its payload bytes under their own ids.
+    let ids = [
+        Json::Int(0),
+        Json::Int(-1),
+        Json::Str("w\"2\\".into()),
+        Json::Null,
+        Json::Float(4.5),
+    ];
+    let request = ClusterRequest::new().min_pts(4).min_cluster_size(7);
+    for (client, id) in dupes.iter_mut().zip(&ids) {
         client.send(&format!(
-            r#"{{"id":{i},"method":"cluster","params":{{"dataset":"d","min_pts":4,"min_cluster_size":7}}}}"#
+            r#"{{"id":{id},"method":"cluster","params":{{"dataset":"d","min_pts":4,"min_cluster_size":7}}}}"#
         ));
     }
     let replies: Vec<String> = dupes.iter_mut().map(Client::recv).collect();
-    let expected: Vec<String> = (0..DUPES)
-        .map(|i| {
-            let mut line = replies[0].clone();
-            // Same payload, each under its own id.
-            line.replace_range(
-                ..line.find(',').expect("id field"),
-                format!(r#"{{"id":{i}"#).as_str(),
-            );
-            line
-        })
-        .collect();
-    assert_eq!(replies, expected, "coalesced payloads must be identical");
+    let payload = |reply: &str, id: &Json| -> String {
+        let head = format!(r#"{{"id":{id},"result":"#);
+        reply
+            .strip_prefix(head.as_str())
+            .and_then(|rest| rest.strip_suffix('}'))
+            .unwrap_or_else(|| panic!("not a result under id {id}: {reply}"))
+            .to_string()
+    };
+    let leader = payload(&replies[0], &ids[0]);
+    for (reply, id) in replies.iter().zip(&ids) {
+        assert_eq!(
+            payload(reply, id),
+            leader,
+            "coalesced payloads must be identical"
+        );
+        assert_eq!(
+            *reply,
+            expected_cluster_line(&index, id, &request),
+            "a waiter's line diverged from the in-process reference"
+        );
+    }
     assert!(replies[0].contains(r#""n_clusters""#), "{}", replies[0]);
     assert!(blocker.recv().contains("result"));
 
