@@ -11,7 +11,9 @@
 //! weight-descending order) at every level, so index comparisons are
 //! meaningful across levels — the property the expansion step relies on.
 
-use pandora_exec::atomic::as_atomic_u64;
+use std::sync::atomic::Ordering;
+
+use pandora_exec::atomic::as_atomic_u32;
 use pandora_exec::partition::partition_indices_into;
 use pandora_exec::scan::exclusive_scan_in_place;
 use pandora_exec::trace::KernelKind;
@@ -53,8 +55,9 @@ impl LevelTree {
 ///
 /// Zero means "no incident edge"; otherwise the high 32 bits hold
 /// `global_id + 1` and the low 32 bits the edge's position in the level's
-/// arrays. Because positions are ascending in global id, `fetch_max` on the
-/// packed value selects the maximum global id.
+/// arrays. Positions are ascending in global id, so a later edge always
+/// packs larger: [`max_incident_into`] keeps the last edge it stores at a
+/// vertex, and that is the one with the maximum global id.
 #[inline(always)]
 pub fn pack_incident(global_id: u32, pos: u32) -> u64 {
     ((global_id as u64 + 1) << 32) | pos as u64
@@ -87,30 +90,61 @@ pub fn max_incident(ctx: &ExecCtx, tree: &LevelTree) -> Vec<u64> {
 /// [`max_incident`] into a reusable buffer (cleared first, capacity
 /// retained) — one table per contraction level, reused across runs by the
 /// dendrogram workspace.
+///
+/// Edges arrive in ascending global id, so the last store to a vertex is
+/// its maximum and no read-modify-write is needed. Each lane owns a
+/// contiguous block of vertices, streams every edge and stores only its own
+/// endpoints: the stores are disjoint and the table does not depend on the
+/// lane count. The price is that every lane re-reads the level's
+/// `src`/`dst`/`ids`.
 pub fn max_incident_into(ctx: &ExecCtx, tree: &LevelTree, packed: &mut Vec<u64>) {
-    let n = tree.n_edges();
+    let (n, nv) = (tree.n_edges(), tree.n_vertices);
+    let (src, dst, ids) = (&tree.src[..], &tree.dst[..], &tree.ids[..]);
+    // Levels within one dispatch grain stay on the calling lane, as the
+    // chunked loops do; one owner's block is the whole table.
+    let owners = if n <= DEFAULT_GRAIN {
+        1
+    } else {
+        ctx.lanes().min(nv)
+    };
+    // An endpoint outside the owner's block goes to the owner's sink slot
+    // past the table instead, so the loop has no data-dependent branch.
+    // Sinks sit a cache line apart, and a line clear of the table.
+    const LINE: usize = 64 / std::mem::size_of::<u64>();
     packed.clear();
-    packed.resize(tree.n_vertices, 0);
-    {
-        let view = as_atomic_u64(packed.as_mut_slice());
-        let (src, dst, ids) = (&tree.src, &tree.dst, &tree.ids);
-        ctx.record(KernelKind::Gather, n as u64, (n as u64) * 24);
-        ctx.for_each_chunk_traced(
-            n,
-            DEFAULT_GRAIN,
-            KernelKind::For,
-            (n as u64) * 12,
-            |range| {
-                for i in range {
-                    let key = pack_incident(ids[i], i as u32);
-                    // pandora-lint: allow(PL004) — packed incident-edge max is commutative; readers run only after the dispatch joins
-                    view[src[i] as usize].fetch_max(key, std::sync::atomic::Ordering::Relaxed);
-                    // pandora-lint: allow(PL004) — as above — the same commutative fetch_max on the other endpoint
-                    view[dst[i] as usize].fetch_max(key, std::sync::atomic::Ordering::Relaxed);
+    packed.resize(nv + LINE * (owners + 1), 0);
+    let block = nv.div_ceil(owners);
+    let view = UnsafeSlice::new(packed.as_mut_slice());
+    // The table is zeroed (8 B per vertex), every owner reads 12 B per
+    // edge, and the table receives 8 B per endpoint.
+    ctx.for_each_block_traced(
+        owners,
+        n,
+        KernelKind::Gather,
+        (nv * 8 + owners * n * 12 + n * 16) as u64,
+        |owner| {
+            let lo = owner * block;
+            let width = (lo + block).min(nv).saturating_sub(lo);
+            if width == 0 {
+                return;
+            }
+            let sink = nv + LINE * (owner + 1);
+            for i in 0..n {
+                let key = pack_incident(ids[i], i as u32);
+                let (s, d) = (src[i] as usize, dst[i] as usize);
+                let s = if s.wrapping_sub(lo) < width { s } else { sink };
+                let d = if d.wrapping_sub(lo) < width { d } else { sink };
+                // SAFETY: only this owner stores into `lo..lo + width` and
+                // into its sink, and the table is read only after the
+                // dispatch joins.
+                unsafe {
+                    view.write(s, key);
+                    view.write(d, key);
                 }
-            },
-        );
-    }
+            }
+        },
+    );
+    packed.truncate(nv);
 }
 
 /// How an edge-node relates to vertex-nodes in the dendrogram (paper Fig. 7).
@@ -152,20 +186,53 @@ pub fn split_alpha(ctx: &ExecCtx, tree: &LevelTree, max_inc: &[u64]) -> AlphaSpl
         alpha: Vec::new(),
         non_alpha: Vec::new(),
     };
-    split_alpha_into(ctx, tree, max_inc, &mut split);
+    split_alpha_into(ctx, tree, max_inc, &mut split, &ScratchPool::new());
     split
 }
 
 /// [`split_alpha`] into a reusable split (both index vectors cleared
-/// first, capacity retained).
-pub fn split_alpha_into(ctx: &ExecCtx, tree: &LevelTree, max_inc: &[u64], split: &mut AlphaSplit) {
-    let n = tree.n_edges();
-    let (src, dst, ids) = (&tree.src, &tree.dst, &tree.ids);
-    let is_alpha = |i: usize| {
-        let id = ids[i];
-        packed_id(max_inc[src[i] as usize]) != id && packed_id(max_inc[dst[i] as usize]) != id
-    };
-    partition_indices_into(ctx, n, is_alpha, &mut split.alpha, &mut split.non_alpha);
+/// first, capacity retained), with its per-edge marks leased from
+/// `scratch`.
+///
+/// Every vertex marks its `maxIncident` edge, and an edge is α iff neither
+/// endpoint marked it.
+pub fn split_alpha_into(
+    ctx: &ExecCtx,
+    tree: &LevelTree,
+    max_inc: &[u64],
+    split: &mut AlphaSplit,
+    scratch: &ScratchPool,
+) {
+    let (n, nv) = (tree.n_edges(), max_inc.len());
+    let mut marks = scratch.take_u32();
+    marks.resize(n, 0);
+    {
+        let view = as_atomic_u32(marks.as_mut_slice());
+        // The marks are zeroed (4 B per edge); then each vertex reads 8 B
+        // and stores at most 4 B.
+        ctx.for_each_chunk_traced(
+            nv,
+            DEFAULT_GRAIN,
+            KernelKind::Gather,
+            (n as u64) * 4 + (nv as u64) * 12,
+            |range| {
+                for &packed in &max_inc[range] {
+                    if packed != 0 {
+                        // pandora-lint: allow(PL004) — idempotent mark: both endpoints of a leaf edge may store the same 1, and the marks are read only after the dispatch joins
+                        view[packed_pos(packed) as usize].store(1, Ordering::Relaxed);
+                    }
+                }
+            },
+        );
+    }
+    partition_indices_into(
+        ctx,
+        n,
+        |i| marks[i] == 0,
+        &mut split.alpha,
+        &mut split.non_alpha,
+    );
+    scratch.put_u32(marks);
 }
 
 /// Output of contracting one level.
@@ -436,7 +503,7 @@ pub fn build_hierarchy_into(
         let tree = trees.last().expect("at least one level");
         let mut mi = scratch.detach_u64();
         max_incident_into(ctx, tree, &mut mi);
-        split_alpha_into(ctx, tree, &mi, &mut split);
+        split_alpha_into(ctx, tree, &mi, &mut split, scratch);
         debug_assert!(
             tree.n_edges() == 0 || split.alpha.len() <= (tree.n_edges() - 1) / 2,
             "α-count bound n_α ≤ (n-1)/2 violated (paper §4.2)"
@@ -497,6 +564,7 @@ pub fn build_hierarchy_into(
 pub(crate) mod tests {
     use super::*;
     use crate::edge::Edge;
+    use rand::prelude::*;
 
     /// A 24-vertex "caterpillar of stars" exercising several contraction
     /// levels: three hubs carrying leaf fans, bridged by heavy edges, plus a
@@ -637,7 +705,6 @@ pub(crate) mod tests {
 
     #[test]
     fn hierarchy_bounds_hold_on_random_trees() {
-        use rand::prelude::*;
         let ctx = ExecCtx::serial();
         let mut rng = StdRng::seed_from_u64(7);
         for n_vertices in [2usize, 3, 17, 100, 1000] {
@@ -669,6 +736,130 @@ pub(crate) mod tests {
                 if (h.edge_level[e] as usize) < last {
                     assert_ne!(h.edge_home[e], INVALID);
                 }
+            }
+        }
+    }
+
+    /// `maxIncident` as a plain serial loop with an explicit max.
+    fn reference_max_incident(tree: &LevelTree) -> Vec<u64> {
+        let mut packed = vec![0u64; tree.n_vertices];
+        for i in 0..tree.n_edges() {
+            let key = pack_incident(tree.ids[i], i as u32);
+            for v in [tree.src[i], tree.dst[i]] {
+                let slot = &mut packed[v as usize];
+                *slot = (*slot).max(key);
+            }
+        }
+        packed
+    }
+
+    /// The α test (paper Eq. 2) gathered from both endpoints, serially.
+    fn reference_split(tree: &LevelTree, packed: &[u64]) -> (Vec<u32>, Vec<u32>) {
+        (0..tree.n_edges() as u32).partition(|&i| {
+            let (i, id) = (i as usize, tree.ids[i as usize]);
+            packed_id(packed[tree.src[i] as usize]) != id
+                && packed_id(packed[tree.dst[i] as usize]) != id
+        })
+    }
+
+    fn level(n_vertices: usize, edges: &[Edge]) -> LevelTree {
+        LevelTree::from_mst(&SortedMst::from_edges(
+            &ExecCtx::serial(),
+            n_vertices,
+            edges,
+        ))
+    }
+
+    fn random_tree(n_vertices: usize, seed: u64, weight: impl Fn(&mut StdRng) -> f32) -> Vec<Edge> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (1..n_vertices)
+            .map(|v| Edge::new(rng.gen_range(0..v) as u32, v as u32, weight(&mut rng)))
+            .collect()
+    }
+
+    /// Levels that stress the owner blocks of [`max_incident_into`]: past
+    /// the dispatch grain, vertex counts that 2 and 3 lanes split unevenly,
+    /// hubs at either end, and deeper levels whose global ids have gaps.
+    fn kernel_cases() -> Vec<(String, LevelTree)> {
+        let mut cases = vec![
+            (
+                "empty level".to_string(),
+                LevelTree {
+                    n_vertices: 1,
+                    src: vec![],
+                    dst: vec![],
+                    ids: vec![],
+                },
+            ),
+            (
+                "fewer vertices than lanes".to_string(),
+                level(2, &[Edge::new(1, 0, 1.0)]),
+            ),
+        ];
+        for hub in [0u32, 4999] {
+            let edges: Vec<Edge> = (0..5000u32)
+                .filter(|&v| v != hub)
+                .map(|v| Edge::new(hub, v, (v % 97) as f32))
+                .collect();
+            cases.push((format!("star, hub {hub}"), level(5000, &edges)));
+        }
+        let path: Vec<Edge> = (0..6000u32)
+            .map(|v| Edge::new(v, v + 1, (6000 - v) as f32))
+            .collect();
+        cases.push(("path".to_string(), level(6001, &path)));
+        for (nv, seed) in [
+            (2049usize, 1u64),
+            (2050, 2),
+            (3001, 3),
+            (4099, 4),
+            (6007, 5),
+        ] {
+            let edges = random_tree(nv, seed, |rng| rng.gen_range(0.0..100.0f32));
+            cases.push((format!("random, {nv} vertices"), level(nv, &edges)));
+        }
+        let duplicate = random_tree(5003, 6, |rng| rng.gen_range(0..4) as f32);
+        cases.push(("duplicate weights".to_string(), level(5003, &duplicate)));
+        let mst = SortedMst::from_edges(
+            &ExecCtx::serial(),
+            20_000,
+            &random_tree(20_000, 7, |rng| rng.gen_range(0.0..1.0f32)),
+        );
+        for (l, tree) in build_hierarchy(&ExecCtx::serial(), &mst)
+            .trees
+            .into_iter()
+            .enumerate()
+        {
+            cases.push((format!("hierarchy level {l}"), tree));
+        }
+        cases
+    }
+
+    #[test]
+    fn kernels_match_a_plain_serial_loop_on_every_lane_count() {
+        use pandora_exec::pool::ThreadPool;
+        use std::sync::Arc;
+        let cases = kernel_cases();
+        let mut contexts = vec![ExecCtx::serial()];
+        contexts.extend((1..=3).map(|lanes| ExecCtx::on_pool(Arc::new(ThreadPool::new(lanes)))));
+        for ctx in &contexts {
+            // Buffers carry stale contents and capacity between cases, as
+            // they do in the workspace.
+            let mut packed = vec![u64::MAX; 3];
+            let mut split = AlphaSplit {
+                alpha: vec![7],
+                non_alpha: vec![7, 7],
+            };
+            let scratch = ScratchPool::new();
+            for (name, tree) in &cases {
+                let what = format!("{name}, {} lanes", ctx.lanes());
+                max_incident_into(ctx, tree, &mut packed);
+                let want = reference_max_incident(tree);
+                assert_eq!(packed, want, "maxIncident: {what}");
+                split_alpha_into(ctx, tree, &packed, &mut split, &scratch);
+                let (alpha, non_alpha) = reference_split(tree, &want);
+                assert_eq!(split.alpha, alpha, "α edges: {what}");
+                assert_eq!(split.non_alpha, non_alpha, "non-α edges: {what}");
+                assert_eq!(scratch.outstanding(), 0, "marks not returned: {what}");
             }
         }
     }

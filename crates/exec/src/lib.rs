@@ -162,6 +162,22 @@ impl ExecCtx {
         self.run_chunks(n, grain, f);
     }
 
+    /// Runs `f(block)` for every block in `0..blocks`, one block per task,
+    /// and traces `blocks * per_block` elements: for owner loops, in which
+    /// every block streams the same `per_block`-element input and keeps the
+    /// part it owns.
+    pub fn for_each_block_traced<F: Fn(usize) + Sync>(
+        &self,
+        blocks: usize,
+        per_block: usize,
+        kind: KernelKind,
+        bytes: u64,
+        f: F,
+    ) {
+        self.record(kind, (blocks * per_block) as u64, bytes);
+        self.run_chunks(blocks, 1, |range| range.for_each(&f));
+    }
+
     /// [`ExecCtx::for_each_chunk`] without a trace event, for kernels that
     /// trace their own work because their loop runs over blocks of it (a
     /// radix pass loops over chunks, but its kernel touches every record).
@@ -350,5 +366,24 @@ mod tests {
         let trace = tracer.snapshot();
         assert_eq!(trace.len(), 2);
         assert!(trace.events.iter().all(|e| e.phase == "sort"));
+    }
+
+    #[test]
+    fn block_loop_runs_each_block_once_and_traces_every_stream() {
+        for ctx in ctxs() {
+            let (ctx, tracer) = ctx.with_tracing();
+            for blocks in [0, 1, 3, 9] {
+                let hits: Vec<AtomicU64> = (0..blocks).map(|_| AtomicU64::new(0)).collect();
+                ctx.for_each_block_traced(blocks, 100, KernelKind::Gather, 7, |b| {
+                    hits[b].fetch_add(1, Ordering::Relaxed);
+                });
+                assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+                let last = *tracer.snapshot().events.last().unwrap();
+                assert_eq!(
+                    (last.kind, last.n, last.bytes),
+                    (KernelKind::Gather, blocks as u64 * 100, 7)
+                );
+            }
+        }
     }
 }

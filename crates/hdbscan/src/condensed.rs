@@ -5,6 +5,25 @@
 //! `min_cluster_size` points. Smaller sides "fall out" of their cluster as
 //! individual points at `λ = 1/distance`; clusters are born at the λ of the
 //! split that created them and die when they shrink below the threshold.
+//!
+//! # One record per edge-node
+//!
+//! [`condense`] reads the dendrogram through one 16-byte record per
+//! edge-node: its two children, the number of points under it, and the
+//! condensed cluster its split belongs to (or a mark that its points
+//! already fell out). A child is an edge index, or a vertex id with bit 31
+//! set. Two sweeps fill the records:
+//!
+//! 1. vertices, in ascending id, take the low child slots and count one
+//!    point each;
+//! 2. edges, in descending index, take the high slots and add their sizes
+//!    to their parent. A child's index is larger than its parent's, so its
+//!    size is final when it is added.
+//!
+//! A record therefore lists its vertex children first, in ascending id,
+//! then its edge children, in ascending index. The top-down walk visits
+//! edge-nodes in index order, emits rows in that child order and touches
+//! one record per child.
 
 use pandora_core::{Dendrogram, INVALID};
 
@@ -59,12 +78,107 @@ impl CondensedTree {
         debug_assert!(self.child_is_cluster(row));
         self.child[row] - self.n_points as u32
     }
+
+    #[inline(always)]
+    fn push_row(&mut self, parent: u32, child: u32, lambda: f32, size: u32) {
+        self.parent.push(parent);
+        self.child.push(child);
+        self.lambda.push(lambda);
+        self.size.push(size);
+    }
+}
+
+/// Marks a vertex child in a [`Node`]. Vertex ids must stay below it, so
+/// [`condense`] takes at most `2^31 - 1` points; a tagged id then never
+/// equals the empty slot, [`INVALID`].
+const VERTEX_TAG: u32 = 1 << 31;
+
+/// [`Node::cluster`] of an edge-node whose points fell out below a split.
+const ABSORBED: u32 = INVALID;
+
+/// One edge-node as the walk in [`condense`] reads it (see the module docs).
+#[derive(Clone, Copy)]
+struct Node {
+    /// Vertex children (tagged) in ascending id, then edge children in
+    /// ascending index.
+    kids: [u32; 2],
+    /// Number of points under the node.
+    size: u32,
+    /// The condensed cluster the node's split belongs to, or [`ABSORBED`].
+    cluster: u32,
+}
+
+/// One [`Node`] per edge-node, in two sweeps (see the module docs).
+fn build_nodes(dendrogram: &Dendrogram) -> Vec<Node> {
+    let empty = Node {
+        kids: [INVALID; 2],
+        size: 0,
+        cluster: 0,
+    };
+    let mut nodes = vec![empty; dendrogram.n_edges()];
+    // Vertices in ascending id take the low slots.
+    for (v, &p) in dendrogram.vertex_parent.iter().enumerate() {
+        let node = &mut nodes[p as usize];
+        let slot = (node.kids[0] != INVALID) as usize;
+        debug_assert_eq!(node.kids[slot], INVALID, "edge-node {p} is not binary");
+        node.kids[slot] = v as u32 | VERTEX_TAG;
+        node.size += 1;
+    }
+    // Edges in descending index take the high slots. A child's index is
+    // larger than its parent's, so its size is final when it is added.
+    for e in (1..nodes.len()).rev() {
+        let size = nodes[e].size;
+        let p = dendrogram.edge_parent[e];
+        let node = &mut nodes[p as usize];
+        let slot = (node.kids[1] == INVALID) as usize;
+        debug_assert_eq!(node.kids[slot], INVALID, "edge-node {p} is not binary");
+        node.kids[slot] = e as u32;
+        node.size += size;
+    }
+    nodes
+}
+
+/// Emits every point of edge-subtree `e` as a fall-out from `cluster` at
+/// `lam`, in depth-first order, and marks the subtree's edge-nodes
+/// [`ABSORBED`] so the main walk skips them. `stack` is caller-owned
+/// scratch: fall-outs happen once per small side, so a per-call allocation
+/// would scale with the fall-out count.
+fn emit_subtree(
+    ct: &mut CondensedTree,
+    nodes: &mut [Node],
+    stack: &mut Vec<u32>,
+    e: u32,
+    cluster: u32,
+    lam: f32,
+) {
+    stack.clear();
+    stack.push(e);
+    while let Some(cur) = stack.pop() {
+        let node = &mut nodes[cur as usize];
+        node.cluster = ABSORBED;
+        for kid in node.kids {
+            if kid & VERTEX_TAG != 0 {
+                ct.push_row(cluster, kid & !VERTEX_TAG, lam, 1);
+            } else {
+                stack.push(kid);
+            }
+        }
+    }
 }
 
 /// Condenses a single-linkage dendrogram.
+///
+/// # Panics
+///
+/// If the dendrogram has more than `2^31 - 1` vertices, the ids that stay
+/// clear of the tag bit marking vertex children.
 pub fn condense(dendrogram: &Dendrogram, min_cluster_size: usize) -> CondensedTree {
     let n_edges = dendrogram.n_edges();
     let n_points = dendrogram.n_vertices();
+    assert!(
+        n_points < VERTEX_TAG as usize,
+        "condense takes at most 2^31 - 1 points (bit 31 tags vertex children), got {n_points}"
+    );
     let min_sz = min_cluster_size.max(2) as u32;
 
     // Every point eventually falls out of exactly one cluster, plus a few
@@ -87,140 +201,51 @@ pub fn condense(dendrogram: &Dendrogram, min_cluster_size: usize) -> CondensedTr
         return ct;
     }
 
-    // Children of each edge node: up to two edges + up to two vertices.
-    let edge_children = dendrogram.edge_children();
-    let mut vertex_children: Vec<[u32; 2]> = vec![[INVALID; 2]; n_edges];
-    for (v, &p) in dendrogram.vertex_parent.iter().enumerate() {
-        let slot = &mut vertex_children[p as usize];
-        if slot[0] == INVALID {
-            slot[0] = v as u32;
-        } else {
-            debug_assert_eq!(slot[1], INVALID);
-            slot[1] = v as u32;
-        }
-    }
-    let sizes = dendrogram.cluster_sizes();
+    let mut nodes = build_nodes(dendrogram);
 
     // Root cluster: born at λ of the root edge (everything above is "all
     // points", standard convention uses the root split's λ as birth).
     ct.cluster_birth.push(lambda_of(dendrogram.edge_weight[0]));
     ct.cluster_parent.push(INVALID);
 
-    // Emit all points of edge-subtree `e` as fall-outs from `cluster` at λ,
-    // marking the subtree's edges so the main walk does not revisit them.
-    // `stack` is caller-owned scratch: fall-outs happen once per small
-    // side, so a per-call allocation would scale with the fall-out count.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_subtree(
-        ct: &mut CondensedTree,
-        vertex_children: &[[u32; 2]],
-        edge_children: &[[u32; 2]],
-        absorbed: &mut [bool],
-        stack: &mut Vec<u32>,
-        e: u32,
-        cluster: u32,
-        lam: f32,
-    ) {
-        stack.clear();
-        stack.push(e);
-        while let Some(cur) = stack.pop() {
-            absorbed[cur as usize] = true;
-            for v in vertex_children[cur as usize] {
-                if v != INVALID {
-                    ct.parent.push(cluster);
-                    ct.child.push(v);
-                    ct.lambda.push(lam);
-                    ct.size.push(1);
-                }
-            }
-            for c in edge_children[cur as usize] {
-                if c != INVALID {
-                    stack.push(c);
-                }
-            }
-        }
-    }
-
-    // Walk the dendrogram top-down; `cluster_of[e]` = the condensed cluster
-    // edge-node `e`'s split belongs to.
-    let mut cluster_of = vec![0u32; n_edges];
-    let mut absorbed = vec![false; n_edges];
+    // Walk the dendrogram top-down. A live node's `cluster` was set by its
+    // parent (the root keeps the initial 0).
     let mut stack: Vec<u32> = Vec::new();
-    for e in 0..n_edges as u32 {
-        if absorbed[e as usize] {
+    for e in 0..n_edges {
+        let Node { kids, cluster, .. } = nodes[e];
+        if cluster == ABSORBED {
             continue;
         }
-        let cluster = cluster_of[e as usize];
-        let lam = lambda_of(dendrogram.edge_weight[e as usize]);
-
-        // Vertex children always fall out as single points.
-        for v in vertex_children[e as usize] {
-            if v != INVALID {
-                ct.parent.push(cluster);
-                ct.child.push(v);
-                ct.lambda.push(lam);
-                ct.size.push(1);
+        let lam = lambda_of(dendrogram.edge_weight[e]);
+        let size_of = |kid: u32| {
+            if kid & VERTEX_TAG != 0 {
+                1
+            } else {
+                nodes[kid as usize].size
             }
+        };
+        let sizes = [size_of(kids[0]), size_of(kids[1])];
+        if sizes[0] >= min_sz && sizes[1] >= min_sz {
+            // True split (both sides are edge-nodes, since a point is
+            // smaller than `min_sz`): two new clusters are born.
+            for (kid, size) in kids.into_iter().zip(sizes) {
+                let new_id = ct.cluster_birth.len() as u32;
+                ct.cluster_birth.push(lam);
+                ct.cluster_parent.push(cluster);
+                ct.push_row(cluster, n_points as u32 + new_id, lam, size);
+                nodes[kid as usize].cluster = new_id;
+            }
+            continue;
         }
-
-        let kids = edge_children[e as usize];
-        let (c1, c2) = (kids[0], kids[1]);
-        match (c1 != INVALID, c2 != INVALID) {
-            (false, false) => {} // leaf edge: both children were vertices
-            (true, false) | (false, true) => {
-                // One edge child: the cluster continues through it if it is
-                // still large enough; otherwise its points fall out.
-                let c = if c1 != INVALID { c1 } else { c2 };
-                if sizes[c as usize] >= min_sz {
-                    cluster_of[c as usize] = cluster;
-                } else {
-                    emit_subtree(
-                        &mut ct,
-                        &vertex_children,
-                        &edge_children,
-                        &mut absorbed,
-                        &mut stack,
-                        c,
-                        cluster,
-                        lam,
-                    );
-                }
-            }
-            (true, true) => {
-                let (s1, s2) = (sizes[c1 as usize], sizes[c2 as usize]);
-                let big1 = s1 >= min_sz;
-                let big2 = s2 >= min_sz;
-                if big1 && big2 {
-                    // True split: two new clusters are born.
-                    for (c, s) in [(c1, s1), (c2, s2)] {
-                        let new_id = ct.cluster_birth.len() as u32;
-                        ct.cluster_birth.push(lam);
-                        ct.cluster_parent.push(cluster);
-                        ct.parent.push(cluster);
-                        ct.child.push(n_points as u32 + new_id);
-                        ct.lambda.push(lam);
-                        ct.size.push(s);
-                        cluster_of[c as usize] = new_id;
-                    }
-                } else {
-                    // Small sides fall out; a single big side continues.
-                    for (c, big) in [(c1, big1), (c2, big2)] {
-                        if big {
-                            cluster_of[c as usize] = cluster;
-                        } else {
-                            emit_subtree(
-                                &mut ct,
-                                &vertex_children,
-                                &edge_children,
-                                &mut absorbed,
-                                &mut stack,
-                                c,
-                                cluster,
-                                lam,
-                            );
-                        }
-                    }
-                }
+        // Vertex children fall out as single points; a big edge child
+        // carries the cluster on, a small one's points fall out.
+        for (kid, size) in kids.into_iter().zip(sizes) {
+            if kid & VERTEX_TAG != 0 {
+                ct.push_row(cluster, kid & !VERTEX_TAG, lam, 1);
+            } else if size >= min_sz {
+                nodes[kid as usize].cluster = cluster;
+            } else {
+                emit_subtree(&mut ct, &mut nodes, &mut stack, kid, cluster, lam);
             }
         }
     }

@@ -39,30 +39,34 @@ pub fn select_clusters(
     if k == 0 {
         return selected;
     }
-    // Children lists.
-    let mut children: Vec<Vec<u32>> = vec![Vec::new(); k];
-    for c in 1..k {
-        let p = ct.cluster_parent[c];
-        debug_assert_ne!(p, INVALID);
-        children[p as usize].push(c as u32);
-    }
-    // Bottom-up DP: children have larger ids than parents.
-    let mut subtree = vec![0.0f64; k];
+    // Bottom-up DP over descending ids: children have larger ids than
+    // parents, so when the walk reaches `c`, `kids_total[c]` holds the sum
+    // of its children's subtree totals and `has_kids[c]` says whether it
+    // has any. That sum is exact whatever the order: a condensed cluster
+    // has 0 or 2 children, because clusters are born in pairs and a
+    // cluster splits at most once, so it is one IEEE addition, which is
+    // commutative. Starting from -0.0, the additive identity, keeps it
+    // bit-equal to summing the two children in ascending order.
+    let mut kids_total = vec![-0.0f64; k];
+    let mut has_kids = vec![false; k];
     for c in (0..k).rev() {
-        let kids = &children[c];
-        if kids.is_empty() {
+        let subtree = if !has_kids[c] {
             selected[c] = true;
-            subtree[c] = stability[c];
-            continue;
-        }
-        let kids_total: f64 = kids.iter().map(|&ch| subtree[ch as usize]).sum();
-        let may_select = c != 0 || allow_single_cluster;
-        if may_select && stability[c] > kids_total {
-            selected[c] = true;
-            subtree[c] = stability[c];
+            stability[c]
         } else {
-            selected[c] = false;
-            subtree[c] = kids_total.max(if may_select { stability[c] } else { 0.0 });
+            let may_select = c != 0 || allow_single_cluster;
+            if may_select && stability[c] > kids_total[c] {
+                selected[c] = true;
+                stability[c]
+            } else {
+                kids_total[c].max(if may_select { stability[c] } else { 0.0 })
+            }
+        };
+        if c > 0 {
+            let p = ct.cluster_parent[c];
+            debug_assert_ne!(p, INVALID);
+            kids_total[p as usize] += subtree;
+            has_kids[p as usize] = true;
         }
     }
     if !allow_single_cluster {

@@ -216,6 +216,26 @@ fn steady_state_queries_do_not_allocate() {
     // And the books balance: nothing stays leased between runs.
     assert_eq!(session.scratch_outstanding(), 0);
 
+    // --- Extraction on hundreds of condensed clusters: the four functions
+    //     allocate their outputs and a fixed set of scratch arrays, plus
+    //     the doubling growth of the two per-cluster arrays (about log2 of
+    //     the cluster count each, 9 at this size). Anything allocated per
+    //     cluster — a child list per split, say — adds hundreds.
+    let min_cluster_size = 2;
+    let clusters = condense(&probe.dendrogram, min_cluster_size).n_clusters();
+    assert!(clusters >= 300, "only {clusters} condensed clusters");
+    let many_cluster_allocs = min_allocs_over(3, || {
+        let condensed = condense(&probe.dendrogram, min_cluster_size);
+        let stabilities = cluster_stabilities(&condensed);
+        let selected = select_clusters(&condensed, &stabilities, false);
+        let (labels, _) = extract_labels(&condensed, &selected);
+        assert_eq!(labels.len(), n);
+    });
+    assert!(
+        many_cluster_allocs <= 48,
+        "extracting {clusters} condensed clusters made {many_cluster_allocs} allocations"
+    );
+
     // --- Encoding a `cluster` payload: the daemon writes the labels and
     //     probabilities straight into its reply buffer, so once the buffer
     //     has room the encode allocates nothing (the reference `Json` tree
@@ -231,7 +251,8 @@ fn steady_state_queries_do_not_allocate() {
     // --- Warm dendrogram workspace, threaded path: once primed, a full
     //     α-contraction run through `ExecCtx::threads()` allocates only the
     //     returned dendrogram arrays, a few per-level bookkeeping vectors
-    //     and the pool's per-region dispatch latches — the same constant
+    //     and the pool's per-region dispatch latches (the α-split marks are
+    //     leased from the workspace's pool too) — the same constant
     //     budget as the warm session, nothing proportional to n. The tree
     //     is larger than the dispatch grain so the threaded lanes really
     //     engage (under PANDORA_THREADS=1 the pool runs inline).

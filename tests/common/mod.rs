@@ -1,7 +1,8 @@
 //! Shared adversarial sorted-MST generator for the differential suites
-//! (`dendrogram_differential.rs`, `census_crosscheck.rs`), and the
-//! independent EMST reference ([`reference_emst`]) the index path is
-//! checked against.
+//! (`dendrogram_differential.rs`, `census_crosscheck.rs`,
+//! `extraction_differential.rs`), the independent EMST reference
+//! ([`reference_emst`]) the index path is checked against, and the
+//! reference extraction walks ([`extraction`]).
 //!
 //! [`mst_strategy`] implements the vendored-proptest [`Strategy`] trait
 //! directly, so every case is a pure function of the RNG stream: the
@@ -11,6 +12,7 @@
 
 #![allow(dead_code)] // each test binary uses a different subset
 
+pub mod extraction;
 pub mod linkage;
 
 use proptest::prelude::*;
