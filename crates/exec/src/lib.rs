@@ -46,6 +46,7 @@ pub use unsafe_slice::UnsafeSlice;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use counters::RelaxedCounter;
 use pool::ThreadPool;
 use trace::{KernelKind, Tracer};
 
@@ -160,6 +161,28 @@ impl ExecCtx {
     ) {
         self.record(kind, n as u64, bytes);
         self.run_chunks(n, grain, f);
+    }
+
+    /// [`ExecCtx::for_each_chunk`] for kernels whose work is known only
+    /// once they have run: every call of `f` returns the `(elements,
+    /// bytes)` it processed, and the sums are recorded as one event of
+    /// `kind` after the loop. The sums do not depend on how the range is
+    /// chunked when each element's work does not.
+    pub fn for_each_chunk_counted<F: Fn(std::ops::Range<usize>) -> (u64, u64) + Sync>(
+        &self,
+        n: usize,
+        grain: usize,
+        kind: KernelKind,
+        f: F,
+    ) {
+        let (elements, bytes) = (RelaxedCounter::new(), RelaxedCounter::new());
+        self.run_chunks(n, grain, |range| {
+            let (e, b) = f(range);
+            elements.add(e);
+            bytes.add(b);
+        });
+        // The loop has joined, so both sums are complete.
+        self.record(kind, elements.get(), bytes.get());
     }
 
     /// Runs `f(block)` for every block in `0..blocks`, one block per task,
@@ -382,6 +405,26 @@ mod tests {
                 assert_eq!(
                     (last.kind, last.n, last.bytes),
                     (KernelKind::Gather, blocks as u64 * 100, 7)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn counted_loop_records_the_work_its_chunks_report() {
+        for ctx in ctxs() {
+            let (ctx, tracer) = ctx.with_tracing();
+            for n in [0usize, 1, 1000] {
+                // Element i reports i elements and 2i bytes of work.
+                ctx.for_each_chunk_counted(n, 16, KernelKind::TreeTraverse, |range| {
+                    let elements = range.map(|i| i as u64).sum::<u64>();
+                    (elements, 2 * elements)
+                });
+                let last = *tracer.snapshot().events.last().unwrap();
+                let sum = (n as u64).saturating_sub(1) * n as u64 / 2;
+                assert_eq!(
+                    (last.kind, last.n, last.bytes),
+                    (KernelKind::TreeTraverse, sum, 2 * sum)
                 );
             }
         }

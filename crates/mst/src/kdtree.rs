@@ -22,6 +22,34 @@
 //! `end` / `split_dim` / `split_val` / flat bounding boxes) so traversal
 //! touches only the arrays it needs, and the split dimension and median
 //! value chosen at build time are cached per node rather than re-derived.
+//!
+//! * **Build on tree-ordered coordinates.** The build keeps a copy of the
+//!   coordinates in tree order, permuted together with `perm`. A split
+//!   partitions `(coordinate, index, row)` records, reading the node's rows
+//!   contiguously instead of gathering `points.point(i)` in every
+//!   comparison, and the children's boxes and the AoSoA leaf blocks are
+//!   scanned from the same copy. The records compare exactly as the bare
+//!   indices would, so the tree is the one a gathering partition builds.
+//! * **Per-dimension kernels.** The point–box and box–box distances, the
+//!   8-point block distance and the top-k are written once, generic over
+//!   the dimension ([`crate::metric`]'s `Dim`). Each k-NN entry point
+//!   dispatches once on the point set's dimension: 2-D and 3-D run with
+//!   compile-time coordinate counts, every other dimension runs the same
+//!   code with a run-time count.
+//! * **Leaf tiles.** The batched k-NN rows are computed per leaf: each
+//!   leaf's queries first scan their own leaf, then share one traversal
+//!   from the root that prunes nodes by box–box distance against the
+//!   largest k-th distance among them and scans candidate leaves nearest
+//!   first. A query skips a candidate leaf beyond its own k-th distance,
+//!   and an 8-point block when no lane can enter its top-k. A leaf's work
+//!   depends only on the tree, so the rows and the work counts do not
+//!   depend on the lane count.
+//! * **Canonical ties.** Every top-k keeps the `k` smallest keys
+//!   `(d2 bits << 32) | index`: the brute-force `(d2, index)` order, so
+//!   which of several points tied at the k-th distance is kept never
+//!   depends on the traversal order. Per-point queries
+//!   ([`KdTree::knn_into`]) and the batched rows therefore agree exactly.
+//!
 //! Queries are **allocation-free in the steady state**: traversal uses a
 //! fixed-capacity stack (median splits bound the depth by ⌈log₂ n⌉ ≤ 32
 //! for `u32` indices), [`KdTree::knn_into`] writes into a caller-owned
@@ -34,8 +62,14 @@
 use pandora_exec::trace::KernelKind;
 use pandora_exec::{ExecCtx, UnsafeSlice, DEFAULT_GRAIN};
 
-use crate::metric::{euclid_block_dist2, point_box_dist2, Metric, LEAF_BLOCK};
+use crate::metric::{
+    block_dist2, box_box_dist2, box_dist2, euclid_block_dist2, point_box_dist2, with_dim, Dim,
+    Metric, LEAF_BLOCK,
+};
 use crate::point::PointSet;
+
+#[cfg(test)]
+mod reference;
 
 const INVALID: u32 = u32::MAX;
 
@@ -136,9 +170,13 @@ impl KdTree {
         if n == 0 {
             return tree;
         }
+        // The coordinates in tree order: row `i` holds point `perm[i]`.
+        // Every split permutes a node's rows together with its `perm`
+        // range, so partitions and boxes read contiguous rows.
+        let mut rows = points.coords().to_vec();
         scan_bbox(
-            points,
-            &tree.perm,
+            dim,
+            &rows,
             &mut tree.bbox_min[..dim],
             &mut tree.bbox_max[..dim],
         );
@@ -186,6 +224,7 @@ impl KdTree {
             // children's bounding boxes. Writes are disjoint per node.
             {
                 let perm_view = UnsafeSlice::new(&mut tree.perm);
+                let rows_view = UnsafeSlice::new(&mut rows);
                 let sdim_view = UnsafeSlice::new(&mut tree.split_dim);
                 let sval_view = UnsafeSlice::new(&mut tree.split_val);
                 let bmin_view = UnsafeSlice::new(&mut tree.bbox_min);
@@ -209,15 +248,23 @@ impl KdTree {
                     let split_dim = widest_dim(pmin, pmax);
                     let mid = (e - s) / 2;
                     // SAFETY: subtree ranges of distinct frontier nodes are
-                    // disjoint; each node's split/box slots are owned by the
-                    // task splitting that node.
-                    let range = unsafe { perm_view.slice_mut(s..e) };
-                    range.select_nth_unstable_by(mid, |&a, &b| {
-                        let ca = points.point(a as usize)[split_dim];
-                        let cb = points.point(b as usize)[split_dim];
-                        ca.total_cmp(&cb).then(a.cmp(&b))
-                    });
-                    let median = points.point(range[mid] as usize)[split_dim];
+                    // disjoint, in `perm` and in the tree-ordered rows; each
+                    // node's split/box slots are owned by the task splitting
+                    // that node.
+                    let (perm_range, node_rows) = unsafe {
+                        (
+                            perm_view.slice_mut(s..e),
+                            rows_view.slice_mut(s * dim..e * dim),
+                        )
+                    };
+                    let median = split_node(
+                        dim,
+                        split_dim,
+                        perm_range,
+                        node_rows,
+                        &mut Vec::new(),
+                        &mut Vec::new(),
+                    );
                     // SAFETY: node `nid` appears once in the frontier, so its
                     // split-dim/value slots are written by this task alone.
                     unsafe {
@@ -225,14 +272,15 @@ impl KdTree {
                         sval_view.write(nid, median);
                     }
                     let left = left_ref[nid] as usize;
-                    for (child, (cs, ce)) in [(left, (s, s + mid)), (left + 1, (s + mid, e))] {
+                    let (left_rows, right_rows) = node_rows.split_at(mid * dim);
+                    for (child, child_rows) in [(left, left_rows), (left + 1, right_rows)] {
                         // SAFETY: both children were allocated this level for
-                        // `nid` alone, so their bbox rows and disjoint halves
-                        // of the perm range are owned by this task.
+                        // `nid` alone, so their bbox rows are owned by this
+                        // task.
                         unsafe {
                             scan_bbox(
-                                points,
-                                &*perm_view.slice_mut(cs..ce),
+                                dim,
+                                child_rows,
                                 bmin_view.slice_mut(child * dim..(child + 1) * dim),
                                 bmax_view.slice_mut(child * dim..(child + 1) * dim),
                             );
@@ -246,12 +294,13 @@ impl KdTree {
 
         // Phase 2 (parallel): every frontier subtree is built independently
         // into lane-local storage. Writes are disjoint: each task owns its
-        // subtree's `perm` range and its own `subtrees[fi]` slot.
+        // subtree's `perm` and row ranges and its own `subtrees[fi]` slot.
         let n_top = tree.left.len();
         let mut subtrees: Vec<Option<SubtreeNodes>> = (0..frontier.len()).map(|_| None).collect();
         {
             let sub_view = UnsafeSlice::new(&mut subtrees);
             let perm_view = UnsafeSlice::new(&mut tree.perm);
+            let rows_view = UnsafeSlice::new(&mut rows);
             let (start_ref, end_ref, frontier_ref) = (&tree.start, &tree.end, &frontier);
             let (bmin, bmax) = (&tree.bbox_min, &tree.bbox_max);
             ctx.for_each_chunk(frontier.len(), 1, |range| {
@@ -259,18 +308,20 @@ impl KdTree {
                     let nid = frontier_ref[fi] as usize;
                     let (s, e) = (start_ref[nid] as usize, end_ref[nid] as usize);
                     // SAFETY: subtree ranges of distinct frontier nodes are
-                    // disjoint, and slot `fi` is owned by this task.
-                    let perm_sub = unsafe { perm_view.slice_mut(s..e) };
-                    let built = build_subtree(
-                        points,
-                        perm_sub,
-                        s as u32,
-                        leaf_size,
+                    // disjoint, in `perm` and in the tree-ordered rows, and
+                    // slot `fi` is owned by this task.
+                    let (perm_sub, rows_sub) = unsafe {
                         (
-                            &bmin[nid * dim..(nid + 1) * dim],
-                            &bmax[nid * dim..(nid + 1) * dim],
-                        ),
+                            perm_view.slice_mut(s..e),
+                            rows_view.slice_mut(s * dim..e * dim),
+                        )
+                    };
+                    let root_bbox = (
+                        &bmin[nid * dim..(nid + 1) * dim],
+                        &bmax[nid * dim..(nid + 1) * dim],
                     );
+                    let built =
+                        build_subtree(dim, perm_sub, rows_sub, s as u32, leaf_size, root_bbox);
                     // SAFETY: slot `fi` of `subtrees` is owned by this task.
                     unsafe { sub_view.write(fi, Some(built)) };
                 }
@@ -315,22 +366,21 @@ impl KdTree {
             "kd-tree depth {depth} exceeds the fixed traversal stack"
         );
 
-        // Phase 4 (parallel): gather coordinates into perm order, AoSoA
+        // Phase 4 (parallel): regroup the tree-ordered rows into AoSoA
         // blocks of LEAF_BLOCK points, so leaf scans stream whole blocks
         // through the 8-wide distance kernel.
         let n_blocks = n.div_ceil(LEAF_BLOCK);
         tree.leaf_coords = vec![0.0f32; n_blocks * LEAF_BLOCK * dim];
         {
             let lc = UnsafeSlice::new(&mut tree.leaf_coords);
-            let perm_ref = &tree.perm;
+            let rows_ref = &rows;
             ctx.for_each_chunk(n_blocks, (DEFAULT_GRAIN / LEAF_BLOCK).max(1), |range| {
                 for b in range {
                     let base = b * LEAF_BLOCK * dim;
                     let lo = b * LEAF_BLOCK;
                     let hi = (lo + LEAF_BLOCK).min(n);
-                    for (j, &p) in perm_ref[lo..hi].iter().enumerate() {
-                        let pt = points.point(p as usize);
-                        for (d, &c) in pt.iter().enumerate() {
+                    for (j, row) in rows_ref[lo * dim..hi * dim].chunks_exact(dim).enumerate() {
+                        for (d, &c) in row.iter().enumerate() {
                             // SAFETY: block b is owned by this iteration.
                             unsafe { lc.write(base + d * LEAF_BLOCK + j, c) };
                         }
@@ -463,7 +513,8 @@ impl KdTree {
     }
 
     /// The `k` nearest neighbours of point `q` (excluding `q` itself),
-    /// returned as `(squared distance, index)` sorted ascending.
+    /// returned as `(squared distance, index)` sorted ascending. Ties at
+    /// the k-th distance keep the smaller indices (see [`KnnHeap`]).
     ///
     /// Convenience wrapper over [`KdTree::knn_into`]; allocates the result.
     /// Hot paths should hold a [`KnnHeap`] and call `knn_into` instead.
@@ -474,7 +525,9 @@ impl KdTree {
     }
 
     /// Fills `heap` with the `k` nearest neighbours of `q` (excluding `q`),
-    /// allocation-free once the heap has capacity `k`.
+    /// allocation-free once the heap has capacity `k`. The neighbours are
+    /// the first `k` of all other points in `(d2, index)` order, the same
+    /// as the rows of [`crate::knn::knn_rows_into`].
     ///
     /// The heap is reset first, so it can be reused across queries. Read
     /// the result via [`KnnHeap::sorted`] (ascending) or
@@ -485,15 +538,18 @@ impl KdTree {
             return;
         }
         let qp = points.point(q as usize);
+        with_dim!(self.dim, d => self.knn_descend(d, qp, q, &mut heap.keys));
+    }
+
+    /// One query's top-k traversal: descends by the cached splits, pushes
+    /// far children that may still hold a key below the heap's largest.
+    fn knn_descend<D: Dim>(&self, dim: D, qp: &[f32], q: u32, heap: &mut [u64]) {
         let mut stack = [(0u32, 0.0f32); MAX_STACK];
         let mut sp = 0usize;
         let mut nid = 0u32;
-        let mut bound = self.node_box_dist2(0, qp);
-        let mut d2buf = [0.0f32; LEAF_BLOCK];
+        let mut bound = self.box_dist2(dim, 0, qp);
         loop {
-            if bound <= heap.worst() {
-                // Descend along near children, pushing far children that
-                // can still contain a closer point.
+            if floor_key(bound) <= heap[0] {
                 loop {
                     let left = self.left[nid as usize];
                     if left == INVALID {
@@ -508,37 +564,20 @@ impl KdTree {
                     } else {
                         (left + 1, left)
                     };
-                    let dfar = self.node_box_dist2(far as usize, qp);
-                    let worst = heap.worst();
-                    if dfar <= worst {
+                    let dfar = self.box_dist2(dim, far as usize, qp);
+                    if floor_key(dfar) <= heap[0] {
                         stack[sp] = (far, dfar);
                         sp += 1;
                     }
-                    let dnear = self.node_box_dist2(near as usize, qp);
-                    if dnear > worst {
+                    let dnear = self.box_dist2(dim, near as usize, qp);
+                    if floor_key(dnear) > heap[0] {
                         nid = INVALID;
                         break;
                     }
                     nid = near;
                 }
                 if nid != INVALID {
-                    // Chunked leaf scan: each AoSoA block yields 8 Euclidean
-                    // distances at once, then a scalar filter over the
-                    // block's overlap with the leaf range.
-                    let (s, e) = (
-                        self.start[nid as usize] as usize,
-                        self.end[nid as usize] as usize,
-                    );
-                    let bw = LEAF_BLOCK * self.dim;
-                    for b in s / LEAF_BLOCK..e.div_ceil(LEAF_BLOCK) {
-                        euclid_block_dist2(qp, &self.leaf_coords[b * bw..(b + 1) * bw], &mut d2buf);
-                        for i in s.max(b * LEAF_BLOCK)..e.min((b + 1) * LEAF_BLOCK) {
-                            let p = self.perm[i];
-                            if p != q {
-                                heap.push(d2buf[i - b * LEAF_BLOCK], p);
-                            }
-                        }
-                    }
+                    self.scan_leaf(dim, qp, q, nid as usize, heap);
                 }
             }
             if sp == 0 {
@@ -547,6 +586,179 @@ impl KdTree {
             sp -= 1;
             (nid, bound) = stack[sp];
         }
+    }
+
+    /// Offers every point of leaf `nid` except `q` to `heap`, one AoSoA
+    /// block at a time: the block kernel yields 8 distances at once, and a
+    /// block none of whose lanes can enter the heap is passed over.
+    /// Returns the distance evaluations made (8 per block).
+    #[inline(always)]
+    fn scan_leaf<D: Dim>(&self, dim: D, qp: &[f32], q: u32, nid: usize, heap: &mut [u64]) -> u64 {
+        let (s, e) = (self.start[nid] as usize, self.end[nid] as usize);
+        let bw = LEAF_BLOCK * dim.get();
+        let (first, last) = (s / LEAF_BLOCK, e.div_ceil(LEAF_BLOCK));
+        let mut d2 = [0.0f32; LEAF_BLOCK];
+        for b in first..last {
+            block_dist2(dim, qp, &self.leaf_coords[b * bw..(b + 1) * bw], &mut d2);
+            // The lanes that lie in the leaf and can enter the heap: their
+            // distance bits do not exceed those of the heap's largest key.
+            let base = b * LEAF_BLOCK;
+            let (lo, hi) = (s.max(base) - base, e.min(base + LEAF_BLOCK) - base);
+            let worst = (heap[0] >> 32) as u32;
+            let mut lanes = 0u32;
+            for (j, x) in d2.iter().enumerate() {
+                lanes |= u32::from(x.to_bits() <= worst) << j;
+            }
+            lanes &= ((1u32 << hi) - 1) & !((1u32 << lo) - 1);
+            while lanes != 0 {
+                let j = lanes.trailing_zeros() as usize;
+                lanes &= lanes - 1;
+                let p = self.perm[base + j];
+                if p != q {
+                    offer(heap, nn_key(d2[j], p));
+                }
+            }
+        }
+        ((last - first) * LEAF_BLOCK) as u64
+    }
+
+    /// Every point's `k` nearest neighbours (the point itself excluded),
+    /// computed leaf by leaf: `emit(q, row)` runs once per point, with the
+    /// row ascending by `(d2, index)` and padded with `(+∞, u32::MAX)` when
+    /// fewer than `k` neighbours exist. `emit` runs on the pool's lanes.
+    ///
+    /// Each leaf's queries first scan their own leaf, then share one
+    /// traversal from the root: nodes are pruned by their box distance to
+    /// the leaf's box against the largest k-th distance among the queries,
+    /// candidate leaves are scanned in near-first order, and a query passes
+    /// over a candidate leaf beyond its own k-th distance. Rows equal
+    /// [`KdTree::knn_into`]'s. Records one [`KernelKind::TreeTraverse`]
+    /// event: the distance evaluations as elements, and bytes for those
+    /// evaluations (`4·dim` each), the box distances, i.e. node visits
+    /// (`8·dim` each), and the rows written (`8·k` per point). Both counts
+    /// depend only on the tree and `k`, never on the lanes.
+    pub(crate) fn for_each_knn_row<F>(&self, ctx: &ExecCtx, points: &PointSet, k: usize, emit: F)
+    where
+        F: Fn(u32, &[(f32, u32)]) + Sync,
+    {
+        debug_assert_eq!(points.len(), self.len());
+        if self.perm.is_empty() || k == 0 {
+            return;
+        }
+        with_dim!(self.dim, d => self.knn_tiles(d, ctx, points, k, &emit));
+    }
+
+    /// [`KdTree::for_each_knn_row`] for one dimension instance.
+    fn knn_tiles<D: Dim, F>(&self, dim: D, ctx: &ExecCtx, points: &PointSet, k: usize, emit: &F)
+    where
+        F: Fn(u32, &[(f32, u32)]) + Sync,
+    {
+        let dm = dim.get() as u64;
+        ctx.for_each_chunk_counted(self.n_nodes(), 64, KernelKind::TreeTraverse, |range| {
+            let mut tile = LeafTile::new(dim.get(), k);
+            let (mut evals, mut visits, mut rows) = (0u64, 0u64, 0u64);
+            for nid in range {
+                if self.left[nid] == INVALID {
+                    let counts = self.leaf_tile(dim, points, k, nid, &mut tile, emit);
+                    evals += counts.0;
+                    visits += counts.1;
+                    rows += u64::from(self.end[nid] - self.start[nid]);
+                }
+            }
+            let bytes = evals * 4 * dm + visits * 8 * dm + rows * k as u64 * 8;
+            (evals, bytes)
+        });
+    }
+
+    /// The rows of one leaf's points; returns the tile's
+    /// `(distance evaluations, node visits)`.
+    fn leaf_tile<D: Dim, F>(
+        &self,
+        dim: D,
+        points: &PointSet,
+        k: usize,
+        leaf: usize,
+        tile: &mut LeafTile,
+        emit: &F,
+    ) -> (u64, u64)
+    where
+        F: Fn(u32, &[(f32, u32)]) + Sync,
+    {
+        let mut counts = (0u64, 0u64);
+        let members = &self.perm[self.start[leaf] as usize..self.end[leaf] as usize];
+        let LeafTile { keys, queries, row } = tile;
+        keys.clear();
+        keys.resize(members.len() * k, EMPTY_KEY);
+        queries.clear();
+        for &p in members {
+            queries.extend_from_slice(points.point(p as usize));
+        }
+        let dm = dim.get();
+        // The leaf's own points first, so the traversal starts with finite
+        // bounds whenever the leaf holds more than `k` points.
+        let tile = keys.chunks_exact_mut(k).zip(queries.chunks_exact(dm));
+        for ((heap, qp), &q) in tile.zip(members) {
+            counts.0 += self.scan_leaf(dim, qp, q, leaf, heap);
+        }
+        // Then one traversal from the root serves every query: a node is
+        // pruned when its box lies farther from the leaf's box than the
+        // largest k-th distance (the largest heap root) in the tile.
+        let (lo, hi) = self.node_box(dim, leaf);
+        let tile_worst = |keys: &[u64]| keys.iter().step_by(k).copied().max().unwrap_or(EMPTY_KEY);
+        let mut worst = tile_worst(keys);
+        let mut stack = [(0u32, 0.0f32); MAX_STACK];
+        let mut sp = 0usize;
+        let (mut nid, mut bound) = (0u32, 0.0f32);
+        loop {
+            if floor_key(bound) <= worst {
+                loop {
+                    let left = self.left[nid as usize];
+                    if left == INVALID {
+                        break;
+                    }
+                    let dl = self.box_box_dist2(dim, left as usize, lo, hi);
+                    let dr = self.box_box_dist2(dim, left as usize + 1, lo, hi);
+                    counts.1 += 2;
+                    let ((near, dnear), (far, dfar)) = if dr < dl {
+                        ((left + 1, dr), (left, dl))
+                    } else {
+                        ((left, dl), (left + 1, dr))
+                    };
+                    if floor_key(dfar) <= worst {
+                        stack[sp] = (far, dfar);
+                        sp += 1;
+                    }
+                    if floor_key(dnear) > worst {
+                        nid = INVALID;
+                        break;
+                    }
+                    nid = near;
+                }
+                if nid != INVALID && nid as usize != leaf {
+                    let (clo, chi) = self.node_box(dim, nid as usize);
+                    let tile = keys.chunks_exact_mut(k).zip(queries.chunks_exact(dm));
+                    for ((heap, qp), &q) in tile.zip(members) {
+                        counts.1 += 1;
+                        if floor_key(box_dist2(dim, qp, clo, chi)) <= heap[0] {
+                            counts.0 += self.scan_leaf(dim, qp, q, nid as usize, heap);
+                        }
+                    }
+                    worst = tile_worst(keys);
+                }
+            }
+            if sp == 0 {
+                break;
+            }
+            sp -= 1;
+            (nid, bound) = stack[sp];
+        }
+        for (heap, &q) in keys.chunks_exact_mut(k).zip(members) {
+            heap.sort_unstable();
+            row.clear();
+            row.extend(heap.iter().map(|&key| key_entry(key)));
+            emit(q, row);
+        }
+        counts
     }
 
     /// Nearest point to `q` in a *different component*, under `metric`.
@@ -827,6 +1039,50 @@ impl KdTree {
             &self.bbox_max[nid * self.dim..(nid + 1) * self.dim],
         )
     }
+
+    /// Node `nid`'s bounding box as `(min, max)` corners.
+    #[inline(always)]
+    fn node_box<D: Dim>(&self, dim: D, nid: usize) -> (&[f32], &[f32]) {
+        let dim = dim.get();
+        (
+            &self.bbox_min[nid * dim..(nid + 1) * dim],
+            &self.bbox_max[nid * dim..(nid + 1) * dim],
+        )
+    }
+
+    /// Squared distance from `qp` to node `nid`'s box.
+    #[inline(always)]
+    fn box_dist2<D: Dim>(&self, dim: D, nid: usize, qp: &[f32]) -> f32 {
+        let (lo, hi) = self.node_box(dim, nid);
+        box_dist2(dim, qp, lo, hi)
+    }
+
+    /// Squared distance from node `nid`'s box to the box `[lo, hi]`.
+    #[inline(always)]
+    fn box_box_dist2<D: Dim>(&self, dim: D, nid: usize, lo: &[f32], hi: &[f32]) -> f32 {
+        let (nlo, nhi) = self.node_box(dim, nid);
+        box_box_dist2(dim, nlo, nhi, lo, hi)
+    }
+}
+
+/// Per-lane scratch of the leaf-tiled k-NN pass.
+struct LeafTile {
+    /// One top-k heap of `k` keys per query of the current leaf.
+    keys: Vec<u64>,
+    /// The current leaf's query coordinates, row-major.
+    queries: Vec<f32>,
+    /// One decoded row, handed to the caller.
+    row: Vec<(f32, u32)>,
+}
+
+impl LeafTile {
+    fn new(dim: usize, k: usize) -> Self {
+        Self {
+            keys: Vec::with_capacity(DEFAULT_LEAF_SIZE * k),
+            queries: Vec::with_capacity(DEFAULT_LEAF_SIZE * dim),
+            row: Vec::with_capacity(k),
+        }
+    }
 }
 
 /// Lane-local nodes of one independently built subtree.
@@ -863,33 +1119,107 @@ fn widest_dim(bbox_min: &[f32], bbox_max: &[f32]) -> usize {
     split_dim
 }
 
-/// Bounding box of the points listed in `perm`, written into `lo`/`hi`.
-fn scan_bbox(points: &PointSet, perm: &[u32], lo: &mut [f32], hi: &mut [f32]) {
+/// Bounding box of the row-major points in `rows`, written into `lo`/`hi`.
+fn scan_bbox(dim: usize, rows: &[f32], lo: &mut [f32], hi: &mut [f32]) {
+    with_dim!(dim, d => scan_bbox_dim(d, rows, lo, hi))
+}
+
+#[inline(always)]
+fn scan_bbox_dim<D: Dim>(dim: D, rows: &[f32], lo: &mut [f32], hi: &mut [f32]) {
+    let dim = dim.get();
+    let (lo, hi) = (&mut lo[..dim], &mut hi[..dim]);
     lo.fill(f32::INFINITY);
     hi.fill(f32::NEG_INFINITY);
-    for &p in perm {
-        for (d, &c) in points.point(p as usize).iter().enumerate() {
-            lo[d] = lo[d].min(c);
-            hi[d] = hi[d].max(c);
+    for row in rows.chunks_exact(dim) {
+        for d in 0..dim {
+            lo[d] = lo[d].min(row[d]);
+            hi[d] = hi[d].max(row[d]);
         }
     }
+}
+
+/// One element of a node's partition: the coordinate along the split
+/// dimension, the point index that breaks ties, and the element's row
+/// before the partition.
+#[derive(Clone, Copy)]
+struct SplitRecord {
+    key: f32,
+    index: u32,
+    row: u32,
+}
+
+/// Splits one node's range at its median along `split_dim` and returns the
+/// median coordinate.
+///
+/// `perm` is the node's range of the permutation and `rows` its points'
+/// coordinates in the same order. Afterwards position `len / 2` holds the
+/// median under (coordinate `total_cmp`, then index), with everything
+/// smaller before it and everything larger after, and `rows` follows
+/// `perm`. The records compare exactly as the bare indices do under that
+/// comparator, so `select_nth_unstable_by` leaves them in the order it
+/// would leave the indices. `records` and `scratch` are reusable buffers.
+fn split_node(
+    dim: usize,
+    split_dim: usize,
+    perm: &mut [u32],
+    rows: &mut [f32],
+    records: &mut Vec<SplitRecord>,
+    scratch: &mut Vec<f32>,
+) -> f32 {
+    with_dim!(dim, d => split_node_dim(d, split_dim, perm, rows, records, scratch))
+}
+
+#[inline(always)]
+fn split_node_dim<D: Dim>(
+    dim: D,
+    split_dim: usize,
+    perm: &mut [u32],
+    rows: &mut [f32],
+    records: &mut Vec<SplitRecord>,
+    scratch: &mut Vec<f32>,
+) -> f32 {
+    let dim = dim.get();
+    let mid = perm.len() / 2;
+    records.clear();
+    records.extend(perm.iter().zip(rows.chunks_exact(dim)).zip(0u32..).map(
+        |((&index, coords), row)| SplitRecord {
+            key: coords[split_dim],
+            index,
+            row,
+        },
+    ));
+    records.select_nth_unstable_by(mid, |a, b| {
+        a.key.total_cmp(&b.key).then(a.index.cmp(&b.index))
+    });
+    scratch.clear();
+    scratch.extend_from_slice(rows);
+    for ((slot, dst), rec) in perm
+        .iter_mut()
+        .zip(rows.chunks_exact_mut(dim))
+        .zip(records.iter())
+    {
+        *slot = rec.index;
+        let src = rec.row as usize * dim;
+        dst.copy_from_slice(&scratch[src..src + dim]);
+    }
+    records[mid].key
 }
 
 /// Builds one subtree entirely within the calling lane.
 ///
 /// `perm_sub` is the subtree's slice of the global permutation (positions
-/// `gstart..gstart + perm_sub.len()`); `root_bbox` is the frontier node's
-/// already-computed box. Node `start`/`end` values are **global** perm
-/// positions. Deterministic: splits depend only on the point set, never on
-/// lane scheduling.
+/// `gstart..gstart + perm_sub.len()`) and `rows_sub` its tree-ordered
+/// coordinates; `root_bbox` is the frontier node's already-computed box.
+/// Node `start`/`end` values are **global** perm positions. Deterministic:
+/// splits depend only on the point set, never on lane scheduling.
 fn build_subtree(
-    points: &PointSet,
+    dim: usize,
     perm_sub: &mut [u32],
+    rows_sub: &mut [f32],
     gstart: u32,
     leaf_size: usize,
     root_bbox: (&[f32], &[f32]),
 ) -> SubtreeNodes {
-    let dim = points.dim();
     let mut nodes = SubtreeNodes {
         left: vec![INVALID],
         start: vec![gstart],
@@ -900,6 +1230,7 @@ fn build_subtree(
         bbox_max: root_bbox.1.to_vec(),
         depth: 1,
     };
+    let (mut records, mut scratch) = (Vec::new(), Vec::new());
     // Explicit DFS stack of (local id, depth); ids are assigned when the
     // children are appended, so processing order never changes the layout.
     let mut stack: Vec<(u32, usize)> = vec![(0, 1)];
@@ -915,13 +1246,15 @@ fn build_subtree(
             &nodes.bbox_max[lid * dim..(lid + 1) * dim],
         );
         let mid = (e - s) / 2;
-        let range = &mut perm_sub[s - gstart as usize..e - gstart as usize];
-        range.select_nth_unstable_by(mid, |&a, &b| {
-            let ca = points.point(a as usize)[split_dim];
-            let cb = points.point(b as usize)[split_dim];
-            ca.total_cmp(&cb).then(a.cmp(&b))
-        });
-        let median = points.point(range[mid] as usize)[split_dim];
+        let (ls, le) = (s - gstart as usize, e - gstart as usize);
+        let median = split_node(
+            dim,
+            split_dim,
+            &mut perm_sub[ls..le],
+            &mut rows_sub[ls * dim..le * dim],
+            &mut records,
+            &mut scratch,
+        );
         nodes.split_dim[lid] = split_dim as u32;
         nodes.split_val[lid] = median;
         let left = nodes.left.len() as u32;
@@ -939,9 +1272,10 @@ fn build_subtree(
             nodes
                 .bbox_max
                 .extend(std::iter::repeat_n(f32::NEG_INFINITY, dim));
+            let (cls, cle) = (cs - gstart as usize, ce - gstart as usize);
             scan_bbox(
-                points,
-                &perm_sub[cs - gstart as usize..ce - gstart as usize],
+                dim,
+                &rows_sub[cls * dim..cle * dim],
                 &mut nodes.bbox_min[row..row + dim],
                 &mut nodes.bbox_max[row..row + dim],
             );
@@ -952,103 +1286,148 @@ fn build_subtree(
     nodes
 }
 
-/// Reusable bounded max-heap keeping the `k` smallest `(d2, index)` pairs.
+/// An empty top-k slot: larger than every neighbour key.
+const EMPTY_KEY: u64 = u64::MAX;
+
+/// The top-k key of neighbour `p` at squared distance `d2`: the distance
+/// bits above, the index below.
+///
+/// A squared distance is a sum of squares of differences of finite
+/// coordinates: never NaN and never −0.0 (at worst +∞), so its bit pattern
+/// orders exactly as its value does, and keys order neighbours by
+/// `(d2, index)`. Keeping the `k` smallest keys therefore keeps exactly the
+/// brute-force `(d2, index)` top-k whatever order the candidates arrive
+/// in: of several points tied at the k-th distance, the smaller indices
+/// stay.
+#[inline(always)]
+fn nn_key(d2: f32, p: u32) -> u64 {
+    (u64::from(d2.to_bits()) << 32) | u64::from(p)
+}
+
+/// The smallest key a point at squared distance `bound` or more can have.
+/// A node, leaf or block whose floor exceeds a heap's largest key holds
+/// nothing that heap keeps.
+#[inline(always)]
+fn floor_key(bound: f32) -> u64 {
+    u64::from(bound.to_bits()) << 32
+}
+
+/// `(d2, index)` of a key; an empty slot reads `(+∞, u32::MAX)`, the row
+/// padding.
+#[inline(always)]
+fn key_entry(key: u64) -> (f32, u32) {
+    if key == EMPTY_KEY {
+        (f32::INFINITY, u32::MAX)
+    } else {
+        (f32::from_bits((key >> 32) as u32), key as u32)
+    }
+}
+
+/// Offers `key` to `heap`, a max-heap of the smallest keys seen (empty
+/// slots hold [`EMPTY_KEY`], so `heap[0]` is the k-th smallest key or
+/// empty): a smaller key replaces the root and sifts down.
+#[inline(always)]
+fn offer(heap: &mut [u64], key: u64) {
+    if key >= heap[0] {
+        return;
+    }
+    let len = heap.len();
+    let mut i = 0;
+    loop {
+        let l = 2 * i + 1;
+        if l >= len {
+            break;
+        }
+        let c = if l + 1 < len && heap[l + 1] > heap[l] {
+            l + 1
+        } else {
+            l
+        };
+        if heap[c] <= key {
+            break;
+        }
+        heap[i] = heap[c];
+        i = c;
+    }
+    heap[i] = key;
+}
+
+/// Reusable bounded max-heap keeping the `k` smallest neighbours in
+/// `(d2, index)` order: a tie at the k-th distance keeps the smaller index,
+/// whatever order the traversal offers the tied points in.
 ///
 /// Allocates its storage once (grown to the largest `k` seen); every
 /// [`KdTree::knn_into`] call resets it in place, so batched query loops
 /// perform zero heap allocations per query in the steady state.
 pub struct KnnHeap {
-    k: usize,
-    items: Vec<(f32, u32)>,
+    /// `k` keys ([`nn_key`]) forming a max-heap; empty slots hold
+    /// [`EMPTY_KEY`].
+    keys: Vec<u64>,
+    /// The held neighbours, ascending, as [`KnnHeap::sorted`] returns them.
+    sorted: Vec<(f32, u32)>,
 }
 
 impl KnnHeap {
     /// Creates a heap with capacity for `k` neighbours.
     pub fn new(k: usize) -> Self {
-        Self {
-            k,
-            items: Vec::with_capacity(k),
-        }
+        let mut heap = Self {
+            keys: Vec::new(),
+            sorted: Vec::new(),
+        };
+        heap.reset(k);
+        heap
     }
 
     /// Clears the heap and sets the neighbour budget (reserving only when
     /// `k` grows past any previously seen value).
     pub fn reset(&mut self, k: usize) {
-        self.items.clear();
-        self.items.reserve(k);
-        self.k = k;
+        self.keys.clear();
+        self.keys.resize(k, EMPTY_KEY);
+        self.sorted.clear();
+        self.sorted.reserve(k);
     }
 
     /// Number of neighbours currently held.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.keys.iter().filter(|&&key| key != EMPTY_KEY).count()
     }
 
     /// Whether no neighbour has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.len() == 0
     }
 
     /// The current pruning bound: the k-th smallest distance seen so far,
     /// or `+∞` while fewer than `k` neighbours are held.
     #[inline(always)]
     pub fn worst(&self) -> f32 {
-        if self.items.len() < self.k {
-            f32::INFINITY
-        } else {
-            self.items[0].0
-        }
+        self.keys
+            .first()
+            .map_or(f32::INFINITY, |&top| key_entry(top).0)
     }
 
     /// The largest held distance — the k-th-nearest-neighbour squared
     /// distance once the heap is full (0.0 when empty).
     pub fn max_d2(&self) -> f32 {
-        self.items.first().map_or(0.0, |x| x.0)
+        self.keys
+            .iter()
+            .filter(|&&key| key != EMPTY_KEY)
+            .max()
+            .map_or(0.0, |&key| key_entry(key).0)
     }
 
-    #[inline]
-    fn push(&mut self, d2: f32, p: u32) {
-        if self.items.len() < self.k {
-            self.items.push((d2, p));
-            // Sift up.
-            let mut i = self.items.len() - 1;
-            while i > 0 {
-                let parent = (i - 1) / 2;
-                if self.items[parent].0 < self.items[i].0 {
-                    self.items.swap(parent, i);
-                    i = parent;
-                } else {
-                    break;
-                }
-            }
-        } else if d2 < self.items[0].0 {
-            self.items[0] = (d2, p);
-            // Sift down.
-            let mut i = 0;
-            loop {
-                let (l, r) = (2 * i + 1, 2 * i + 2);
-                let mut largest = i;
-                if l < self.items.len() && self.items[l].0 > self.items[largest].0 {
-                    largest = l;
-                }
-                if r < self.items.len() && self.items[r].0 > self.items[largest].0 {
-                    largest = r;
-                }
-                if largest == i {
-                    break;
-                }
-                self.items.swap(i, largest);
-                i = largest;
-            }
-        }
-    }
-
-    /// Sorts the held neighbours ascending by `(distance, index)` in place
-    /// and returns them. The heap stays usable (the next `reset` clears it).
+    /// Sorts the held neighbours ascending by `(distance, index)` and
+    /// returns them. The heap stays usable (the next `reset` clears it).
     pub fn sorted(&mut self) -> &[(f32, u32)] {
-        self.items
-            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        &self.items
+        self.keys.sort_unstable();
+        self.sorted.clear();
+        self.sorted.extend(
+            self.keys
+                .iter()
+                .take_while(|&&key| key != EMPTY_KEY)
+                .map(|&key| key_entry(key)),
+        );
+        &self.sorted
     }
 }
 
@@ -1089,9 +1468,7 @@ mod tests {
                 for k in [1usize, 4, 16] {
                     let got = tree.knn(&points, q, k);
                     let expect = brute_knn(&points, q as usize, k);
-                    let got_d: Vec<f32> = got.iter().map(|x| x.0).collect();
-                    let exp_d: Vec<f32> = expect.iter().map(|x| x.0).collect();
-                    assert_eq!(got_d, exp_d, "dim={dim} q={q} k={k}");
+                    assert_eq!(got, expect, "dim={dim} q={q} k={k}");
                 }
             }
         }
@@ -1108,9 +1485,7 @@ mod tests {
             assert_eq!(heap.len(), k);
             let expect = brute_knn(&points, q as usize, k);
             assert_eq!(heap.max_d2(), expect.last().unwrap().0, "q={q} k={k}");
-            let got: Vec<f32> = heap.sorted().iter().map(|x| x.0).collect();
-            let exp: Vec<f32> = expect.iter().map(|x| x.0).collect();
-            assert_eq!(got, exp, "q={q} k={k}");
+            assert_eq!(heap.sorted(), expect, "q={q} k={k}");
         }
     }
 
@@ -1131,9 +1506,7 @@ mod tests {
         serial.check_invariants(&points).unwrap();
         parallel.check_invariants(&points).unwrap();
         for q in [0u32, 999, 1999] {
-            let a: Vec<f32> = serial.knn(&points, q, 8).iter().map(|x| x.0).collect();
-            let b: Vec<f32> = parallel.knn(&points, q, 8).iter().map(|x| x.0).collect();
-            assert_eq!(a, b);
+            assert_eq!(serial.knn(&points, q, 8), parallel.knn(&points, q, 8));
         }
     }
 

@@ -3,14 +3,17 @@
 //! HDBSCAN\*'s `minPts` parameter defines the **core distance** of a point:
 //! the distance to its `minPts`-th nearest neighbour, counting the point
 //! itself (paper §6.5; `minPts = 2` means "distance to the nearest other
-//! point"). Queries run embarrassingly parallel over points; each worker
-//! chunk reuses one [`KnnHeap`] across its queries, so the steady state
-//! performs no heap allocation per query.
+//! point"). Every batched pass here runs through one kd-tree routine that
+//! computes the rows leaf by leaf (`KdTree::for_each_knn_row`): a leaf's
+//! ~30 queries share one candidate traversal, the distance kernels are
+//! specialized for 2-D and 3-D, and each row is the brute-force
+//! `(d2, index)` top-k, ties at the k-th distance going to the smaller
+//! index. The pass allocates only per-lane scratch, never per query, and
+//! traces the distances it evaluates.
 
-use pandora_exec::trace::KernelKind;
 use pandora_exec::{ExecCtx, UnsafeSlice};
 
-use crate::kdtree::{KdTree, KnnHeap};
+use crate::kdtree::KdTree;
 use crate::point::PointSet;
 
 /// Squared core distance of every point for the given `min_pts`.
@@ -46,37 +49,23 @@ pub fn core_distances2(
     if k == 0 || n <= 1 {
         return core2;
     }
-    {
-        let core_view = UnsafeSlice::new(&mut core2);
-        let perm = tree.perm();
-        ctx.for_each_chunk_traced(
-            n,
-            256,
-            KernelKind::TreeTraverse,
-            (n as u64) * 48 * k as u64,
-            |range| {
-                // One reused heap per chunk; queries walk the points in
-                // kd-tree (spatial) order so consecutive traversals touch
-                // overlapping subtrees while they are still cached.
-                let mut heap = KnnHeap::new(k);
-                for i in range {
-                    let q = perm[i] as usize;
-                    tree.knn_into(points, q as u32, k, &mut heap);
-                    // min_pts <= n guarantees the k-th neighbour exists.
-                    debug_assert_eq!(heap.len(), k);
-                    // SAFETY: perm is a permutation — row q is owned here.
-                    unsafe { core_view.write(q, heap.max_d2()) };
-                }
-            },
-        );
-    }
+    let core_view = UnsafeSlice::new(&mut core2);
+    tree.for_each_knn_row(ctx, points, k, |q, row| {
+        // min_pts <= n guarantees the k-th neighbour exists.
+        debug_assert_ne!(row[k - 1].1, u32::MAX);
+        // SAFETY: every point's row is emitted exactly once, so slot q is
+        // written by this call alone.
+        unsafe { core_view.write(q as usize, row[k - 1].0) };
+    });
     core2
 }
 
 /// Captures every point's `k` nearest neighbours as **sorted rows**:
 /// row-major `n × k` arrays of squared Euclidean distances and indices,
-/// ascending by `(distance, index)` within a row, padded with
-/// `(f32::INFINITY, u32::MAX)` when fewer than `k` neighbours exist.
+/// the first `k` of all other points in `(d2, index)` order — a tie at the
+/// k-th distance keeps the smaller index — padded with
+/// `(f32::INFINITY, u32::MAX)` when fewer than `k` neighbours exist. Each
+/// row equals [`KdTree::knn_into`]'s answer for its point.
 ///
 /// This is the frozen index's one-pass-per-dataset substrate
 /// ([`crate::index::EmstIndex`]): because the `j`-th entry of a
@@ -104,32 +93,19 @@ pub fn knn_rows_into(
     if k == 0 || n <= 1 {
         return;
     }
-    {
-        let d2_view = UnsafeSlice::new(row_d2.as_mut_slice());
-        let idx_view = UnsafeSlice::new(row_idx.as_mut_slice());
-        let perm = tree.perm();
-        ctx.for_each_chunk_traced(
-            n,
-            256,
-            KernelKind::TreeTraverse,
-            (n as u64) * 48 * k as u64,
-            |range| {
-                let mut heap = KnnHeap::new(k);
-                for i in range {
-                    let q = perm[i] as usize;
-                    tree.knn_into(points, q as u32, k, &mut heap);
-                    for (j, &(d2, p)) in heap.sorted().iter().enumerate() {
-                        // SAFETY: perm is a permutation — row q is owned
-                        // by exactly this iteration.
-                        unsafe {
-                            d2_view.write(q * k + j, d2);
-                            idx_view.write(q * k + j, p);
-                        }
-                    }
-                }
-            },
-        );
-    }
+    let d2_view = UnsafeSlice::new(row_d2.as_mut_slice());
+    let idx_view = UnsafeSlice::new(row_idx.as_mut_slice());
+    tree.for_each_knn_row(ctx, points, k, |q, row| {
+        let base = q as usize * k;
+        for (j, &(d2, p)) in row.iter().enumerate() {
+            // SAFETY: every point's row is emitted exactly once, so row q
+            // is written by this call alone.
+            unsafe {
+                d2_view.write(base + j, d2);
+                idx_view.write(base + j, p);
+            }
+        }
+    });
 }
 
 /// Fills `core2` with every point's squared core distance for `min_pts`
@@ -179,37 +155,16 @@ pub struct KnnRows<'a> {
     pub idx: &'a [u32],
 }
 
-/// Batched k-NN: indices of the `k` nearest neighbours of every point,
-/// row-major `n × k` (padded with `u32::MAX` when fewer exist).
-pub fn knn_indices(ctx: &ExecCtx, points: &PointSet, tree: &KdTree, k: usize) -> Vec<u32> {
-    let n = points.len();
-    let mut out = vec![u32::MAX; n * k];
-    {
-        let view = UnsafeSlice::new(&mut out);
-        ctx.for_each_chunk_traced(
-            n,
-            256,
-            KernelKind::TreeTraverse,
-            (n as u64) * 48 * k as u64,
-            |range| {
-                let mut heap = KnnHeap::new(k);
-                for q in range {
-                    tree.knn_into(points, q as u32, k, &mut heap);
-                    for (j, &(_, p)) in heap.sorted().iter().enumerate() {
-                        // SAFETY: row q is owned by this iteration.
-                        unsafe { view.write(q * k + j, p) };
-                    }
-                }
-            },
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::Arc;
+
+    use pandora_exec::pool::ThreadPool;
+    use pandora_exec::trace::KernelKind;
     use rand::prelude::*;
+
+    use super::*;
+    use crate::metric::LEAF_BLOCK;
 
     fn random_points(n: usize, dim: usize, seed: u64) -> PointSet {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -319,16 +274,51 @@ mod tests {
         }
         assert_eq!(idx[0], 1);
         assert_eq!(d2[0], 1.0);
+        // Point 1's two neighbours tie at distance 1: the smaller index
+        // comes first.
+        assert_eq!(&idx[5..7], &[0, 2]);
+        assert_eq!(&d2[5..7], &[1.0, 1.0]);
     }
 
     #[test]
-    fn knn_indices_shape_and_content() {
-        let ctx = ExecCtx::serial();
-        let points = PointSet::new(vec![0.0, 0.0, 1.0, 0.0, 2.0, 0.0], 2);
-        let tree = KdTree::build(&ctx, &points);
-        let idx = knn_indices(&ctx, &points, &tree, 2);
-        assert_eq!(idx.len(), 6);
-        assert_eq!(idx[0], 1); // nearest to point 0 is point 1
-        assert_eq!(idx[2], 0); // nearest to point 1 is point 0 (tie → smaller)
+    fn rows_pass_traces_the_same_real_work_on_every_lane_count() {
+        let n = 3000usize;
+        let points = random_points(n, 3, 17);
+        let tree = KdTree::build(&ExecCtx::serial(), &points);
+        let mut contexts = vec![ExecCtx::serial()];
+        for lanes in [1usize, 2, 3] {
+            contexts.push(ExecCtx::on_pool(Arc::new(ThreadPool::new(lanes))));
+        }
+        let mut first = None;
+        for ctx in &contexts {
+            let (ctx, tracer) = ctx.with_tracing();
+            let (mut d2, mut idx) = (Vec::new(), Vec::new());
+            knn_rows_into(&ctx, &points, &tree, 9, &mut d2, &mut idx);
+            let core2 = core_distances2(&ctx, &points, &tree, 4);
+            let traversals: Vec<(u64, u64)> = tracer
+                .snapshot()
+                .events
+                .iter()
+                .filter(|e| e.kind == KernelKind::TreeTraverse)
+                .map(|e| (e.n, e.bytes))
+                .collect();
+            assert_eq!(traversals.len(), 2);
+            let run = (traversals, d2, idx, core2);
+            match &first {
+                None => first = Some(run),
+                Some(want) => assert!(*want == run, "lane count changed the rows or the counts"),
+            }
+        }
+        let (traversals, ..) = first.expect("at least one context ran");
+        for (evals, bytes) in traversals {
+            // Whole 8-point blocks; every point at least against its own
+            // leaf; far from all pairs.
+            assert_eq!(evals % LEAF_BLOCK as u64, 0);
+            assert!(
+                evals >= n as u64 && evals < (n * n / 8) as u64,
+                "evals {evals}"
+            );
+            assert!(bytes > evals * 4 * 3, "bytes {bytes}");
+        }
     }
 }

@@ -19,7 +19,7 @@ use pandora_exec::sort::par_sort_by_key;
 use pandora_exec::trace::KernelKind;
 use pandora_exec::{ExecCtx, UnsafeSlice};
 
-use crate::kdtree::{KdTree, KnnHeap};
+use crate::kdtree::KdTree;
 use crate::metric::Metric;
 use crate::point::PointSet;
 
@@ -43,46 +43,26 @@ pub fn knn_graph_mst<M: Metric>(
     }
     let k = k.clamp(1, n - 1);
 
-    // k-NN candidate edges under the metric, canonicalized u < v.
+    // k-NN candidate edges under the metric, canonicalized u < v. Every
+    // row is full: k ≤ n − 1.
     let mut candidates: Vec<(u32, u32, u32)> = vec![(0, 0, 0); n * k]; // (wkey, u, v)
-    {
-        let view = UnsafeSlice::new(&mut candidates);
-        ctx.for_each_chunk_traced(
-            n,
-            256,
-            KernelKind::TreeTraverse,
-            (n * k * 48) as u64,
-            |range| {
-                let mut heap = KnnHeap::new(k);
-                for q in range {
-                    tree.knn_into(points, q as u32, k, &mut heap);
-                    let nn = heap.sorted();
-                    for (j, &(_, p)) in nn.iter().enumerate() {
-                        // Metric distance may exceed the Euclidean k-NN
-                        // distance (mutual reachability); recompute.
-                        let d2 = metric.dist2(points, q as u32, p);
-                        let (a, b) = if (q as u32) < p {
-                            (q as u32, p)
-                        } else {
-                            (p, q as u32)
-                        };
-                        // SAFETY: slot q*k+j owned by this iteration.
-                        unsafe {
-                            view.write(
-                                q * k + j,
-                                (pandora_exec::atomic::f32_to_ordered_u32(d2), a, b),
-                            )
-                        };
-                    }
-                    // Pad rows when fewer than k neighbours exist.
-                    for j in nn.len()..k {
-                        // SAFETY: slot q*k+j owned by this iteration.
-                        unsafe { view.write(q * k + j, (u32::MAX, 0, 0)) };
-                    }
-                }
-            },
-        );
-    }
+    let view = UnsafeSlice::new(&mut candidates);
+    tree.for_each_knn_row(ctx, points, k, |q, row| {
+        for (j, &(_, p)) in row.iter().enumerate() {
+            // Metric distance may exceed the Euclidean k-NN distance
+            // (mutual reachability); recompute.
+            let d2 = metric.dist2(points, q, p);
+            let (a, b) = if q < p { (q, p) } else { (p, q) };
+            // SAFETY: every point's row is emitted exactly once, so slot
+            // q*k+j is written by this call alone.
+            unsafe {
+                view.write(
+                    q as usize * k + j,
+                    (pandora_exec::atomic::f32_to_ordered_u32(d2), a, b),
+                )
+            };
+        }
+    });
 
     // Kruskal over the candidates (sorted ascending by squared distance).
     par_sort_by_key(ctx, &mut candidates, |&t| t);

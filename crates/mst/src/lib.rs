@@ -7,9 +7,11 @@
 //!   coordinates, so every distance downstream is finite);
 //! * [`kdtree::KdTree`] — parallel-built bounding-box kd-tree with
 //!   allocation-free k-NN and component-aware nearest-foreign queries
-//!   (SoA node metadata, cached splits, fixed-capacity traversal stacks);
-//! * [`knn`] — batched k-NN / HDBSCAN\* core distances over reused
-//!   per-worker scratch;
+//!   (SoA node metadata, cached splits, fixed-capacity traversal stacks,
+//!   build on tree-ordered coordinates, 2-D/3-D-specialized kernels);
+//! * [`knn`] — batched k-NN rows / HDBSCAN\* core distances, computed
+//!   leaf by leaf, with ties at the k-th distance going to the smaller
+//!   index;
 //! * [`boruvka`] — parallel Borůvka MST over any [`metric::Metric`]
 //!   (Euclidean or mutual reachability), warm-started across rounds;
 //! * [`index`] — the EMST stage: the frozen, shareable

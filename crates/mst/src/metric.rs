@@ -100,74 +100,153 @@ pub trait Metric: Sync {
 /// coordinates precisely so LLVM auto-vectorizes them at this width.
 pub const LEAF_BLOCK: usize = 8;
 
-/// Squared Euclidean distances from `q` (one point, `dim` coordinates) to
-/// one [`LEAF_BLOCK`]-point coordinate block in **dimension-major** layout:
-/// `block[d * LEAF_BLOCK + j]` is coordinate `d` of block point `j`
-/// (AoSoA — the kd-tree stores leaf coordinates this way).
+/// A point dimensionality: fixed at compile time ([`Fixed`]) or read at
+/// run time ([`Dyn`]).
 ///
-/// Every dimension is a contiguous 8-lane subtract–square–accumulate with a
-/// fixed trip count, the exact shape LLVM turns into packed vector ops; no
-/// strided loads or shuffles are needed. Callers always pass a full block
-/// (padding lanes compute garbage distances that are simply never read).
-#[inline]
-pub fn euclid_block_dist2(q: &[f32], block: &[f32], out: &mut [f32; LEAF_BLOCK]) {
-    debug_assert_eq!(block.len(), q.len() * LEAF_BLOCK);
-    match *q {
-        [q0, q1] => {
-            for j in 0..LEAF_BLOCK {
-                let dx = block[j] - q0;
-                let dy = block[LEAF_BLOCK + j] - q1;
-                out[j] = dx * dx + dy * dy;
+/// The distance kernels below and the kd-tree's k-NN traversals are
+/// written once, generic over this trait. Through `Fixed<2>` and
+/// `Fixed<3>` every coordinate slice has a length the compiler knows, so
+/// the loops unroll and the bounds checks vanish; every other dimension
+/// runs the same code with a run-time length. [`with_dim!`] picks the
+/// instance once per call from a point set's dimension.
+pub(crate) trait Dim: Copy + Sync {
+    /// Coordinates per point.
+    fn get(self) -> usize;
+}
+
+/// A dimension known at compile time.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fixed<const D: usize>;
+
+impl<const D: usize> Dim for Fixed<D> {
+    #[inline(always)]
+    fn get(self) -> usize {
+        D
+    }
+}
+
+/// A dimension read at run time.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Dyn(pub(crate) usize);
+
+impl Dim for Dyn {
+    #[inline(always)]
+    fn get(self) -> usize {
+        self.0
+    }
+}
+
+/// Evaluates `$body` with `$d` bound to the [`Dim`] instance for the
+/// dimension `$dim`: `Fixed<2>`, `Fixed<3>`, or `Dyn` for any other.
+macro_rules! with_dim {
+    ($dim:expr, $d:ident => $body:expr) => {
+        match $dim {
+            2 => {
+                let $d = $crate::metric::Fixed::<2>;
+                $body
+            }
+            3 => {
+                let $d = $crate::metric::Fixed::<3>;
+                $body
+            }
+            other => {
+                let $d = $crate::metric::Dyn(other);
+                $body
             }
         }
-        [q0, q1, q2] => {
-            for j in 0..LEAF_BLOCK {
-                let dx = block[j] - q0;
-                let dy = block[LEAF_BLOCK + j] - q1;
-                let dz = block[2 * LEAF_BLOCK + j] - q2;
-                out[j] = dx * dx + dy * dy + dz * dz;
-            }
-        }
-        _ => {
-            out.fill(0.0);
-            for (d, &qc) in q.iter().enumerate() {
-                let lane = &block[d * LEAF_BLOCK..(d + 1) * LEAF_BLOCK];
-                for j in 0..LEAF_BLOCK {
-                    let diff = lane[j] - qc;
-                    out[j] += diff * diff;
-                }
-            }
+    };
+}
+pub(crate) use with_dim;
+
+/// Squared Euclidean distances from `q` to the [`LEAF_BLOCK`] points of one
+/// dimension-major block (`block[d * LEAF_BLOCK + j]` is coordinate `d` of
+/// block point `j`), the kd-tree's AoSoA leaf layout.
+///
+/// Every dimension is a contiguous 8-lane subtract–square–accumulate with
+/// a fixed trip count, the shape LLVM turns into packed vector ops. The
+/// sum runs over the dimensions in order, starting from the first square,
+/// so each lane equals [`PointSet::dist2`] bit for bit. Callers pass a
+/// full block; padding lanes compute distances that are never read.
+#[inline(always)]
+pub(crate) fn block_dist2<D: Dim>(dim: D, q: &[f32], block: &[f32], out: &mut [f32; LEAF_BLOCK]) {
+    let dim = dim.get();
+    let (q, block) = (&q[..dim], &block[..dim * LEAF_BLOCK]);
+    let (first, rest) = block.split_at(LEAF_BLOCK);
+    for j in 0..LEAF_BLOCK {
+        let diff = first[j] - q[0];
+        out[j] = diff * diff;
+    }
+    for (lane, &qc) in rest.chunks_exact(LEAF_BLOCK).zip(&q[1..]) {
+        for j in 0..LEAF_BLOCK {
+            let diff = lane[j] - qc;
+            out[j] += diff * diff;
         }
     }
 }
 
-/// Squared distance from a point to an axis-aligned bounding box.
+/// Squared overshoot of `c` past the interval `[lo, hi]` (0 inside).
+#[inline(always)]
+fn axis_gap2(c: f32, lo: f32, hi: f32) -> f32 {
+    let diff = (lo - c).max(c - hi).max(0.0);
+    diff * diff
+}
+
+/// Squared distance from point `p` to the axis-aligned box `[lo, hi]`.
 ///
-/// Per-axis overshoot as a branch-free clamp, with the same low-dimension
-/// specialization as [`crate::point::PointSet::dist2`] — this runs twice
-/// per internal node visited on the kd-tree hot path.
+/// Summed over the dimensions in the order [`block_dist2`] uses, and
+/// rounding is monotone, so the result never exceeds the computed distance
+/// from `p` to any point inside the box: pruning on it is exact.
+#[inline(always)]
+pub(crate) fn box_dist2<D: Dim>(dim: D, p: &[f32], lo: &[f32], hi: &[f32]) -> f32 {
+    let dim = dim.get();
+    let (p, lo, hi) = (&p[..dim], &lo[..dim], &hi[..dim]);
+    let mut acc = axis_gap2(p[0], lo[0], hi[0]);
+    for d in 1..dim {
+        acc += axis_gap2(p[d], lo[d], hi[d]);
+    }
+    acc
+}
+
+/// Squared distance between the boxes `[a_lo, a_hi]` and `[b_lo, b_hi]`:
+/// a lower bound, exact in the same sense as [`box_dist2`], on the
+/// computed distance between any point of one box and any of the other.
+#[inline(always)]
+pub(crate) fn box_box_dist2<D: Dim>(
+    dim: D,
+    a_lo: &[f32],
+    a_hi: &[f32],
+    b_lo: &[f32],
+    b_hi: &[f32],
+) -> f32 {
+    let dim = dim.get();
+    let (a_lo, a_hi, b_lo, b_hi) = (&a_lo[..dim], &a_hi[..dim], &b_lo[..dim], &b_hi[..dim]);
+    let gap2 = |d: usize| {
+        let diff = (b_lo[d] - a_hi[d]).max(a_lo[d] - b_hi[d]).max(0.0);
+        diff * diff
+    };
+    let mut acc = gap2(0);
+    for d in 1..dim {
+        acc += gap2(d);
+    }
+    acc
+}
+
+/// The 8-lane block distance (`block_dist2`) for a caller that does not
+/// know the dimension in advance: dispatches on `q.len()` per call. The
+/// nearest-foreign search uses it; batched callers dispatch once and call
+/// the generic kernel.
+#[inline]
+pub fn euclid_block_dist2(q: &[f32], block: &[f32], out: &mut [f32; LEAF_BLOCK]) {
+    debug_assert_eq!(block.len(), q.len() * LEAF_BLOCK);
+    with_dim!(q.len(), d => block_dist2(d, q, block, out))
+}
+
+/// Squared distance from a point to an axis-aligned bounding box, the
+/// point–box kernel (`box_dist2`) dispatched on `p.len()` per call, for
+/// the same callers as [`euclid_block_dist2`].
 #[inline(always)]
 pub fn point_box_dist2(p: &[f32], bbox_min: &[f32], bbox_max: &[f32]) -> f32 {
-    #[inline(always)]
-    fn axis(c: f32, lo: f32, hi: f32) -> f32 {
-        let diff = (lo - c).max(c - hi).max(0.0);
-        diff * diff
-    }
-    match p.len() {
-        2 => axis(p[0], bbox_min[0], bbox_max[0]) + axis(p[1], bbox_min[1], bbox_max[1]),
-        3 => {
-            axis(p[0], bbox_min[0], bbox_max[0])
-                + axis(p[1], bbox_min[1], bbox_max[1])
-                + axis(p[2], bbox_min[2], bbox_max[2])
-        }
-        _ => {
-            let mut acc = 0.0f32;
-            for d in 0..p.len() {
-                acc += axis(p[d], bbox_min[d], bbox_max[d]);
-            }
-            acc
-        }
-    }
+    with_dim!(p.len(), d => box_dist2(d, p, bbox_min, bbox_max))
 }
 
 /// Plain Euclidean distance.

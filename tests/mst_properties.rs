@@ -1,23 +1,28 @@
 //! Property-based tests (proptest) for the EMST substrate: Borůvka must
 //! match the Prim oracle on adversarial inputs — duplicate points,
-//! collinear grids, single-cluster blobs, all with quantized coordinates so
-//! exact distance ties abound — and the kd-tree's structural invariants
-//! (contiguous subtree ranges, boxes containing their points, cached splits
-//! separating the children) must hold for every build configuration.
+//! collinear grids, single-cluster blobs, coarse lattices, all with
+//! quantized coordinates so exact distance ties abound — the k-NN rows and
+//! queries must equal the brute-force `(d2, index)` oracle on the same
+//! inputs, and the kd-tree's structural invariants (contiguous subtree
+//! ranges, boxes containing their points, cached splits separating the
+//! children) must hold for every build configuration.
 
 mod common;
+
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
 use pandora::core::pandora::dendrogram_from_sorted;
 use pandora::core::SortedMst;
+use pandora::exec::pool::ThreadPool;
 use pandora::exec::{ExecCtx, ScratchPool};
 use pandora::mst::kruskal::total_weight;
 use pandora::mst::prim::prim_mst;
 use pandora::mst::{
     boruvka_mst, core_distances2, emst, emst_from_index, knn_rows_into, row_witness_scan,
-    BoruvkaExtras, Emst, EmstIndex, EmstScratch, Euclidean, KdTree, KnnRows, MutualReachability,
-    PointSet,
+    BoruvkaExtras, Emst, EmstIndex, EmstScratch, Euclidean, KdTree, KnnHeap, KnnRows,
+    MutualReachability, PointSet,
 };
 
 use common::reference_emst;
@@ -26,7 +31,7 @@ use common::reference_emst;
 /// quantized to quarter-units so equal distances (the tie-break stress
 /// case) are common, not measure-zero.
 fn adversarial_points() -> impl Strategy<Value = PointSet> {
-    (0usize..3, 2usize..4, 8usize..100).prop_flat_map(|(mode, dim, n)| {
+    (0usize..4, 2usize..4, 8usize..100).prop_flat_map(|(mode, dim, n)| {
         prop::collection::vec(0u32..32, n * dim..n * dim + 1).prop_map(move |raw| {
             let coords: Vec<f32> = match mode {
                 // Duplicates: coordinates drawn from an 8-value alphabet,
@@ -37,12 +42,115 @@ fn adversarial_points() -> impl Strategy<Value = PointSet> {
                     .chunks(dim)
                     .flat_map(|c| std::iter::repeat_n(c[0] as f32 * 0.25, dim))
                     .collect(),
+                // Coarse lattice: 7 × 7 sites in 2-D, 3 × 3 × 3 in 3-D, so
+                // most sites hold several coincident points and every
+                // point has many neighbours at each tied distance.
+                2 => {
+                    let side = if dim == 2 { 7 } else { 3 };
+                    raw.iter().map(|&v| (v % side) as f32).collect()
+                }
                 // Single-cluster blob on a quarter-unit grid.
                 _ => raw.iter().map(|&v| v as f32 * 0.25).collect(),
             };
             PointSet::new(coords, dim)
         })
     })
+}
+
+/// The serial context and pools of 1, 2 and 3 lanes.
+fn contexts() -> &'static [ExecCtx] {
+    static CONTEXTS: OnceLock<Vec<ExecCtx>> = OnceLock::new();
+    CONTEXTS.get_or_init(|| {
+        let mut contexts = vec![ExecCtx::serial()];
+        for lanes in 1..=3 {
+            contexts.push(ExecCtx::on_pool(Arc::new(ThreadPool::new(lanes))));
+        }
+        contexts
+    })
+}
+
+/// Brute-force k-NN of every point: the first `k` other points in
+/// `(d2, index)` order, padded with `(+∞, u32::MAX)` to `k` entries.
+fn knn_oracle(points: &PointSet, k: usize) -> Vec<Vec<(f32, u32)>> {
+    let n = points.len();
+    (0..n)
+        .map(|q| {
+            let mut all: Vec<(f32, u32)> = (0..n)
+                .filter(|&p| p != q)
+                .map(|p| (points.dist2(q, p), p as u32))
+                .collect();
+            let cmp = |a: &(f32, u32), b: &(f32, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+            if all.len() > k {
+                all.select_nth_unstable_by(k, cmp);
+                all.truncate(k);
+            }
+            all.sort_by(cmp);
+            all.resize(k, (f32::INFINITY, u32::MAX));
+            all
+        })
+        .collect()
+}
+
+/// Checks `knn_rows_into` on every context, and `knn_into` and `knn()` on
+/// every point, against the oracle at each `k`. Returns the first mismatch.
+fn knn_matches_oracle(points: &PointSet, ks: &[usize]) -> Result<(), String> {
+    let n = points.len();
+    let max_k = ks.iter().copied().max().unwrap_or(0);
+    let oracle = knn_oracle(points, max_k);
+    let tree = KdTree::build(&ExecCtx::serial(), points);
+    let mut heap = KnnHeap::new(max_k);
+    for &k in ks {
+        // The first k of the (d2, index) order are a prefix of the first
+        // max_k.
+        let want = |q: usize| &oracle[q][..k];
+        for (c, ctx) in contexts().iter().enumerate() {
+            let (mut d2, mut idx) = (Vec::new(), Vec::new());
+            knn_rows_into(ctx, points, &tree, k, &mut d2, &mut idx);
+            for q in 0..n {
+                let got: Vec<(f32, u32)> =
+                    (0..k).map(|j| (d2[q * k + j], idx[q * k + j])).collect();
+                if n > 1 && got != want(q) {
+                    return Err(format!(
+                        "rows, context {c}, k={k}, q={q}: {got:?} vs {:?}",
+                        want(q)
+                    ));
+                }
+            }
+        }
+        let held = k.min(n - 1);
+        for q in 0..n {
+            tree.knn_into(points, q as u32, k, &mut heap);
+            if heap.sorted() != &want(q)[..held] {
+                return Err(format!("knn_into, k={k}, q={q}"));
+            }
+            if tree.knn(points, q as u32, k) != want(q)[..held] {
+                return Err(format!("knn(), k={k}, q={q}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn knn_rows_are_canonical_on_duplicate_lattices() {
+    // 3,000 points on a 7 × 7 lattice in 2-D and on a 5 × 5 × 5 lattice in
+    // 3-D: every point has dozens of neighbours at distance 0 and at each
+    // lattice distance, so any top-k that keeps a tied k-th member by
+    // traversal order differs from the oracle in most rows.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = |side: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) % side) as f32
+    };
+    for (dim, side) in [(2usize, 7u64), (3, 5)] {
+        let coords: Vec<f32> = (0..3_000 * dim).map(|_| next(side)).collect();
+        let points = PointSet::new(coords, dim);
+        if let Err(e) = knn_matches_oracle(&points, &[1, 3, 9, 23]) {
+            panic!("{dim}-D lattice: {e}");
+        }
+    }
 }
 
 /// Bit-for-bit equality of two EMST results (core distances and edges).
@@ -242,6 +350,15 @@ proptest! {
             for run in [&first, &second, &adopted] {
                 prop_assert!(same_emst(run, &cold), "index run vs reference, minPts={}", min_pts);
             }
+        }
+    }
+
+    #[test]
+    fn knn_rows_and_queries_equal_the_brute_force_oracle(points in adversarial_points()) {
+        // k = 23 exceeds most of these sets' leaves and some whole sets
+        // (n <= k pads the rows).
+        if let Err(e) = knn_matches_oracle(&points, &[1, 3, 9, 23]) {
+            prop_assert!(false, "n={} dim={}: {}", points.len(), points.dim(), e);
         }
     }
 
