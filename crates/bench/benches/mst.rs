@@ -65,7 +65,8 @@ fn bench_boruvka(c: &mut Criterion) {
             &points,
             |b, points| {
                 let tree = KdTree::build(&ctx, points);
-                let core2 = core_distances2(&ctx, points, &tree, 2);
+                // Borůvka reads core distances in tree order.
+                let core2 = tree.in_tree_order(&core_distances2(&ctx, points, &tree, 2));
                 let mut node_core2 = Vec::new();
                 tree.min_core2_into(&core2, &mut node_core2);
                 let metric = MutualReachability { core2: &core2 };

@@ -49,7 +49,7 @@ use pandora_exec::{ExecCtx, ScratchPool, UnsafeSlice, DEFAULT_GRAIN};
 
 use pandora_core::Edge;
 
-use crate::kdtree::{ForeignSearch, KdTree};
+use crate::kdtree::{ForeignSearch, KdTree, SearchWork};
 use crate::knn::KnnRows;
 use crate::metric::Metric;
 use crate::point::PointSet;
@@ -73,6 +73,8 @@ pub struct BoruvkaStats {
     witness_hits: RelaxedCounter,
     researches: RelaxedCounter,
     snapshot_adopts: RelaxedCounter,
+    dist_evals: RelaxedCounter,
+    node_visits: RelaxedCounter,
 }
 
 impl BoruvkaStats {
@@ -99,12 +101,29 @@ impl BoruvkaStats {
         self.snapshot_adopts.get()
     }
 
-    fn add_chunk(&self, hits: u64, searches: u64) {
-        if hits > 0 {
-            self.witness_hits.add(hits);
-        }
-        if searches > 0 {
-            self.researches.add(searches);
+    /// Distance evaluations of the query passes: whole 8-point blocks in
+    /// the tree searches' leaf scans plus the row members the row screens
+    /// examined. Serial runs repeat it exactly.
+    pub fn dist_evals(&self) -> u64 {
+        self.dist_evals.get()
+    }
+
+    /// Tree nodes the query passes' searches visited (box distances
+    /// computed). Serial runs repeat it exactly.
+    pub fn node_visits(&self) -> u64 {
+        self.node_visits.get()
+    }
+
+    fn add_chunk(&self, hits: u64, searches: u64, work: SearchWork) {
+        for (counter, value) in [
+            (&self.witness_hits, hits),
+            (&self.researches, searches),
+            (&self.dist_evals, work.dist_evals),
+            (&self.node_visits, work.node_visits),
+        ] {
+            if value > 0 {
+                counter.add(value);
+            }
         }
     }
 
@@ -422,16 +441,22 @@ pub struct BoruvkaExtras<'a> {
     pub stats: Option<&'a BoruvkaStats>,
 }
 
-/// Scans `q`'s sorted k-NN row for its two witnesses: `best`, the exact
-/// cheapest foreign member under canonical tie-breaking (smaller metric
-/// distance, then smaller index), and `second`, the cheapest member in a
-/// component *different from `best`'s* — the 2-hop witness that usually
-/// survives the merge that consumes `best`.
+/// Scans the sorted k-NN row of the point at tree position `q` for its two
+/// witnesses: `best`, the exact cheapest foreign member under canonical
+/// tie-breaking (smaller metric distance, then smaller point index), and
+/// `second`, the cheapest member in a component *different from `best`'s*
+/// — the 2-hop witness that usually survives the merge that consumes
+/// `best`.
 ///
-/// Either slot is `(∞, u32::MAX)` when no qualifying member exists. The
-/// scan early-exits once both are pinned: a later member's Euclidean
-/// distance already exceeds both held distances, so (the metric dominating
-/// its Euclidean part) it can neither win nor tie either slot.
+/// Everything is numbered by tree position: `q`, the row (see
+/// [`KnnRows`]), the labels in `comp` and the metric's per-point data;
+/// `perm` ([`KdTree::perm`]) maps a position to the point index that ties
+/// compare. Either slot is `(∞, u32::MAX)` when no qualifying member
+/// exists, and a found slot holds a tree position. Each examined foreign
+/// member adds one distance evaluation to `work`. The scan early-exits
+/// once both are pinned: a later member's Euclidean distance already
+/// exceeds both held distances, so (the metric dominating its Euclidean
+/// part) it can neither win nor tie either slot.
 ///
 /// Invariants (property-tested in `tests/mst_properties.rs`):
 /// * `best` equals the brute-force minimum over the row's foreign members;
@@ -446,11 +471,15 @@ pub fn row_witness_scan<M: Metric>(
     q: u32,
     root: usize,
     comp: &[u32],
+    perm: &[u32],
+    work: &mut SearchWork,
 ) -> ((f32, u32), (f32, u32)) {
     let base = q as usize * rows.k;
     let mut best = (f32::INFINITY, u32::MAX);
     let mut best_comp = usize::MAX;
     let mut second = (f32::INFINITY, u32::MAX);
+    // Ties compare point indices, read only when a tie occurs.
+    let id = |x: u32| if x == u32::MAX { x } else { perm[x as usize] };
     for j in 0..rows.k {
         let p = rows.idx[base + j];
         if p == u32::MAX {
@@ -466,8 +495,9 @@ pub fn row_witness_scan<M: Metric>(
         if pc == root {
             continue;
         }
+        work.dist_evals += 1;
         let d2 = metric.refine_euclid2(e2, q, p);
-        if d2 < best.0 || (d2 == best.0 && p < best.1) {
+        if d2 < best.0 || (d2 == best.0 && id(p) < id(best.1)) {
             // The displaced best seeds the second slot when it lives in a
             // different component than the new winner; when it shares the
             // new winner's component it was never a valid second, and any
@@ -479,7 +509,7 @@ pub fn row_witness_scan<M: Metric>(
             }
             best = (d2, p);
             best_comp = pc;
-        } else if pc != best_comp && (d2 < second.0 || (d2 == second.0 && p < second.1)) {
+        } else if pc != best_comp && (d2 < second.0 || (d2 == second.0 && id(p) < id(second.1))) {
             second = (d2, p);
         }
     }
@@ -493,8 +523,19 @@ pub fn row_witness_scan<M: Metric>(
 /// bare run), and every round-persistent buffer is drawn from (and
 /// returned to) the caller-owned `scratch` pool, so a long-lived caller
 /// pays the buffer allocations once per *dataset*, not once per MST.
-/// Returns the `n-1` edges with weights = `sqrt` of the metric's squared
-/// distance.
+/// Returns the `n-1` edges, between point indices, with weights = `sqrt`
+/// of the metric's squared distance.
+///
+/// **Tree order.** Every per-point array of a run is indexed by tree
+/// position ([`KdTree::perm`]), and so is the metric: it is called with
+/// positions, so mutual reachability takes its core distances in tree
+/// order (`MutualReachability { core2: &tree.in_tree_order(&core2) }`), as
+/// do `node_core2` ([`KdTree::min_core2_into`]) and the `rows`
+/// ([`crate::knn::knn_rows_into`]). Point indices stay where the result
+/// depends on them: every tie between equal distances goes to the smaller
+/// index, the components merge through a union-by-min DSU over indices,
+/// and each round collects its edges in ascending order of the
+/// components' smallest index.
 ///
 /// The `rows` screen (see [`KnnRows`]) resolves most first-round queries
 /// without touching the tree: a point whose cheapest foreign row member
@@ -536,20 +577,27 @@ pub fn boruvka_mst<M: Metric>(
     if n <= 1 {
         return Vec::new();
     }
+    let (perm, pos) = (tree.perm(), tree.positions());
+    let dim = points.dim() as u64;
     let dsu = scratch.take_dsu(n);
+    // Component label per tree position: the DSU root, i.e. the smallest
+    // point index of the component.
     let mut comp = scratch.take_u32();
-    comp.extend(0..n as u32);
+    comp.extend_from_slice(perm);
     let mut n_components = n;
     let mut edges: Vec<Edge> = Vec::with_capacity(n - 1);
     // Round-persistent buffers (drawn from the pool, reused every round).
     let mut purity = scratch.take_u32();
+    // The component roots in ascending order, filtered after every round.
     let mut roots = scratch.take_u32();
-    // Per-component best outgoing candidate, indexed by component root.
+    roots.extend(0..n as u32);
+    // Per-component best outgoing candidate, indexed by component root;
+    // only the current roots' slots are reset and read.
     let mut candidate = scratch.take_u64();
     candidate.resize(n, u64::MAX);
     // Per-point best known foreign candidate: an exact metric distance to
-    // the witness point (`u32::MAX` = none yet). Carried across rounds as
-    // the warm-start seed.
+    // the witness (a tree position; `u32::MAX` = none yet). Carried
+    // across rounds as the warm-start seed.
     let mut best_of = scratch.take_pairs();
     best_of.resize(n, (f32::INFINITY, u32::MAX));
     // 2-hop witness per point: the best known foreign candidate in a
@@ -558,9 +606,9 @@ pub fn boruvka_mst<M: Metric>(
     // to be promoted in its place (exact distance, so a valid warm seed).
     let mut alt_of = scratch.take_pairs();
     alt_of.resize(n, (f32::INFINITY, u32::MAX));
-    // Witness provenance, 1 = canonical: `best_of[q]` was written by an
+    // Witness provenance, 1 = canonical: `best_of[i]` was written by an
     // exact canonically-tie-broken search (tree traversal or certifying
-    // row screen) *together with* `lower[q] = best_of[q].0`. Only such a
+    // row screen) *together with* `lower[i] = best_of[i].0`. Only such a
     // witness may answer a query outright — promoted 2-hop witnesses are
     // exact distances but not necessarily the smallest-index winner under
     // duplicate weights, so they only ever serve as upper-bound seeds.
@@ -588,17 +636,6 @@ pub fn boruvka_mst<M: Metric>(
             }
         }
 
-        // Reset candidates (only roots are read, clearing all is simpler).
-        {
-            let cand_view = UnsafeSlice::new(&mut candidate);
-            ctx.for_each_chunk(n, DEFAULT_GRAIN * 4, |range| {
-                for i in range {
-                    // SAFETY: disjoint writes.
-                    unsafe { cand_view.write(i, u64::MAX) };
-                }
-            });
-        }
-
         // Bound pre-pass: re-propose every still-valid witness from earlier
         // rounds (exact distances to still-foreign points), so component
         // bounds are tight *before* any traversal starts. Without this the
@@ -616,13 +653,11 @@ pub fn boruvka_mst<M: Metric>(
             let alt_view = UnsafeSlice::new(alt_of.as_mut_slice());
             let canon_view = UnsafeSlice::new(canon.as_mut_slice());
             let comp_ref = &comp;
-            let perm = tree.perm();
             ctx.for_each_chunk(n, DEFAULT_GRAIN, |range| {
                 let mut run_root = usize::MAX;
                 let mut run_best = u64::MAX;
                 for i in range {
-                    let q = perm[i];
-                    let root = comp_ref[q as usize] as usize;
+                    let root = comp_ref[i] as usize;
                     if root != run_root {
                         if run_best != u64::MAX {
                             // pandora-lint: allow(PL004) — commutative min-flush: any flush order yields the same per-root winner; the round join publishes it
@@ -631,15 +666,16 @@ pub fn boruvka_mst<M: Metric>(
                         run_root = root;
                         run_best = u64::MAX;
                     }
-                    // SAFETY: perm is a permutation, so slots q of the
-                    // per-point arrays are owned by exactly this task.
-                    let (d2, p) = unsafe { best_view.read(q as usize) };
+                    // SAFETY: chunks are disjoint ranges of positions, so
+                    // slots i of the per-point arrays are owned by exactly
+                    // this task.
+                    let (d2, p) = unsafe { best_view.read(i) };
                     if p != u32::MAX && comp_ref[p as usize] as usize != root {
-                        run_best = run_best.min(pack_candidate(d2, q));
+                        run_best = run_best.min(pack_candidate(d2, perm[i]));
                         continue;
                     }
-                    // SAFETY: as above — slot q is owned by this task.
-                    let alt = unsafe { alt_view.read(q as usize) };
+                    // SAFETY: as above — slot i is owned by this task.
+                    let alt = unsafe { alt_view.read(i) };
                     if alt.1 == u32::MAX {
                         continue;
                     }
@@ -647,16 +683,16 @@ pub fn boruvka_mst<M: Metric>(
                         // Primary died, secondary survived: promote it.
                         // SAFETY: as above.
                         unsafe {
-                            best_view.write(q as usize, alt);
-                            canon_view.write(q as usize, 0);
-                            alt_view.write(q as usize, (f32::INFINITY, u32::MAX));
+                            best_view.write(i, alt);
+                            canon_view.write(i, 0);
+                            alt_view.write(i, (f32::INFINITY, u32::MAX));
                         }
-                        run_best = run_best.min(pack_candidate(alt.0, q));
+                        run_best = run_best.min(pack_candidate(alt.0, perm[i]));
                     } else {
                         // Both hops died in one round; clear the slot so
                         // later rounds skip the component lookup.
                         // SAFETY: as above.
-                        unsafe { alt_view.write(q as usize, (f32::INFINITY, u32::MAX)) };
+                        unsafe { alt_view.write(i, (f32::INFINITY, u32::MAX)) };
                     }
                 }
                 if run_best != u64::MAX {
@@ -670,7 +706,8 @@ pub fn boruvka_mst<M: Metric>(
         // component (paper's "find minimum outgoing edge" step). Lanes walk
         // the points in kd-tree order: spatially coherent, so consecutive
         // queries usually share a component and the per-lane run state
-        // below replaces most atomic traffic.
+        // below replaces most atomic traffic. The trace records the pass's
+        // distance evaluations and node visits.
         {
             let cand_view = as_atomic_u64(&mut candidate);
             let best_view = UnsafeSlice::new(best_of.as_mut_slice());
@@ -680,21 +717,21 @@ pub fn boruvka_mst<M: Metric>(
             let comp_ref = &comp;
             let purity_ref = &purity;
             let rows_opt = rows;
-            let perm = tree.perm();
-            ctx.for_each_chunk_traced(n, 256, KernelKind::TreeTraverse, (n as u64) * 64, |range| {
+            ctx.for_each_chunk_counted(n, 256, KernelKind::TreeTraverse, |range| {
                 // Run state for the current same-component stretch: the best
                 // proposal found by this lane (flushed with one atomic min
                 // when the run ends) and the tightest known component bound.
                 let mut run_root = usize::MAX;
                 let mut run_best = u64::MAX;
                 let mut run_bound = f32::INFINITY;
-                // Chunk-local effectiveness counters, flushed once at the
-                // end so the shared atomics see O(chunks) traffic.
+                // Chunk-local counters, flushed once at the end so the
+                // shared atomics see O(chunks) traffic.
                 let mut hits = 0u64;
                 let mut searches = 0u64;
+                let (mut tree_work, mut row_work) = (SearchWork::default(), SearchWork::default());
                 for i in range {
-                    let q = perm[i];
-                    let root = comp_ref[q as usize] as usize;
+                    let q = i as u32;
+                    let root = comp_ref[i] as usize;
                     if root != run_root {
                         if run_best != u64::MAX {
                             // pandora-lint: allow(PL004) — commutative min-flush: any flush order yields the same per-root winner; the round join publishes it
@@ -710,16 +747,17 @@ pub fn boruvka_mst<M: Metric>(
                             ordered_u32_to_f32((packed >> 32) as u32)
                         };
                     }
-                    // SAFETY: perm is a permutation, so slots q of the
-                    // per-point arrays are read and written by exactly this
-                    // task.
-                    // Boundary-point filter: `lower[q]` lower-bounds q's
-                    // nearest-foreign distance and `run_bound` is an edge
-                    // some component member already achieved, so a point
-                    // strictly above the bound can neither win nor tie the
-                    // component minimum — skip its traversal entirely.
-                    // (Ties must still propose: smaller index wins.)
-                    let low = unsafe { lower_view.read(q as usize) };
+                    // SAFETY: chunks are disjoint ranges of positions, so
+                    // slots i of the per-point arrays are read and written
+                    // by exactly this task.
+                    // Boundary-point filter: `lower[i]` lower-bounds the
+                    // point's nearest-foreign distance and `run_bound` is an
+                    // edge some component member already achieved, so a
+                    // point strictly above the bound can neither win nor
+                    // tie the component minimum — skip its traversal
+                    // entirely. (Ties must still propose: smaller index
+                    // wins.)
+                    let low = unsafe { lower_view.read(i) };
                     if low > run_bound {
                         continue;
                     }
@@ -730,13 +768,13 @@ pub fn boruvka_mst<M: Metric>(
                     // foreign set only shrinks, so nothing closer appeared
                     // and no equal-distance smaller-index point turned
                     // foreign. Propose it and skip the query entirely.
-                    // SAFETY: as above — slots q are owned by this task.
-                    let prev = unsafe { best_view.read(q as usize) };
+                    // SAFETY: as above — slots i are owned by this task.
+                    let prev = unsafe { best_view.read(i) };
                     let prev_alive =
                         prev.1 != u32::MAX && comp_ref[prev.1 as usize] as usize != root;
-                    // SAFETY: same slot-q ownership for the canon flag read.
-                    if prev_alive && low >= prev.0 && unsafe { canon_view.read(q as usize) } != 0 {
-                        run_best = run_best.min(pack_candidate(prev.0, q));
+                    // SAFETY: same slot-i ownership for the canon flag read.
+                    if prev_alive && low >= prev.0 && unsafe { canon_view.read(i) } != 0 {
+                        run_best = run_best.min(pack_candidate(prev.0, perm[i]));
                         run_bound = run_bound.min(prev.0);
                         hits += 1;
                         continue;
@@ -753,13 +791,13 @@ pub fn boruvka_mst<M: Metric>(
                     // component.
                     let mut row_seed: Option<(f32, u32)> = None;
                     if let Some(rows) = &rows_opt {
-                        let base = q as usize * rows.k;
+                        let base = i * rows.k;
                         let full = rows.idx[base + rows.k - 1] != u32::MAX;
-                        let (best, second) = row_witness_scan(rows, metric, q, root, comp_ref);
+                        let (best, second) =
+                            row_witness_scan(rows, metric, q, root, comp_ref, perm, &mut row_work);
                         if second.1 != u32::MAX {
-                            // SAFETY: perm is a permutation; slots q of the
-                            // per-point arrays are owned by this task.
-                            unsafe { alt_view.write(q as usize, second) };
+                            // SAFETY: as above — slot i owned by this task.
+                            unsafe { alt_view.write(i, second) };
                         }
                         let kth = rows.d2[base + rows.k - 1];
                         if best.1 != u32::MAX && (!full || best.0 < kth) {
@@ -767,11 +805,11 @@ pub fn boruvka_mst<M: Metric>(
                             // Found traversal result, canonical witness.
                             // SAFETY: as above.
                             unsafe {
-                                best_view.write(q as usize, best);
-                                lower_view.write(q as usize, best.0);
-                                canon_view.write(q as usize, 1);
+                                best_view.write(i, best);
+                                lower_view.write(i, best.0);
+                                canon_view.write(i, 1);
                             }
-                            run_best = run_best.min(pack_candidate(best.0, q));
+                            run_best = run_best.min(pack_candidate(best.0, perm[i]));
                             run_bound = run_bound.min(best.0);
                             continue;
                         }
@@ -781,8 +819,8 @@ pub fn boruvka_mst<M: Metric>(
                             // least that far away, this round and every
                             // later one.
                             if kth > low {
-                                // SAFETY: as above — slot q owned by this task.
-                                unsafe { lower_view.write(q as usize, kth) };
+                                // SAFETY: as above — slot i owned by this task.
+                                unsafe { lower_view.write(i, kth) };
                             }
                             if low.max(kth) > run_bound {
                                 continue;
@@ -794,7 +832,7 @@ pub fn boruvka_mst<M: Metric>(
                             // The row covers every other point and none is
                             // foreign: no foreign point exists for q at all.
                             // SAFETY: as above.
-                            unsafe { lower_view.write(q as usize, f32::INFINITY) };
+                            unsafe { lower_view.write(i, f32::INFINITY) };
                             continue;
                         }
                     }
@@ -805,17 +843,23 @@ pub fn boruvka_mst<M: Metric>(
                     // survivor into `prev` itself).
                     let mut seed = prev_alive.then_some(prev);
                     if seed.is_none() {
-                        // SAFETY: as above — slot q owned by this task.
-                        let alt = unsafe { alt_view.read(q as usize) };
+                        // SAFETY: as above — slot i owned by this task.
+                        let alt = unsafe { alt_view.read(i) };
                         if alt.1 != u32::MAX && comp_ref[alt.1 as usize] as usize != root {
                             seed = Some(alt);
                         }
                     }
                     if let Some(rs) = row_seed {
                         // The row's best foreign member is an exact candidate
-                        // too; keep whichever prunes harder.
+                        // too; keep whichever prunes harder (ties by index).
                         seed = match seed {
-                            Some(s) if s.0 < rs.0 || (s.0 == rs.0 && s.1 < rs.1) => Some(s),
+                            Some(s)
+                                if s.0 < rs.0
+                                    || (s.0 == rs.0
+                                        && perm[s.1 as usize] < perm[rs.1 as usize]) =>
+                            {
+                                Some(s)
+                            }
                             _ => Some(rs),
                         };
                     }
@@ -831,34 +875,41 @@ pub fn boruvka_mst<M: Metric>(
                     }
                     searches += 1;
                     let found = tree.nearest_foreign_bounded(
-                        points, metric, q, comp_ref, purity_ref, node_core2, seed,
+                        points,
+                        metric,
+                        q,
+                        comp_ref,
+                        purity_ref,
+                        node_core2,
+                        seed,
+                        &mut tree_work,
                     );
                     match found {
                         ForeignSearch::Found(d2, p) => {
-                            // The search returned q's exact nearest-foreign
+                            // The search returned the exact nearest-foreign
                             // distance, which is both the next candidate and
                             // the tightest possible lower bound — and a
                             // canonical witness for later rounds.
-                            // SAFETY: as above, slots q are owned here.
+                            // SAFETY: as above, slots i are owned here.
                             unsafe {
-                                best_view.write(q as usize, (d2, p));
-                                lower_view.write(q as usize, d2);
-                                canon_view.write(q as usize, 1);
+                                best_view.write(i, (d2, p));
+                                lower_view.write(i, d2);
+                                canon_view.write(i, 1);
                             }
-                            run_best = run_best.min(pack_candidate(d2, q));
+                            run_best = run_best.min(pack_candidate(d2, perm[i]));
                             run_bound = run_bound.min(d2);
                         }
                         ForeignSearch::Empty(margin) => {
                             // Only a bound-only-seeded search can come up
                             // empty: everything foreign provably sits at
                             // least `margin` (> the bound) away, so record
-                            // it as q's lower bound for later rounds and
-                            // keep it monotone (the previous witness, if
+                            // it as the point's lower bound for later rounds
+                            // and keep it monotone (the previous witness, if
                             // any, stays valid).
                             // SAFETY: as above.
                             unsafe {
-                                let old = lower_view.read(q as usize);
-                                lower_view.write(q as usize, old.max(margin));
+                                let old = lower_view.read(i);
+                                lower_view.write(i, old.max(margin));
                             }
                         }
                     }
@@ -867,9 +918,19 @@ pub fn boruvka_mst<M: Metric>(
                     // pandora-lint: allow(PL004) — tail flush of the last run — commutative min; readers join the chunk barrier first
                     cand_view[run_root].fetch_min(run_best, Ordering::Relaxed);
                 }
+                let work = SearchWork {
+                    dist_evals: tree_work.dist_evals + row_work.dist_evals,
+                    node_visits: tree_work.node_visits,
+                };
                 if let Some(stats) = stats {
-                    stats.add_chunk(hits, searches);
+                    stats.add_chunk(hits, searches, work);
                 }
+                // Bytes: a block evaluation reads 4·dim bytes, a row member
+                // its stored distance and position (8), a node its box.
+                let bytes = tree_work.dist_evals * 4 * dim
+                    + row_work.dist_evals * 8
+                    + work.node_visits * 8 * dim;
+                (work.dist_evals, bytes)
             });
         }
 
@@ -882,34 +943,32 @@ pub fn boruvka_mst<M: Metric>(
             }
         }
 
-        // Collect winning edges; deduplicate reciprocal pairs with a
-        // sequential pass over components (O(#components)).
+        // Collect winning edges in ascending root order; deduplicate
+        // reciprocal pairs with a sequential pass over components
+        // (O(#components)).
         let mut added = 0usize;
-        {
-            roots.clear();
-            roots.extend((0..n as u32).filter(|&v| comp[v as usize] == v));
-            ctx.record(
-                KernelKind::DsuUnion,
-                roots.len() as u64,
-                (roots.len() as u64) * 24,
-            );
-            for &root in &roots {
-                let packed = candidate[root as usize];
-                if packed == u64::MAX {
-                    continue;
-                }
-                let q = packed as u32;
-                let (d2, p) = best_of[q as usize];
-                debug_assert_ne!(p, u32::MAX);
-                // Reciprocal edges (a↔b) must be added once: accept only if
-                // the DSU still separates the endpoints.
-                let ra = dsu.find(q);
-                let rb = dsu.find(p);
-                if ra != rb {
-                    dsu.union(ra, rb);
-                    edges.push(Edge::new(q, p, d2.sqrt()));
-                    added += 1;
-                }
+        ctx.record(
+            KernelKind::DsuUnion,
+            roots.len() as u64,
+            (roots.len() as u64) * 24,
+        );
+        for &root in &roots {
+            let packed = candidate[root as usize];
+            if packed == u64::MAX {
+                continue;
+            }
+            let q = packed as u32;
+            let (d2, p) = best_of[pos[q as usize] as usize];
+            debug_assert_ne!(p, u32::MAX);
+            let p = perm[p as usize];
+            // Reciprocal edges (a↔b) must be added once: accept only if
+            // the DSU still separates the endpoints.
+            let ra = dsu.find(q);
+            let rb = dsu.find(p);
+            if ra != rb {
+                dsu.union(ra, rb);
+                edges.push(Edge::new(q, p, d2.sqrt()));
+                added += 1;
             }
         }
         // Unconditional liveness check: every round must merge something.
@@ -923,7 +982,17 @@ pub fn boruvka_mst<M: Metric>(
         );
         n_components -= added;
 
-        // Refresh component labels.
+        // The surviving roots (union-by-min keeps each merged component's
+        // smallest root), with their candidates reset for the next round.
+        roots.retain(|&r| dsu.find(r) == r);
+        debug_assert_eq!(roots.len(), n_components);
+        for &r in &roots {
+            candidate[r as usize] = u64::MAX;
+        }
+
+        // Refresh component labels: a point's new root is its old root's.
+        // Consecutive positions mostly share a label, so each run of equal
+        // labels asks the DSU once.
         {
             let comp_view = UnsafeSlice::new(&mut comp);
             let dsu_ref = &dsu;
@@ -933,9 +1002,15 @@ pub fn boruvka_mst<M: Metric>(
                 KernelKind::DsuFind,
                 (n as u64) * 8,
                 |range| {
-                    for v in range {
-                        // SAFETY: disjoint writes.
-                        unsafe { comp_view.write(v, dsu_ref.find(v as u32)) };
+                    let (mut old, mut new) = (u32::MAX, u32::MAX);
+                    for i in range {
+                        // SAFETY: chunks are disjoint ranges of positions.
+                        let label = unsafe { comp_view.read(i) };
+                        if label != old {
+                            (old, new) = (label, dsu_ref.find(label));
+                        }
+                        // SAFETY: as above.
+                        unsafe { comp_view.write(i, new) };
                     }
                 },
             );
@@ -1013,10 +1088,12 @@ mod tests {
         let core2: Vec<f32> = (0..points.len())
             .map(|q| tree0.knn(&points, q as u32, 4)[3].0)
             .collect();
-        let metric = MutualReachability { core2: &core2 };
         let tree = KdTree::build(&ctx, &points);
+        // Borůvka reads the metric at tree positions.
+        let tree_core2 = tree.in_tree_order(&core2);
+        let metric = MutualReachability { core2: &tree_core2 };
         let mut node_core2 = Vec::new();
-        tree.min_core2_into(&core2, &mut node_core2);
+        tree.min_core2_into(&tree_core2, &mut node_core2);
         let scratch = ScratchPool::new();
         let got = boruvka_mst(
             &ctx,
@@ -1029,7 +1106,7 @@ mod tests {
             },
             &scratch,
         );
-        let expect = prim_mst(&points, &metric);
+        let expect = prim_mst(&points, &MutualReachability { core2: &core2 });
         let wa = total_weight(&got);
         let wb = total_weight(&expect);
         assert!((wa - wb).abs() < 1e-3 * wb.max(1.0), "{wa} vs {wb}");
@@ -1056,6 +1133,68 @@ mod tests {
         let edges = bare(&ctx, &two, &tree);
         assert_eq!(edges.len(), 1);
         assert!((edges[0].w - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn serial_work_counts_repeat_exactly() {
+        // With rows attached both the row screen and the tree searches do
+        // counted work; a serial run must repeat its counts to the unit,
+        // and its trace must carry the same distance evaluations.
+        let points = random_points(3_000, 3, 23);
+        let tree = KdTree::build(&ExecCtx::serial(), &points);
+        let k = 9;
+        let (mut d2, mut idx) = (Vec::new(), Vec::new());
+        crate::knn::knn_rows_into(&ExecCtx::serial(), &points, &tree, k, &mut d2, &mut idx);
+        let rows = KnnRows {
+            k,
+            d2: &d2,
+            idx: &idx,
+        };
+        let core2 = tree.in_tree_order(&crate::knn::core_distances2(
+            &ExecCtx::serial(),
+            &points,
+            &tree,
+            4,
+        ));
+        let run = |mreach: bool| {
+            let (ctx, tracer) = ExecCtx::serial().with_tracing();
+            let stats = BoruvkaStats::new();
+            let extras = BoruvkaExtras {
+                rows: Some(rows),
+                stats: Some(&stats),
+                ..Default::default()
+            };
+            let pool = ScratchPool::new();
+            let edges = if mreach {
+                let metric = MutualReachability { core2: &core2 };
+                boruvka_mst(&ctx, &points, &tree, &metric, extras, &pool)
+            } else {
+                boruvka_mst(&ctx, &points, &tree, &Euclidean, extras, &pool)
+            };
+            let traced: u64 = tracer
+                .snapshot()
+                .events
+                .iter()
+                .filter(|e| e.kind == KernelKind::TreeTraverse)
+                .map(|e| e.n)
+                .sum();
+            let edges: Vec<(u32, u32, u32)> =
+                edges.iter().map(|e| (e.u, e.v, e.w.to_bits())).collect();
+            let counts = [
+                stats.dist_evals(),
+                stats.node_visits(),
+                stats.witness_hits(),
+                stats.researches(),
+            ];
+            (edges, counts, traced)
+        };
+        for mreach in [false, true] {
+            let first = run(mreach);
+            assert_eq!(first, run(mreach), "mreach={mreach}");
+            let (_, [evals, visits, _, searches], traced) = first;
+            assert!(evals > 0 && visits > 0 && searches > 0, "mreach={mreach}");
+            assert_eq!(traced, evals, "mreach={mreach}");
+        }
     }
 
     #[test]

@@ -30,12 +30,12 @@
 use std::time::Instant;
 
 use pandora_core::Edge;
-use pandora_exec::{ExecCtx, ScratchPool};
+use pandora_exec::{ExecCtx, ScratchPool, UnsafeSlice, DEFAULT_GRAIN};
 
 use crate::boruvka::{boruvka_mst, BoruvkaExtras, BoruvkaStats, EndgameCache, EndgameStore};
 use crate::error::PandoraError;
 use crate::kdtree::KdTree;
-use crate::knn::{core2_from_rows, knn_rows_into, KnnRows};
+use crate::knn::{knn_rows_into, KnnRows};
 use crate::metric::{Euclidean, MetricKind, MutualReachability};
 use crate::point::PointSet;
 
@@ -133,18 +133,21 @@ pub fn emst(ctx: &ExecCtx, points: &PointSet, min_pts: usize) -> Emst {
 /// Mutual-reachability MST with **caller-provided** squared core distances
 /// (e.g. subset MSTs evaluated under a global metric, as DBCV needs).
 ///
-/// Builds the tree, computes the subtree core minima for pruning, and runs
-/// Borůvka; `core2.len()` must equal `points.len()`.
+/// `core2` holds one value per point index. Builds the tree, rearranges
+/// the core distances into tree order, computes the subtree core minima
+/// for pruning, and runs Borůvka; `core2.len()` must equal
+/// `points.len()`.
 pub fn emst_with_core2(ctx: &ExecCtx, points: &PointSet, core2: &[f32]) -> Vec<Edge> {
     assert_eq!(core2.len(), points.len(), "one core distance per point");
     let tree = KdTree::build(ctx, points);
+    let core2 = tree.in_tree_order(core2);
     let mut node_core2 = Vec::new();
-    tree.min_core2_into(core2, &mut node_core2);
+    tree.min_core2_into(&core2, &mut node_core2);
     let extras = BoruvkaExtras {
         node_core2: &node_core2,
         ..Default::default()
     };
-    let metric = MutualReachability { core2 };
+    let metric = MutualReachability { core2: &core2 };
     boruvka_mst(ctx, points, &tree, &metric, extras, &ScratchPool::new())
 }
 
@@ -280,8 +283,9 @@ impl EmstIndex {
         self.rows_k
     }
 
-    /// Borrowed view of the sorted k-NN rows (`None` for single-point
-    /// datasets, which have no neighbours to capture).
+    /// Borrowed view of the sorted k-NN rows, in tree order (see
+    /// [`KnnRows`]; `None` for single-point datasets, which have no
+    /// neighbours to capture).
     pub fn rows(&self) -> Option<KnnRows<'_>> {
         (self.rows_k > 0).then_some(KnnRows {
             k: self.rows_k,
@@ -324,9 +328,10 @@ impl EmstIndex {
     }
 
     /// Fills `core2` with every point's squared core distance for
-    /// `min_pts`, by prefix lookup into the frozen rows — bit-identical to
-    /// a fresh k-NN query at that `min_pts` (the multiset of k-nearest
-    /// distances is unique). `core2` is cleared and resized.
+    /// `min_pts`, one per point index, by prefix lookup into the frozen
+    /// rows — bit-identical to a fresh k-NN query at that `min_pts` (the
+    /// multiset of k-nearest distances is unique). `core2` is cleared and
+    /// resized.
     ///
     /// # Errors
     ///
@@ -339,14 +344,47 @@ impl EmstIndex {
         core2: &mut Vec<f32>,
     ) -> Result<(), PandoraError> {
         self.check_request(min_pts)?;
-        let n = self.points.len();
         core2.clear();
-        core2.resize(n, 0.0);
-        if min_pts >= 2 && n > 1 {
-            debug_assert!(self.rows_k >= (min_pts - 1).min(n - 1));
-            core2_from_rows(ctx, &self.row_d2, self.rows_k, min_pts, core2);
-        }
+        core2.resize(self.points.len(), 0.0);
+        self.fill_core2(ctx, min_pts, core2, None);
         Ok(())
+    }
+
+    /// Reads the core distances for a validated `min_pts` down the rows in
+    /// one pass: the `(min_pts − 2)`-th entry of a sorted row is the exact
+    /// distance to the `(min_pts − 1)`-th nearest neighbour. Writes them
+    /// per point index into `by_point` and, when given, per tree position
+    /// into `tree_order`; both must hold zeros, which `min_pts <= 1`
+    /// leaves in place.
+    fn fill_core2(
+        &self,
+        ctx: &ExecCtx,
+        min_pts: usize,
+        by_point: &mut [f32],
+        tree_order: Option<&mut [f32]>,
+    ) {
+        let n = self.points.len();
+        if min_pts < 2 || n <= 1 {
+            return;
+        }
+        debug_assert!(self.rows_k >= min_pts - 1);
+        let (k, row_d2, perm) = (self.rows_k, &self.row_d2, self.tree.perm());
+        let by_point = UnsafeSlice::new(by_point);
+        let tree_order = tree_order.map(UnsafeSlice::new);
+        ctx.for_each_chunk(n, DEFAULT_GRAIN, |range| {
+            for r in range {
+                let c = row_d2[r * k + (min_pts - 2)];
+                // SAFETY: `perm` is a permutation and chunks are disjoint,
+                // so slots perm[r] and r are written by this iteration
+                // alone.
+                unsafe {
+                    by_point.write(perm[r] as usize, c);
+                    if let Some(tree_order) = &tree_order {
+                        tree_order.write(r, c);
+                    }
+                }
+            }
+        });
     }
 
     /// Validates a request's `min_pts` against this index.
@@ -467,8 +505,13 @@ pub fn emst_from_index_with(
 ) -> Result<Emst, PandoraError> {
     ctx.set_phase("emst_core");
     let t = Instant::now();
-    let mut core2 = Vec::new();
-    index.core2_into(ctx, min_pts, &mut core2)?;
+    index.check_request(min_pts)?;
+    // The run reads the core distances in tree order; the result reports
+    // them per point index.
+    let mut tree_core2 = scratch.pool.take_f32();
+    tree_core2.resize(index.len(), 0.0);
+    let mut core2 = vec![0.0f32; index.len()];
+    index.fill_core2(ctx, min_pts, &mut core2, Some(&mut tree_core2));
     scratch.rebind(index);
     // Cold scratch sets warm up from the best snapshot any earlier request
     // against this index published (module docs: the store lives on the
@@ -487,7 +530,9 @@ pub fn emst_from_index_with(
         // Per-subtree core minima for mutual-reachability pruning — a
         // property of this request, computed into scratch so the shared
         // tree stays untouched.
-        index.tree.min_core2_into(&core2, &mut scratch.node_core2);
+        index
+            .tree
+            .min_core2_into(&tree_core2, &mut scratch.node_core2);
     } else {
         scratch.node_core2.clear();
     }
@@ -512,9 +557,10 @@ pub fn emst_from_index_with(
             cache: Some((&mut scratch.endgame, min_pts)),
             stats: Some(&index.stats),
         };
-        let metric = MutualReachability { core2: &core2 };
+        let metric = MutualReachability { core2: &tree_core2 };
         boruvka_mst(ctx, points, tree, &metric, extras, pool)
     };
+    pool.put_f32(tree_core2);
     let mst_s = t.elapsed().as_secs_f64();
     // Offer this run's endgame bounds back to the shared store so the next
     // cold scratch (another session, another daemon lane) starts warm.
@@ -559,7 +605,8 @@ mod tests {
         let edges = if min_pts <= 1 {
             boruvka_mst(ctx, points, &tree, &Euclidean, extras, &pool)
         } else {
-            let metric = MutualReachability { core2: &core2 };
+            let tree_core2 = tree.in_tree_order(&core2);
+            let metric = MutualReachability { core2: &tree_core2 };
             boruvka_mst(ctx, points, &tree, &metric, extras, &pool)
         };
         Emst {

@@ -50,6 +50,16 @@
 //!   depends on the traversal order. Per-point queries
 //!   ([`KdTree::knn_into`]) and the batched rows therefore agree exactly.
 //!
+//! * **Tree positions.** Position `i` of the tree is the point
+//!   `perm()[i]`, and [`KdTree::positions`] maps a point back to its
+//!   position. The batched k-NN rows, the component labels, the core
+//!   distances and the nearest-foreign searches all number points by
+//!   position, so each leaf's points are one contiguous range of every
+//!   per-point array and a pass in tree order streams them. Input indices
+//!   remain where results depend on them: every tie between equal
+//!   distances goes to the smaller *index* (`perm()` value), never the
+//!   smaller position.
+//!
 //! Queries are **allocation-free in the steady state**: traversal uses a
 //! fixed-capacity stack (median splits bound the depth by ⌈log₂ n⌉ ≤ 32
 //! for `u32` indices), [`KdTree::knn_into`] writes into a caller-owned
@@ -59,11 +69,12 @@
 //! subtrees whose mutual-reachability bound (box distance, query core
 //! distance, subtree minimum core distance) cannot beat it.
 
+use pandora_exec::counters::RelaxedCounter;
 use pandora_exec::trace::KernelKind;
 use pandora_exec::{ExecCtx, UnsafeSlice, DEFAULT_GRAIN};
 
 use crate::metric::{
-    block_dist2, box_box_dist2, box_dist2, euclid_block_dist2, point_box_dist2, with_dim, Dim,
+    block_dist2, box_box_dist2, box_dist2, euclid_block_dist2, point_box_dist2, with_dim, Dim, Dyn,
     Metric, LEAF_BLOCK,
 };
 use crate::point::PointSet;
@@ -91,16 +102,35 @@ const BUILD_SPLIT_TARGET: usize = 64;
 /// 2× margin. Enforced at build time.
 const MAX_STACK: usize = 64;
 
+/// Largest dimension whose nearest-foreign query coordinates are copied
+/// from the leaf blocks onto the stack; a higher-dimensional query reads
+/// its point's row of the point set instead.
+const QUERY_DIM_MAX: usize = 16;
+
 /// Outcome of a bounded nearest-foreign search
 /// ([`KdTree::nearest_foreign_bounded`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ForeignSearch {
-    /// Nearest foreign point: `(exact squared metric distance, index)`.
+    /// Nearest foreign point: `(exact squared metric distance, tree
+    /// position)`.
     Found(f32, u32),
     /// Nothing foreign at or below the seed bound. The payload is a proven
     /// lower bound on the nearest-foreign squared distance (minimum over
     /// pruned subtree bounds and scanned-but-losing foreign distances).
     Empty(f32),
+}
+
+/// Work done by nearest-foreign searches and row screens: distance
+/// evaluations (whole 8-point blocks in leaf scans, one per examined row
+/// member in a row screen) and node visits (box distances). Both depend
+/// only on the tree, the query and the bounds it starts from, never on
+/// the lanes.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct SearchWork {
+    /// Distance evaluations.
+    pub dist_evals: u64,
+    /// Node visits (box distances computed).
+    pub node_visits: u64,
 }
 
 /// A static kd-tree with structure-of-arrays node metadata.
@@ -123,6 +153,8 @@ pub struct KdTree {
     bbox_max: Vec<f32>,
     /// Point indices, grouped so each subtree is a contiguous range.
     perm: Vec<u32>,
+    /// The inverse of `perm`: the tree position of each point.
+    pos: Vec<u32>,
     /// Coordinates gathered into `perm` order and regrouped AoSoA: blocks
     /// of [`LEAF_BLOCK`] consecutive perm positions, dimension-major within
     /// each block (`block[d * LEAF_BLOCK + j]`), zero-padded to a whole
@@ -164,6 +196,7 @@ impl KdTree {
             bbox_min: vec![f32::INFINITY; dim],
             bbox_max: vec![f32::NEG_INFINITY; dim],
             perm: (0..n as u32).collect(),
+            pos: Vec::new(),
             leaf_coords: Vec::new(),
             depth: usize::from(n > 0),
         };
@@ -388,6 +421,7 @@ impl KdTree {
                 }
             });
         }
+        tree.pos = invert(ctx, &tree.perm);
         tree
     }
 
@@ -413,6 +447,22 @@ impl KdTree {
         &self.perm
     }
 
+    /// The inverse permutation: point index → tree position.
+    pub fn positions(&self) -> &[u32] {
+        &self.pos
+    }
+
+    /// Per-point values (`by_point[p]` for point `p`) rearranged into tree
+    /// order (entry `i` for position `i`), the layout
+    /// [`KdTree::min_core2_into`], the nearest-foreign searches and
+    /// [`crate::boruvka::boruvka_mst`]'s metric read. E.g. core distances
+    /// from [`crate::knn::core_distances2`] become
+    /// `MutualReachability { core2: &tree.in_tree_order(&core2) }`.
+    pub fn in_tree_order(&self, by_point: &[f32]) -> Vec<f32> {
+        assert_eq!(by_point.len(), self.perm.len(), "one value per point");
+        self.perm.iter().map(|&p| by_point[p as usize]).collect()
+    }
+
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
         self.perm.is_empty()
@@ -430,6 +480,8 @@ impl KdTree {
 
     /// Computes per-node minimum squared core distances (leaf-up sweep)
     /// into a caller-owned buffer, for mutual-reachability pruning bounds.
+    /// `core2` is in tree order ([`KdTree::in_tree_order`]), so each leaf
+    /// reads one contiguous range.
     ///
     /// The tree itself stays untouched — core distances are a property of
     /// the *request* (`minPts`), not of the index, so a tree shared by
@@ -445,11 +497,9 @@ impl KdTree {
         for nid in (0..self.n_nodes()).rev() {
             let left = self.left[nid];
             out[nid] = if left == INVALID {
-                let mut m = f32::INFINITY;
-                for &p in &self.perm[self.start[nid] as usize..self.end[nid] as usize] {
-                    m = m.min(core2[p as usize]);
-                }
-                m
+                core2[self.start[nid] as usize..self.end[nid] as usize]
+                    .iter()
+                    .fold(f32::INFINITY, |m, &c| m.min(c))
             } else {
                 out[left as usize].min(out[left as usize + 1])
             };
@@ -457,7 +507,8 @@ impl KdTree {
     }
 
     /// Per-node component purity: the component id shared by every point in
-    /// the subtree, or `u32::MAX` if mixed. O(n).
+    /// the subtree, or `u32::MAX` if mixed. `comp` holds one label per tree
+    /// position. O(n).
     pub fn component_purity(&self, comp: &[u32]) -> Vec<u32> {
         let mut purity = Vec::new();
         self.component_purity_into(&ExecCtx::serial(), comp, &mut purity);
@@ -476,24 +527,17 @@ impl KdTree {
         purity.resize(self.n_nodes(), INVALID);
         {
             let purity_view = UnsafeSlice::new(purity.as_mut_slice());
-            let (left_ref, start_ref, end_ref, perm_ref) =
-                (&self.left, &self.start, &self.end, &self.perm);
+            let (left_ref, start_ref, end_ref) = (&self.left, &self.start, &self.end);
             ctx.for_each_chunk(self.n_nodes(), 64, |range| {
                 for nid in range {
                     if left_ref[nid] != INVALID {
                         continue;
                     }
-                    let range = &perm_ref[start_ref[nid] as usize..end_ref[nid] as usize];
-                    let value = match range.first() {
+                    let labels = &comp[start_ref[nid] as usize..end_ref[nid] as usize];
+                    let value = match labels.first() {
                         None => INVALID,
-                        Some(&first_point) => {
-                            let first = comp[first_point as usize];
-                            if range.iter().all(|&p| comp[p as usize] == first) {
-                                first
-                            } else {
-                                INVALID
-                            }
-                        }
+                        Some(&first) if labels.iter().all(|&c| c == first) => first,
+                        Some(_) => INVALID,
                     };
                     // SAFETY: node nid is owned by this iteration.
                     unsafe { purity_view.write(nid, value) };
@@ -623,9 +667,12 @@ impl KdTree {
     }
 
     /// Every point's `k` nearest neighbours (the point itself excluded),
-    /// computed leaf by leaf: `emit(q, row)` runs once per point, with the
-    /// row ascending by `(d2, index)` and padded with `(+∞, u32::MAX)` when
-    /// fewer than `k` neighbours exist. `emit` runs on the pool's lanes.
+    /// computed leaf by leaf: `emit(r, row)` runs once per tree position
+    /// `r` (the point `perm()[r]`), with the row ascending by
+    /// `(d2, index)`, its entries `(d2, tree position)`, and padded with
+    /// `(+∞, u32::MAX)` when fewer than `k` neighbours exist. Each leaf
+    /// emits its positions in ascending order. `emit` runs on the pool's
+    /// lanes.
     ///
     /// Each leaf's queries first scan their own leaf, then share one
     /// traversal from the root: nodes are pruned by their box distance to
@@ -636,38 +683,48 @@ impl KdTree {
     /// event: the distance evaluations as elements, and bytes for those
     /// evaluations (`4·dim` each), the box distances, i.e. node visits
     /// (`8·dim` each), and the rows written (`8·k` per point). Both counts
-    /// depend only on the tree and `k`, never on the lanes.
-    pub(crate) fn for_each_knn_row<F>(&self, ctx: &ExecCtx, points: &PointSet, k: usize, emit: F)
+    /// depend only on the tree and `k`, never on the lanes. Returns the
+    /// number of rows emitted.
+    pub(crate) fn for_each_knn_row<F>(
+        &self,
+        ctx: &ExecCtx,
+        points: &PointSet,
+        k: usize,
+        emit: F,
+    ) -> usize
     where
         F: Fn(u32, &[(f32, u32)]) + Sync,
     {
         debug_assert_eq!(points.len(), self.len());
         if self.perm.is_empty() || k == 0 {
-            return;
+            return 0;
         }
-        with_dim!(self.dim, d => self.knn_tiles(d, ctx, points, k, &emit));
+        with_dim!(self.dim, d => self.knn_tiles(d, ctx, k, &emit))
     }
 
     /// [`KdTree::for_each_knn_row`] for one dimension instance.
-    fn knn_tiles<D: Dim, F>(&self, dim: D, ctx: &ExecCtx, points: &PointSet, k: usize, emit: &F)
+    fn knn_tiles<D: Dim, F>(&self, dim: D, ctx: &ExecCtx, k: usize, emit: &F) -> usize
     where
         F: Fn(u32, &[(f32, u32)]) + Sync,
     {
         let dm = dim.get() as u64;
+        let emitted = RelaxedCounter::new();
         ctx.for_each_chunk_counted(self.n_nodes(), 64, KernelKind::TreeTraverse, |range| {
             let mut tile = LeafTile::new(dim.get(), k);
             let (mut evals, mut visits, mut rows) = (0u64, 0u64, 0u64);
             for nid in range {
                 if self.left[nid] == INVALID {
-                    let counts = self.leaf_tile(dim, points, k, nid, &mut tile, emit);
+                    let counts = self.leaf_tile(dim, k, nid, &mut tile, emit);
                     evals += counts.0;
                     visits += counts.1;
                     rows += u64::from(self.end[nid] - self.start[nid]);
                 }
             }
+            emitted.add(rows);
             let bytes = evals * 4 * dm + visits * 8 * dm + rows * k as u64 * 8;
             (evals, bytes)
         });
+        emitted.get() as usize
     }
 
     /// The rows of one leaf's points; returns the tile's
@@ -675,7 +732,6 @@ impl KdTree {
     fn leaf_tile<D: Dim, F>(
         &self,
         dim: D,
-        points: &PointSet,
         k: usize,
         leaf: usize,
         tile: &mut LeafTile,
@@ -685,15 +741,18 @@ impl KdTree {
         F: Fn(u32, &[(f32, u32)]) + Sync,
     {
         let mut counts = (0u64, 0u64);
-        let members = &self.perm[self.start[leaf] as usize..self.end[leaf] as usize];
+        let (s, e) = (self.start[leaf] as usize, self.end[leaf] as usize);
+        let members = &self.perm[s..e];
         let LeafTile { keys, queries, row } = tile;
         keys.clear();
         keys.resize(members.len() * k, EMPTY_KEY);
-        queries.clear();
-        for &p in members {
-            queries.extend_from_slice(points.point(p as usize));
-        }
         let dm = dim.get();
+        // The queries' coordinates, read from the leaf's own blocks.
+        queries.clear();
+        queries.resize(members.len() * dm, 0.0);
+        for (i, qp) in (s..e).zip(queries.chunks_exact_mut(dm)) {
+            self.coords_at(dim, i, qp);
+        }
         // The leaf's own points first, so the traversal starts with finite
         // bounds whenever the leaf holds more than `k` points.
         let tile = keys.chunks_exact_mut(k).zip(queries.chunks_exact(dm));
@@ -752,23 +811,43 @@ impl KdTree {
             sp -= 1;
             (nid, bound) = stack[sp];
         }
-        for (heap, &q) in keys.chunks_exact_mut(k).zip(members) {
+        // The keys compare by index; the rows hold positions.
+        for (heap, r) in keys.chunks_exact_mut(k).zip(s as u32..) {
             heap.sort_unstable();
             row.clear();
-            row.extend(heap.iter().map(|&key| key_entry(key)));
-            emit(q, row);
+            row.extend(heap.iter().map(|&key| match key_entry(key) {
+                (d2, u32::MAX) => (d2, u32::MAX),
+                (d2, p) => (d2, self.pos[p as usize]),
+            }));
+            emit(r, row);
         }
         counts
     }
 
-    /// Nearest point to `q` in a *different component*, under `metric`.
+    /// Writes the coordinates of the point at tree position `i` into `out`,
+    /// from its AoSoA block.
+    #[inline(always)]
+    fn coords_at<D: Dim>(&self, dim: D, i: usize, out: &mut [f32]) {
+        let dm = dim.get();
+        let base = (i / LEAF_BLOCK) * LEAF_BLOCK * dm + i % LEAF_BLOCK;
+        for (d, c) in out[..dm].iter_mut().enumerate() {
+            *c = self.leaf_coords[base + d * LEAF_BLOCK];
+        }
+    }
+
+    /// Nearest point to the point at tree position `q` in a *different
+    /// component*, under `metric`.
     ///
+    /// Everything is numbered by tree position: `q`, the labels in `comp`
+    /// (one per position), the metric's per-point data (e.g. core
+    /// distances in [`KdTree::in_tree_order`]) and the returned point.
     /// `purity` comes from [`KdTree::component_purity`] for the current
     /// Borůvka round. `node_core2` is either empty (no pruning bounds —
     /// always valid, just less pruning for mutual reachability) or the
     /// per-node subtree core minima from [`KdTree::min_core2_into`] for
-    /// the request's `minPts`. Returns `(squared distance, index)`; ties
-    /// broken by smaller index for determinism.
+    /// the request's `minPts`. Returns `(squared distance, position)`;
+    /// ties go to the smaller point *index* (`perm()` value), so the
+    /// answer is the brute-force `(d2, index)` minimum.
     pub fn nearest_foreign<M: Metric>(
         &self,
         points: &PointSet,
@@ -783,10 +862,11 @@ impl KdTree {
 
     /// [`KdTree::nearest_foreign`] warm-started with a known candidate.
     ///
-    /// `seed` is either a valid candidate — a point in a different
-    /// component than `q` with its exact squared metric distance, typically
-    /// the previous Borůvka round's winner when the two endpoints were not
-    /// merged — or a **bound-only** seed `(d2, u32::MAX)`: an upper bound
+    /// `seed` is either a valid candidate — a point (tree position) in a
+    /// different component than `q` with its exact squared metric
+    /// distance, typically the previous Borůvka round's winner when the two
+    /// endpoints were not merged — or a **bound-only** seed
+    /// `(d2, u32::MAX)`: an upper bound
     /// the caller no longer needs beaten (e.g. the component's current
     /// best outgoing edge). Seeding tightens the pruning bound from the
     /// first node visited. With a candidate seed the result is identical
@@ -804,7 +884,10 @@ impl KdTree {
         node_core2: &[f32],
         seed: Option<(f32, u32)>,
     ) -> Option<(f32, u32)> {
-        match self.nearest_foreign_bounded(points, metric, q, comp, purity, node_core2, seed) {
+        let mut work = SearchWork::default();
+        let found = self
+            .nearest_foreign_bounded(points, metric, q, comp, purity, node_core2, seed, &mut work);
+        match found {
             ForeignSearch::Found(d2, p) => Some((d2, p)),
             ForeignSearch::Empty(_) => None,
         }
@@ -812,13 +895,18 @@ impl KdTree {
 
     /// [`KdTree::nearest_foreign_from`] that additionally reports *how far
     /// away* every foreign point provably is when the search comes up
-    /// empty.
+    /// empty, and adds the distance evaluations and node visits it made
+    /// to `work`.
     ///
     /// [`ForeignSearch::Empty`] carries the minimum over all pruned subtree
     /// bounds and all scanned-but-losing foreign distances — a valid lower
     /// bound on `q`'s nearest-foreign distance that is usually far tighter
     /// than the seed bound. Borůvka stores it so interior points stay
     /// filtered for many rounds instead of re-searching every round.
+    ///
+    /// The query's coordinates come from the tree's own leaf blocks, and
+    /// leaf scans read `comp` and the metric's per-point data at
+    /// consecutive positions.
     #[allow(clippy::too_many_arguments)] // the innermost configurable query
     pub fn nearest_foreign_bounded<M: Metric>(
         &self,
@@ -829,6 +917,7 @@ impl KdTree {
         purity: &[u32],
         node_core2: &[f32],
         seed: Option<(f32, u32)>,
+        work: &mut SearchWork,
     ) -> ForeignSearch {
         if self.perm.is_empty() {
             return ForeignSearch::Empty(f32::INFINITY);
@@ -839,13 +928,27 @@ impl KdTree {
             node_core2.is_empty() || node_core2.len() == self.n_nodes(),
             "node_core2 must be empty or hold one bound per tree node"
         );
+        // Ties compare point indices; a bound-only seed holds none.
+        let mut best_id = if best_p == INVALID {
+            INVALID
+        } else {
+            self.perm[best_p as usize]
+        };
         // Lower bound on everything foreign this search pruned or rejected;
         // only meaningful when no candidate is found.
         let mut margin = f32::INFINITY;
-        let qp = points.point(q as usize);
+        let mut qbuf = [0.0f32; QUERY_DIM_MAX];
+        let qp: &[f32] = if self.dim <= QUERY_DIM_MAX {
+            self.coords_at(Dyn(self.dim), q as usize, &mut qbuf);
+            &qbuf[..self.dim]
+        } else {
+            points.point(self.perm[q as usize] as usize)
+        };
         let my_comp = comp[q as usize];
         let min_core2: &[f32] = node_core2;
-        let node_bound = |nid: usize| -> f32 {
+        let mut visits = 0u64;
+        let mut node_bound = |nid: usize| -> f32 {
+            visits += 1;
             let box_d2 = self.node_box_dist2(nid, qp);
             let mc = if min_core2.is_empty() {
                 0.0
@@ -859,6 +962,7 @@ impl KdTree {
         let mut nid = 0u32;
         let mut bound = node_bound(0);
         let mut d2buf = [0.0f32; LEAF_BLOCK];
+        let mut evals = 0u64;
         loop {
             // Strict comparison: an equal-bound subtree may still hold an
             // equal-distance point with a smaller index (deterministic
@@ -906,17 +1010,19 @@ impl KdTree {
                         self.end[nid as usize] as usize,
                     );
                     let bw = LEAF_BLOCK * self.dim;
-                    for b in s / LEAF_BLOCK..e.div_ceil(LEAF_BLOCK) {
+                    let (first, last) = (s / LEAF_BLOCK, e.div_ceil(LEAF_BLOCK));
+                    evals += ((last - first) * LEAF_BLOCK) as u64;
+                    for b in first..last {
                         euclid_block_dist2(qp, &self.leaf_coords[b * bw..(b + 1) * bw], &mut d2buf);
                         for i in s.max(b * LEAF_BLOCK)..e.min((b + 1) * LEAF_BLOCK) {
-                            let p = self.perm[i];
-                            if comp[p as usize] == my_comp {
+                            if comp[i] == my_comp {
                                 continue;
                             }
-                            let d2 = metric.refine_euclid2(d2buf[i - b * LEAF_BLOCK], q, p);
-                            if d2 < best_d2 || (d2 == best_d2 && p < best_p) {
+                            let d2 = metric.refine_euclid2(d2buf[i - b * LEAF_BLOCK], q, i as u32);
+                            if d2 < best_d2 || (d2 == best_d2 && self.perm[i] < best_id) {
                                 best_d2 = d2;
-                                best_p = p;
+                                best_p = i as u32;
+                                best_id = self.perm[i];
                             } else {
                                 margin = margin.min(d2);
                             }
@@ -935,6 +1041,8 @@ impl KdTree {
             sp -= 1;
             (nid, bound) = stack[sp];
         }
+        work.dist_evals += evals;
+        work.node_visits += visits;
         if best_p != INVALID {
             ForeignSearch::Found(best_d2, best_p)
         } else {
@@ -960,6 +1068,15 @@ impl KdTree {
             if std::mem::replace(slot, true) {
                 return Err(format!("perm entry {p} duplicated"));
             }
+        }
+        if self.pos.len() != n
+            || self
+                .perm
+                .iter()
+                .zip(0u32..)
+                .any(|(&p, i)| self.pos[p as usize] != i)
+        {
+            return Err("positions are not the inverse of perm".into());
         }
         if self.start[0] != 0 || self.end[0] != n as u32 {
             return Err("root range does not cover all points".into());
@@ -1083,6 +1200,20 @@ impl LeafTile {
             row: Vec::with_capacity(k),
         }
     }
+}
+
+/// The inverse of the permutation `perm`.
+fn invert(ctx: &ExecCtx, perm: &[u32]) -> Vec<u32> {
+    let mut pos = vec![0u32; perm.len()];
+    let view = UnsafeSlice::new(&mut pos);
+    ctx.for_each_chunk(perm.len(), DEFAULT_GRAIN, |range| {
+        for i in range {
+            // SAFETY: `perm` is a permutation, so slot `perm[i]` is written
+            // by this iteration alone.
+            unsafe { view.write(perm[i] as usize, i as u32) };
+        }
+    });
+    pos
 }
 
 /// Lane-local nodes of one independently built subtree.
@@ -1515,21 +1646,23 @@ mod tests {
         let ctx = ExecCtx::serial();
         let points = random_points(300, 2, 3);
         let tree = KdTree::build(&ctx, &points);
-        // Components: evens vs odds.
-        let comp: Vec<u32> = (0..300u32).map(|i| i % 2).collect();
+        let perm = tree.perm();
+        // Components by point index: evens vs odds, labelled per position.
+        let comp: Vec<u32> = perm.iter().map(|&p| p % 2).collect();
         let purity = tree.component_purity(&comp);
         for q in [0u32, 7, 150] {
             let (d2, p) = tree
                 .nearest_foreign(&points, &Euclidean, q, &comp, &purity, &[])
                 .unwrap();
             assert_ne!(comp[p as usize], comp[q as usize]);
-            // Brute force check.
+            // Brute force over point indices: the (d2, index) minimum.
+            let qi = perm[q as usize] as usize;
             let expect = (0..300usize)
-                .filter(|&x| comp[x] % 2 != comp[q as usize] % 2)
-                .map(|x| (points.dist2(q as usize, x), x as u32))
+                .filter(|&x| x % 2 != qi % 2)
+                .map(|x| (points.dist2(qi, x), x as u32))
                 .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
                 .unwrap();
-            assert_eq!((d2, p), expect, "q={q}");
+            assert_eq!((d2, perm[p as usize]), expect, "q={q}");
         }
     }
 
@@ -1538,7 +1671,7 @@ mod tests {
         let ctx = ExecCtx::serial();
         let points = random_points(500, 3, 13);
         let tree = KdTree::build(&ctx, &points);
-        let comp: Vec<u32> = (0..500u32).map(|i| i % 3).collect();
+        let comp: Vec<u32> = tree.perm().iter().map(|&p| p % 3).collect();
         let purity = tree.component_purity(&comp);
         for q in 0..50u32 {
             let plain = tree.nearest_foreign(&points, &Euclidean, q, &comp, &purity, &[]);
@@ -1547,7 +1680,8 @@ mod tests {
             let any_foreign = (0..500u32)
                 .find(|&p| comp[p as usize] != comp[q as usize])
                 .unwrap();
-            let weak_seed = Some((points.dist2(q as usize, any_foreign as usize), any_foreign));
+            let (qi, fi) = (tree.perm()[q as usize], tree.perm()[any_foreign as usize]);
+            let weak_seed = Some((points.dist2(qi as usize, fi as usize), any_foreign));
             let seeded =
                 tree.nearest_foreign_from(&points, &Euclidean, q, &comp, &purity, &[], weak_seed);
             assert_eq!(plain, seeded, "weak seed, q={q}");

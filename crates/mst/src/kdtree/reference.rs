@@ -26,6 +26,7 @@ pub(super) fn build(ctx: &ExecCtx, points: &PointSet, leaf_size: usize) -> KdTre
         bbox_min: vec![f32::INFINITY; dim],
         bbox_max: vec![f32::NEG_INFINITY; dim],
         perm: (0..n as u32).collect(),
+        pos: Vec::new(),
         leaf_coords: Vec::new(),
         depth: usize::from(n > 0),
     };
@@ -234,6 +235,7 @@ pub(super) fn build(ctx: &ExecCtx, points: &PointSet, leaf_size: usize) -> KdTre
             }
         });
     }
+    tree.pos = super::invert(ctx, &tree.perm);
     tree
 }
 
@@ -359,6 +361,7 @@ mod tests {
     fn assert_same_tree(got: &KdTree, want: &KdTree, what: &str) {
         assert_eq!(got.dim, want.dim, "{what}: dim");
         assert_eq!(got.perm, want.perm, "{what}: perm");
+        assert_eq!(got.pos, want.pos, "{what}: pos");
         assert_eq!(got.left, want.left, "{what}: left");
         assert_eq!(got.start, want.start, "{what}: start");
         assert_eq!(got.end, want.end, "{what}: end");

@@ -10,6 +10,15 @@
 //! `(d2, index)` top-k, ties at the k-th distance going to the smaller
 //! index. The pass allocates only per-lane scratch, never per query, and
 //! traces the distances it evaluates.
+//!
+//! The sorted rows ([`knn_rows_into`], [`KnnRows`]) are kept in **tree
+//! order**: row `r` belongs to the point at tree position `r`
+//! ([`KdTree::perm`]), its entries are tree positions, and each leaf's
+//! rows are contiguous, so the pass writes them as one stream and Borůvka
+//! reads them the same way. [`core_distances2`] returns one value per
+//! point index.
+
+use std::mem::MaybeUninit;
 
 use pandora_exec::{ExecCtx, UnsafeSlice};
 
@@ -50,20 +59,23 @@ pub fn core_distances2(
         return core2;
     }
     let core_view = UnsafeSlice::new(&mut core2);
-    tree.for_each_knn_row(ctx, points, k, |q, row| {
+    let perm = tree.perm();
+    tree.for_each_knn_row(ctx, points, k, |r, row| {
         // min_pts <= n guarantees the k-th neighbour exists.
         debug_assert_ne!(row[k - 1].1, u32::MAX);
-        // SAFETY: every point's row is emitted exactly once, so slot q is
-        // written by this call alone.
-        unsafe { core_view.write(q as usize, row[k - 1].0) };
+        // SAFETY: every position's row is emitted exactly once and `perm`
+        // is a permutation, so slot perm[r] is written by this call alone.
+        unsafe { core_view.write(perm[r as usize] as usize, row[k - 1].0) };
     });
     core2
 }
 
 /// Captures every point's `k` nearest neighbours as **sorted rows**:
-/// row-major `n × k` arrays of squared Euclidean distances and indices,
-/// the first `k` of all other points in `(d2, index)` order — a tie at the
-/// k-th distance keeps the smaller index — padded with
+/// `n × k` arrays of squared Euclidean distances and neighbours in tree
+/// order — row `r` belongs to the point `tree.perm()[r]` and its entries
+/// are tree positions (map one back with `perm()`). A row holds the first
+/// `k` of all other points in `(d2, index)` order — a tie at the k-th
+/// distance keeps the smaller point index — padded with
 /// `(f32::INFINITY, u32::MAX)` when fewer than `k` neighbours exist. Each
 /// row equals [`KdTree::knn_into`]'s answer for its point.
 ///
@@ -76,7 +88,9 @@ pub fn core_distances2(
 /// k-nearest distances is unique. The rows also drive the Borůvka
 /// row screen ([`crate::knn::KnnRows`]).
 ///
-/// Buffers are cleared and resized; capacity is retained across calls.
+/// Every slot, padding included, is written once, by the leaf that owns
+/// its row. Buffers are cleared and refilled; capacity is retained across
+/// calls.
 pub fn knn_rows_into(
     ctx: &ExecCtx,
     points: &PointSet,
@@ -87,51 +101,42 @@ pub fn knn_rows_into(
 ) {
     let n = points.len();
     row_d2.clear();
-    row_d2.resize(n * k, f32::INFINITY);
     row_idx.clear();
-    row_idx.resize(n * k, u32::MAX);
     if k == 0 || n <= 1 {
+        row_d2.resize(n * k, f32::INFINITY);
+        row_idx.resize(n * k, u32::MAX);
         return;
     }
-    let d2_view = UnsafeSlice::new(row_d2.as_mut_slice());
-    let idx_view = UnsafeSlice::new(row_idx.as_mut_slice());
-    tree.for_each_knn_row(ctx, points, k, |q, row| {
-        let base = q as usize * k;
-        for (j, &(d2, p)) in row.iter().enumerate() {
-            // SAFETY: every point's row is emitted exactly once, so row q
-            // is written by this call alone.
-            unsafe {
-                d2_view.write(base + j, d2);
-                idx_view.write(base + j, p);
+    row_d2.reserve(n * k);
+    row_idx.reserve(n * k);
+    {
+        let d2_view = UnsafeSlice::new(&mut row_d2.spare_capacity_mut()[..n * k]);
+        let idx_view = UnsafeSlice::new(&mut row_idx.spare_capacity_mut()[..n * k]);
+        let emitted = tree.for_each_knn_row(ctx, points, k, |r, row| {
+            assert_eq!(row.len(), k, "a k-NN row holds k entries");
+            let base = r as usize * k;
+            for (j, &(d2, p)) in row.iter().enumerate() {
+                // SAFETY: every position's row is emitted exactly once, so
+                // row r is written by this call alone.
+                unsafe {
+                    d2_view.write(base + j, MaybeUninit::new(d2));
+                    idx_view.write(base + j, MaybeUninit::new(p));
+                }
             }
-        }
-    });
+        });
+        assert_eq!(emitted, n, "the rows pass emits one row per point");
+    }
+    // SAFETY: the pass emitted `n` rows of `k` entries, one per position
+    // (the leaves partition the positions), so all `n · k` slots of both
+    // buffers are initialized.
+    unsafe {
+        row_d2.set_len(n * k);
+        row_idx.set_len(n * k);
+    }
 }
 
-/// Fills `core2` with every point's squared core distance for `min_pts`
-/// by **prefix lookup** into sorted k-NN rows (`row_d2`, row-major
-/// `n × k`, ascending): the `(min_pts − 2)`-th entry of a sorted row is
-/// the exact distance to the `(min_pts − 1)`-th nearest neighbour, so the
-/// result is bit-identical to a fresh [`core_distances2`] query. This is
-/// how [`crate::index::EmstIndex`] serves every `min_pts` it was frozen for.
-///
-/// Requires `min_pts >= 2`, `k >= min_pts - 1` and
-/// `core2.len() * k == row_d2.len()`; callers handle the
-/// `min_pts <= 1` / tiny-`n` cases (all-zero core distances) themselves.
-pub fn core2_from_rows(ctx: &ExecCtx, row_d2: &[f32], k: usize, min_pts: usize, core2: &mut [f32]) {
-    let n = core2.len();
-    debug_assert!(min_pts >= 2 && k >= min_pts - 1);
-    debug_assert_eq!(row_d2.len(), n * k);
-    let core_view = UnsafeSlice::new(core2);
-    ctx.for_each_chunk(n, pandora_exec::DEFAULT_GRAIN, |range| {
-        for q in range {
-            // SAFETY: disjoint writes.
-            unsafe { core_view.write(q, row_d2[q * k + (min_pts - 2)]) };
-        }
-    });
-}
-
-/// A borrowed view over sorted k-NN rows (see [`knn_rows_into`]).
+/// A borrowed view over sorted k-NN rows in tree order (see
+/// [`knn_rows_into`]).
 ///
 /// The Borůvka row screen uses these rows two ways, both **exact**:
 ///
@@ -149,9 +154,10 @@ pub fn core2_from_rows(ctx: &ExecCtx, row_d2: &[f32], k: usize, min_pts: usize, 
 pub struct KnnRows<'a> {
     /// Neighbours per row.
     pub k: usize,
-    /// Squared Euclidean distances, row-major `n × k`, ascending per row.
+    /// Squared Euclidean distances, row-major `n × k` in tree order (row
+    /// `r` for the point at tree position `r`), ascending per row.
     pub d2: &'a [f32],
-    /// Neighbour indices parallel to `d2` (`u32::MAX` = padding).
+    /// Neighbour tree positions parallel to `d2` (`u32::MAX` = padding).
     pub idx: &'a [u32],
 }
 
@@ -249,13 +255,15 @@ mod tests {
         let (mut d2, mut idx) = (Vec::new(), Vec::new());
         knn_rows_into(&ctx, &points, &tree, k, &mut d2, &mut idx);
         assert_eq!(d2.len(), 150 * k);
-        // Rows ascend, and the (m-2)-th entry is the min_pts = m core
-        // distance — the engine's prefix contract.
+        // Rows ascend, and the (m-2)-th entry of point q's row (at its
+        // tree position) is the min_pts = m core distance — the engine's
+        // prefix contract.
         for min_pts in 2..=k + 1 {
             let core2 = core_distances2(&ctx, &points, &tree, min_pts);
-            for q in 0..points.len() {
-                assert!(d2[q * k..(q + 1) * k].windows(2).all(|w| w[0] <= w[1]));
-                assert_eq!(d2[q * k + min_pts - 2], core2[q], "q={q} m={min_pts}");
+            for (q, (&r, &c)) in tree.positions().iter().zip(&core2).enumerate() {
+                let r = r as usize;
+                assert!(d2[r * k..(r + 1) * k].windows(2).all(|w| w[0] <= w[1]));
+                assert_eq!(d2[r * k + min_pts - 2], c, "q={q} m={min_pts}");
             }
         }
     }
@@ -268,16 +276,23 @@ mod tests {
         let (mut d2, mut idx) = (Vec::new(), Vec::new());
         knn_rows_into(&ctx, &points, &tree, 5, &mut d2, &mut idx);
         // Each point has only 2 neighbours; the tail is padding.
-        for q in 0..3 {
-            assert_eq!(idx[q * 5 + 2], u32::MAX);
-            assert_eq!(d2[q * 5 + 2], f32::INFINITY);
+        for r in 0..3 {
+            assert_eq!(&idx[r * 5 + 2..r * 5 + 5], &[u32::MAX; 3]);
+            assert_eq!(&d2[r * 5 + 2..r * 5 + 5], &[f32::INFINITY; 3]);
         }
-        assert_eq!(idx[0], 1);
-        assert_eq!(d2[0], 1.0);
+        // Rows are in tree order with tree-position entries; read them
+        // back by point index.
+        let (perm, pos) = (tree.perm(), tree.positions());
+        let row = |q: usize| -> Vec<(f32, u32)> {
+            let r = pos[q] as usize;
+            (0..2)
+                .map(|j| (d2[r * 5 + j], perm[idx[r * 5 + j] as usize]))
+                .collect()
+        };
+        assert_eq!(row(0)[0], (1.0, 1));
         // Point 1's two neighbours tie at distance 1: the smaller index
         // comes first.
-        assert_eq!(&idx[5..7], &[0, 2]);
-        assert_eq!(&d2[5..7], &[1.0, 1.0]);
+        assert_eq!(row(1), vec![(1.0, 0), (1.0, 2)]);
     }
 
     #[test]

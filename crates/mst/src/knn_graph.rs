@@ -25,6 +25,7 @@ use crate::point::PointSet;
 
 /// Spanning tree from the k-NN graph plus exact completion rounds.
 ///
+/// `metric` is indexed by point index (as [`Metric::dist2`] is).
 /// `node_core2` is either empty (no subtree pruning bounds) or the
 /// per-node core minima from [`KdTree::min_core2_into`] for the metric's
 /// `minPts` — purely an optimization for the completion rounds under
@@ -47,17 +48,20 @@ pub fn knn_graph_mst<M: Metric>(
     // row is full: k ≤ n − 1.
     let mut candidates: Vec<(u32, u32, u32)> = vec![(0, 0, 0); n * k]; // (wkey, u, v)
     let view = UnsafeSlice::new(&mut candidates);
-    tree.for_each_knn_row(ctx, points, k, |q, row| {
+    let perm = tree.perm();
+    tree.for_each_knn_row(ctx, points, k, |r, row| {
+        let q = perm[r as usize];
         for (j, &(_, p)) in row.iter().enumerate() {
+            let p = perm[p as usize];
             // Metric distance may exceed the Euclidean k-NN distance
             // (mutual reachability); recompute.
             let d2 = metric.dist2(points, q, p);
             let (a, b) = if q < p { (q, p) } else { (p, q) };
-            // SAFETY: every point's row is emitted exactly once, so slot
-            // q*k+j is written by this call alone.
+            // SAFETY: every position's row is emitted exactly once, so
+            // slot r*k+j is written by this call alone.
             unsafe {
                 view.write(
-                    q as usize * k + j,
+                    r as usize * k + j,
                     (pandora_exec::atomic::f32_to_ordered_u32(d2), a, b),
                 )
             };
@@ -95,25 +99,37 @@ pub fn knn_graph_mst<M: Metric>(
         for v in 0..n as u32 {
             comp[v as usize] = dsu.find(v);
         }
-        let purity = tree.component_purity(&comp);
+        // The searches number points by tree position.
+        let tree_comp: Vec<u32> = perm.iter().map(|&v| comp[v as usize]).collect();
+        let purity = tree.component_purity(&tree_comp);
+        let tree_metric = ByPosition { metric, perm };
         let candidate: Vec<std::sync::atomic::AtomicU64> = (0..n)
             .map(|_| std::sync::atomic::AtomicU64::new(u64::MAX))
             .collect();
         let mut best_of = vec![(f32::INFINITY, u32::MAX); n];
         {
             let best_view = UnsafeSlice::new(&mut best_of);
-            let (comp_ref, purity_ref, cand_ref) = (&comp, &purity, &candidate);
+            let (comp_ref, purity_ref, cand_ref) = (&tree_comp, &purity, &candidate);
+            let tree_metric = &tree_metric;
             ctx.for_each_chunk_traced(n, 256, KernelKind::TreeTraverse, (n * 64) as u64, |range| {
-                for q in range {
-                    if let Some((d2, p)) = tree
-                        .nearest_foreign(points, metric, q as u32, comp_ref, purity_ref, node_core2)
-                    {
-                        // SAFETY: slot q owned by this iteration.
-                        unsafe { best_view.write(q, (d2, p)) };
+                for i in range {
+                    let found = tree.nearest_foreign(
+                        points,
+                        tree_metric,
+                        i as u32,
+                        comp_ref,
+                        purity_ref,
+                        node_core2,
+                    );
+                    if let Some((d2, p)) = found {
+                        let q = perm[i];
+                        // SAFETY: `perm` is a permutation, so slot q is
+                        // owned by this iteration.
+                        unsafe { best_view.write(q as usize, (d2, perm[p as usize])) };
                         let key = ((pandora_exec::atomic::f32_to_ordered_u32(d2) as u64) << 32)
                             | q as u64;
                         // pandora-lint: allow(PL004) — commutative min over packed (dist, idx); the chunk join publishes the winner
-                        cand_ref[comp_ref[q] as usize].fetch_min(key, Ordering::Relaxed);
+                        cand_ref[comp_ref[i] as usize].fetch_min(key, Ordering::Relaxed);
                     }
                 }
             });
@@ -138,6 +154,30 @@ pub fn knn_graph_mst<M: Metric>(
         assert!(progressed, "completion made no progress");
     }
     edges
+}
+
+/// A metric indexed by point index, read at tree positions: the
+/// completion rounds' nearest-foreign searches number points by position.
+struct ByPosition<'a, M> {
+    metric: &'a M,
+    perm: &'a [u32],
+}
+
+impl<M: Metric> Metric for ByPosition<'_, M> {
+    fn dist2(&self, points: &PointSet, a: u32, b: u32) -> f32 {
+        let (a, b) = (self.perm[a as usize], self.perm[b as usize]);
+        self.metric.dist2(points, a, b)
+    }
+
+    fn refine_euclid2(&self, euclid_d2: f32, a: u32, b: u32) -> f32 {
+        let (a, b) = (self.perm[a as usize], self.perm[b as usize]);
+        self.metric.refine_euclid2(euclid_d2, a, b)
+    }
+
+    fn box_bound2(&self, points: &PointSet, q: u32, box_dist2: f32, box_min_core2: f32) -> f32 {
+        let q = self.perm[q as usize];
+        self.metric.box_bound2(points, q, box_dist2, box_min_core2)
+    }
 }
 
 #[cfg(test)]

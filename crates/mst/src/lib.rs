@@ -48,7 +48,7 @@ pub use index::{
     emst, emst_from_index, emst_from_index_with, emst_with_core2, Emst, EmstIndex, EmstScratch,
     StageTimings, ROW_SLACK,
 };
-pub use kdtree::{ForeignSearch, KdTree, KnnHeap};
+pub use kdtree::{ForeignSearch, KdTree, KnnHeap, SearchWork};
 pub use knn::{core_distances2, knn_rows_into, KnnRows};
 pub use knn_graph::knn_graph_mst;
 pub use linkage::{Linkage, LINKAGE_ENV};

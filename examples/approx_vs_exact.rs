@@ -35,16 +35,27 @@ fn main() {
 
     let tree = KdTree::build(&ctx, &points);
     let core2 = core_distances2(&ctx, &points, &tree, 4);
+    // Borůvka and the subtree bounds read core distances in tree order;
+    // the k-NN-graph MST reads them per point index.
+    let tree_core2 = tree.in_tree_order(&core2);
     let mut node_core2 = Vec::new();
-    tree.min_core2_into(&core2, &mut node_core2);
+    tree.min_core2_into(&tree_core2, &mut node_core2);
     let metric = MutualReachability { core2: &core2 };
+    let tree_metric = MutualReachability { core2: &tree_core2 };
 
     let t = Instant::now();
     let extras = BoruvkaExtras {
         node_core2: &node_core2,
         ..Default::default()
     };
-    let exact_edges = boruvka_mst(&ctx, &points, &tree, &metric, extras, &ScratchPool::new());
+    let exact_edges = boruvka_mst(
+        &ctx,
+        &points,
+        &tree,
+        &tree_metric,
+        extras,
+        &ScratchPool::new(),
+    );
     let exact_s = t.elapsed().as_secs_f64();
     let exact_weight = total_weight(&exact_edges);
     let exact_mst = SortedMst::from_edges(&ctx, points.len(), &exact_edges);

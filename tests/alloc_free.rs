@@ -107,11 +107,12 @@ fn steady_state_queries_do_not_allocate() {
     assert_eq!(knn_allocs, 0, "knn_into allocated in the steady state");
 
     // --- nearest_foreign: zero allocations per query (incl. the
-    //     mutual-reachability metric with subtree core bounds). ---
-    let core2 = core_distances2(&ctx, &points, &tree, 2);
+    //     mutual-reachability metric with subtree core bounds). Queries,
+    //     labels and core distances are all numbered by tree position. ---
+    let core2 = tree.in_tree_order(&core_distances2(&ctx, &points, &tree, 2));
     let mut node_core2 = Vec::new();
     tree.min_core2_into(&core2, &mut node_core2);
-    let comp: Vec<u32> = (0..n as u32).map(|v| v % 7).collect();
+    let comp: Vec<u32> = tree.perm().iter().map(|&v| v % 7).collect();
     let purity = tree.component_purity(&comp);
     let metric = MutualReachability { core2: &core2 };
     let foreign_allocs = min_allocs_over(3, || {

@@ -1,8 +1,9 @@
 //! Shared adversarial sorted-MST generator for the differential suites
 //! (`dendrogram_differential.rs`, `census_crosscheck.rs`,
-//! `extraction_differential.rs`), the independent EMST reference
-//! ([`reference_emst`]) the index path is checked against, and the
-//! reference extraction walks ([`extraction`]).
+//! `extraction_differential.rs`), the bare-run EMST reference
+//! ([`reference_emst`]) the index path is checked against, the brute-force
+//! Borůvka ([`reference_boruvka`]) that shares no code with the library's,
+//! and the reference extraction walks ([`extraction`]).
 //!
 //! [`mst_strategy`] implements the vendored-proptest [`Strategy`] trait
 //! directly, so every case is a pure function of the RNG stream: the
@@ -21,8 +22,8 @@ use rand::prelude::*;
 use pandora::core::Edge;
 use pandora::exec::{ExecCtx, ScratchPool};
 use pandora::mst::{
-    boruvka_mst, core_distances2, BoruvkaExtras, Emst, Euclidean, KdTree, MutualReachability,
-    PointSet, StageTimings,
+    boruvka_mst, core_distances2, BoruvkaExtras, Emst, Euclidean, KdTree, Metric,
+    MutualReachability, PointSet, StageTimings,
 };
 
 /// The EMST of `points` at `min_pts`, built without the index machinery:
@@ -39,8 +40,114 @@ pub fn reference_emst(ctx: &ExecCtx, points: &PointSet, min_pts: usize) -> Emst 
     let edges = if min_pts <= 1 {
         boruvka_mst(ctx, points, &tree, &Euclidean, extras, &pool)
     } else {
-        let metric = MutualReachability { core2: &core2 };
+        let tree_core2 = tree.in_tree_order(&core2);
+        let metric = MutualReachability { core2: &tree_core2 };
         boruvka_mst(ctx, points, &tree, &metric, extras, &pool)
+    };
+    Emst {
+        edges,
+        core2,
+        timings: StageTimings::default(),
+    }
+}
+
+/// Squared core distances by brute force: per point, the `(min_pts − 1)`-th
+/// smallest squared distance to another point (HDBSCAN\* counts the point
+/// itself); all zero when `min_pts <= 1` or there is no other point.
+pub fn brute_core2(points: &PointSet, min_pts: usize) -> Vec<f32> {
+    let n = points.len();
+    (0..n)
+        .map(|q| {
+            if min_pts <= 1 || n <= 1 {
+                return 0.0;
+            }
+            let mut d: Vec<f32> = (0..n)
+                .filter(|&p| p != q)
+                .map(|p| points.dist2(q, p))
+                .collect();
+            d.sort_by(f32::total_cmp);
+            d[min_pts - 2]
+        })
+        .collect()
+}
+
+/// Borůvka by brute force, sharing no code with the library's: no kd-tree,
+/// no rows, no bounds, no atomics. Each round, every point finds its
+/// canonical nearest foreign point — the smallest `(d2, p)` over all
+/// points in other components, `d2` from [`Metric::dist2`]; every
+/// component keeps its smallest `(d2, q)` proposal; the components' roots
+/// are visited in ascending order, and a proposal becomes an edge
+/// `(q, p, √d2)` when a union-by-min DSU still separates its endpoints.
+/// These are the rules the library's output follows, so the two edge lists
+/// must agree in order and bits.
+pub fn reference_boruvka<M: Metric>(points: &PointSet, metric: &M) -> Vec<Edge> {
+    let n = points.len();
+    let mut parent: Vec<u32> = (0..n as u32).collect();
+    fn find(parent: &mut [u32], mut x: u32) -> u32 {
+        while parent[x as usize] != x {
+            let up = parent[parent[x as usize] as usize];
+            parent[x as usize] = up;
+            x = up;
+        }
+        x
+    }
+    let mut edges = Vec::with_capacity(n.saturating_sub(1));
+    while edges.len() + 1 < n {
+        let comp: Vec<u32> = (0..n as u32).map(|v| find(&mut parent, v)).collect();
+        // Each point's canonical nearest foreign point.
+        let nearest: Vec<(f32, u32)> = (0..n as u32)
+            .map(|q| {
+                let mut best = (f32::INFINITY, u32::MAX);
+                for p in 0..n as u32 {
+                    if comp[p as usize] == comp[q as usize] {
+                        continue;
+                    }
+                    let d2 = metric.dist2(points, q, p);
+                    if d2 < best.0 || (d2 == best.0 && p < best.1) {
+                        best = (d2, p);
+                    }
+                }
+                best
+            })
+            .collect();
+        // Each component's smallest (d2, q) proposal, by root.
+        let mut proposal: Vec<Option<(f32, u32)>> = vec![None; n];
+        for q in 0..n as u32 {
+            let d2 = nearest[q as usize].0;
+            let slot = &mut proposal[comp[q as usize] as usize];
+            if slot.is_none_or(|(b2, bq)| d2 < b2 || (d2 == b2 && q < bq)) {
+                *slot = Some((d2, q));
+            }
+        }
+        let before = edges.len();
+        for root in 0..n as u32 {
+            if comp[root as usize] != root {
+                continue;
+            }
+            let Some((d2, q)) = proposal[root as usize] else {
+                continue;
+            };
+            let p = nearest[q as usize].1;
+            let (ra, rb) = (find(&mut parent, q), find(&mut parent, p));
+            if ra != rb {
+                parent[ra.max(rb) as usize] = ra.min(rb);
+                edges.push(Edge::new(q, p, d2.sqrt()));
+            }
+        }
+        assert!(edges.len() > before, "reference Borůvka made no progress");
+    }
+    edges
+}
+
+/// The EMST of `points` at `min_pts` by brute force — [`brute_core2`] and
+/// [`reference_boruvka`], Euclidean when `min_pts <= 1` — for inputs small
+/// enough to afford O(n²) work per round.
+pub fn brute_emst(points: &PointSet, min_pts: usize) -> Emst {
+    let core2 = brute_core2(points, min_pts);
+    let edges = if min_pts <= 1 {
+        reference_boruvka(points, &Euclidean)
+    } else {
+        reference_boruvka(points, &MutualReachability { core2: &core2 })
     };
     Emst {
         edges,

@@ -2,7 +2,7 @@
 //! [`Session`] produces over a frozen [`DatasetIndex`] is **bit-identical**
 //! to the one-shot [`Hdbscan::run`] — MST edges, core distances,
 //! dendrogram, labels, probabilities — and both carry the spanning tree of
-//! the independent [`reference_emst`], in serial and threaded contexts, on
+//! the independent [`brute_emst`], in serial and threaded contexts, on
 //! adversarial inputs (duplicate points, collinear grids, quantized
 //! coordinates where exact distance ties abound).
 //!
@@ -22,7 +22,7 @@ use pandora::exec::ExecCtx;
 use pandora::hdbscan::{ClusterRequest, DatasetIndex, Hdbscan, HdbscanParams, HdbscanResult};
 use pandora::mst::PointSet;
 
-use common::reference_emst;
+use common::brute_emst;
 
 /// Adversarial point sets (same families as `tests/mst_properties.rs`):
 /// duplicates, collinear diagonals, quarter-unit grids.
@@ -58,7 +58,7 @@ fn assert_results_identical(a: &HdbscanResult, b: &HdbscanResult, what: &str) {
 /// Asserts a result carries exactly the reference EMST for `min_pts`.
 fn assert_matches_reference(result: &HdbscanResult, points: &PointSet, min_pts: usize, what: &str) {
     let ctx = ExecCtx::serial();
-    let reference = reference_emst(&ctx, points, min_pts);
+    let reference = brute_emst(points, min_pts);
     let mst = SortedMst::from_edges(&ctx, points.len(), &reference.edges);
     assert_eq!(result.core2, reference.core2, "{what}: core distances");
     assert_eq!(result.mst.src, mst.src, "{what}: MST sources");

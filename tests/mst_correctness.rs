@@ -49,15 +49,24 @@ fn boruvka_matches_prim_under_mutual_reachability() {
         let points = spec.generate(600, 21);
         let tree = KdTree::build(&ctx, &points);
         let core2 = core_distances2(&ctx, &points, &tree, min_pts);
+        // Borůvka reads the metric at tree positions; Prim by point index.
+        let tree_core2 = tree.in_tree_order(&core2);
         let mut node_core2 = Vec::new();
-        tree.min_core2_into(&core2, &mut node_core2);
-        let metric = MutualReachability { core2: &core2 };
+        tree.min_core2_into(&tree_core2, &mut node_core2);
         let extras = BoruvkaExtras {
             node_core2: &node_core2,
             ..Default::default()
         };
-        let got = boruvka_mst(&ctx, &points, &tree, &metric, extras, &ScratchPool::new());
-        let expect = prim_mst(&points, &metric);
+        let tree_metric = MutualReachability { core2: &tree_core2 };
+        let got = boruvka_mst(
+            &ctx,
+            &points,
+            &tree,
+            &tree_metric,
+            extras,
+            &ScratchPool::new(),
+        );
+        let expect = prim_mst(&points, &MutualReachability { core2: &core2 });
         let (wa, wb) = (total_weight(&got), total_weight(&expect));
         assert!(
             (wa - wb).abs() <= 1e-3 * wb.max(1.0),

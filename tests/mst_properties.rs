@@ -22,10 +22,10 @@ use pandora::mst::prim::prim_mst;
 use pandora::mst::{
     boruvka_mst, core_distances2, emst, emst_from_index, knn_rows_into, row_witness_scan,
     BoruvkaExtras, Emst, EmstIndex, EmstScratch, Euclidean, KdTree, KnnHeap, KnnRows,
-    MutualReachability, PointSet,
+    MutualReachability, PointSet, SearchWork,
 };
 
-use common::reference_emst;
+use common::{brute_emst, reference_emst};
 
 /// Adversarial point sets. `mode` picks the family; coordinates are
 /// quantized to quarter-units so equal distances (the tie-break stress
@@ -92,12 +92,15 @@ fn knn_oracle(points: &PointSet, k: usize) -> Vec<Vec<(f32, u32)>> {
 }
 
 /// Checks `knn_rows_into` on every context, and `knn_into` and `knn()` on
-/// every point, against the oracle at each `k`. Returns the first mismatch.
+/// every point, against the oracle at each `k`. The rows are in tree order
+/// with tree-position entries; they are read back by point index. Returns
+/// the first mismatch.
 fn knn_matches_oracle(points: &PointSet, ks: &[usize]) -> Result<(), String> {
     let n = points.len();
     let max_k = ks.iter().copied().max().unwrap_or(0);
     let oracle = knn_oracle(points, max_k);
     let tree = KdTree::build(&ExecCtx::serial(), points);
+    let (perm, pos) = (tree.perm(), tree.positions());
     let mut heap = KnnHeap::new(max_k);
     for &k in ks {
         // The first k of the (d2, index) order are a prefix of the first
@@ -106,9 +109,14 @@ fn knn_matches_oracle(points: &PointSet, ks: &[usize]) -> Result<(), String> {
         for (c, ctx) in contexts().iter().enumerate() {
             let (mut d2, mut idx) = (Vec::new(), Vec::new());
             knn_rows_into(ctx, points, &tree, k, &mut d2, &mut idx);
-            for q in 0..n {
-                let got: Vec<(f32, u32)> =
-                    (0..k).map(|j| (d2[q * k + j], idx[q * k + j])).collect();
+            for (q, &r) in pos.iter().enumerate() {
+                let r = r as usize;
+                let got: Vec<(f32, u32)> = (0..k)
+                    .map(|j| match idx[r * k + j] {
+                        u32::MAX => (d2[r * k + j], u32::MAX),
+                        p => (d2[r * k + j], perm[p as usize]),
+                    })
+                    .collect();
                 if n > 1 && got != want(q) {
                     return Err(format!(
                         "rows, context {c}, k={k}, q={q}: {got:?} vs {:?}",
@@ -213,6 +221,10 @@ proptest! {
         let reference = reference_emst(&serial_ctx, &points, min_pts);
         prop_assert!(same_emst(&a, &reference), "serial run vs reference, minPts={}", min_pts);
         prop_assert!(same_emst(&b, &reference), "threaded run vs reference, minPts={}", min_pts);
+        // The bare run itself against the brute-force Borůvka, which shares
+        // no code with it.
+        let brute = brute_emst(&points, min_pts);
+        prop_assert!(same_emst(&reference, &brute), "bare run vs brute force, minPts={}", min_pts);
         // Identical edges must condense into identical dendrograms.
         let mst_a = SortedMst::from_edges(&serial_ctx, points.len(), &a.edges);
         let mst_b = SortedMst::from_edges(&threaded_ctx, points.len(), &b.edges);
@@ -253,10 +265,13 @@ proptest! {
         //     nearest-foreign distance;
         //   * `second` is found whenever the row holds a foreign member
         //     outside `best`'s component.
+        // The scan works in tree positions (rows, labels, metric); the
+        // oracle below works in point indices.
         let ctx = ExecCtx::serial();
         let n = points.len();
         let min_pts = min_pts.min(n);
         let tree = KdTree::build(&ctx, &points);
+        let (perm, pos) = (tree.perm(), tree.positions());
         let k = (min_pts + 3).min(n - 1);
         let (mut row_d2, mut row_idx) = (Vec::new(), Vec::new());
         knn_rows_into(&ctx, &points, &tree, k, &mut row_d2, &mut row_idx);
@@ -272,7 +287,8 @@ proptest! {
                 d[min_pts - 2]
             })
             .collect();
-        let metric = MutualReachability { core2: &core2 };
+        let tree_core2 = tree.in_tree_order(&core2);
+        let metric = MutualReachability { core2: &tree_core2 };
         let exact = |q: usize, p: u32| {
             points
                 .dist2(q, p as usize)
@@ -284,12 +300,19 @@ proptest! {
         let comp: Vec<u32> = (0..n as u64)
             .map(|p| ((p.wrapping_add(1).wrapping_mul(comp_seed | 1)) >> 32) as u32 % 4)
             .collect();
+        let tree_comp: Vec<u32> = perm.iter().map(|&v| comp[v as usize]).collect();
+        let id = |(d2, p): (f32, u32)| (d2, if p == u32::MAX { p } else { perm[p as usize] });
         for q in 0..n {
             let root = comp[q] as usize;
-            let (best, second) = row_witness_scan(&rows, &metric, q as u32, root, &comp);
+            let r = pos[q] as usize;
+            let mut work = SearchWork::default();
+            let (best, second) =
+                row_witness_scan(&rows, &metric, r as u32, root, &tree_comp, perm, &mut work);
+            let (best, second) = (id(best), id(second));
             let members: Vec<u32> = (0..k)
-                .map(|j| row_idx[q * k + j])
+                .map(|j| row_idx[r * k + j])
                 .take_while(|&p| p != u32::MAX)
+                .map(|p| perm[p as usize])
                 .collect();
             let expect_best = members
                 .iter()
@@ -325,13 +348,12 @@ proptest! {
         // The frozen-index path layers every acceleration at once — row
         // screen, merge-surviving witnesses, endgame snapshots (second run
         // through the same scratch), shared-store adoption (fresh scratch
-        // after a publish) — and must still return the bare reference
-        // run's edges BIT-identically, serial and threaded, while the
+        // after a publish) — and must still return the brute-force
+        // Borůvka's edges BIT-identically, serial and threaded, while that
         // reference itself matches the Prim oracle on these tie-heavy
         // inputs.
         let min_pts = min_pts.min(points.len());
-        let serial = ExecCtx::serial();
-        let cold = reference_emst(&serial, &points, min_pts);
+        let cold = brute_emst(&points, min_pts);
         let metric = MutualReachability { core2: &cold.core2 };
         let oracle = prim_mst(&points, &metric);
         let (wc, wo) = (total_weight(&cold.edges), total_weight(&oracle));
