@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use pandora_data::by_name;
 use pandora_exec::{ExecCtx, ScratchPool};
 use pandora_mst::{
-    boruvka_mst, core_distances2, emst, BoruvkaExtras, Euclidean, KdTree, MutualReachability,
+    boruvka_mst, core_distances2, emst, BoruvkaExtras, Euclidean, KdTree, TreeMutualReachability,
 };
 
 fn bench_kdtree_build(c: &mut Criterion) {
@@ -69,7 +69,7 @@ fn bench_boruvka(c: &mut Criterion) {
                 let core2 = tree.in_tree_order(&core_distances2(&ctx, points, &tree, 2));
                 let mut node_core2 = Vec::new();
                 tree.min_core2_into(&core2, &mut node_core2);
-                let metric = MutualReachability { core2: &core2 };
+                let metric = TreeMutualReachability { core2: &core2 };
                 b.iter(|| {
                     let extras = BoruvkaExtras {
                         node_core2: &node_core2,

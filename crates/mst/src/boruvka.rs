@@ -7,8 +7,9 @@
 //! added and the components merged. Components at least halve per round, so
 //! there are ≤ ⌈log₂ n⌉ rounds.
 //!
-//! Works for any [`Metric`]; with [`crate::metric::MutualReachability`] it produces exactly
-//! the MST HDBSCAN\* needs. Component purity of kd-subtrees prunes
+//! Works for any [`TreeMetric`]; with
+//! [`crate::metric::TreeMutualReachability`] it produces exactly the MST
+//! HDBSCAN\* needs. Component purity of kd-subtrees prunes
 //! intra-component traversal, the standard trick that keeps Borůvka rounds
 //! near-linear. Further cuSLINK-style optimizations keep the rounds
 //! allocation-free and tightly bounded:
@@ -49,9 +50,9 @@ use pandora_exec::{ExecCtx, ScratchPool, UnsafeSlice, DEFAULT_GRAIN};
 
 use pandora_core::Edge;
 
-use crate::kdtree::{ForeignSearch, KdTree, SearchWork};
+use crate::kdtree::{ForeignSearch, KdTree, SearchWork, TreeOrdered};
 use crate::knn::KnnRows;
-use crate::metric::Metric;
+use crate::metric::TreeMetric;
 use crate::point::PointSet;
 
 /// Packs `(squared distance, point)` so numeric `min` picks the smallest
@@ -449,7 +450,8 @@ pub struct BoruvkaExtras<'a> {
 /// `best`.
 ///
 /// Everything is numbered by tree position: `q`, the row (see
-/// [`KnnRows`]), the labels in `comp` and the metric's per-point data;
+/// [`KnnRows`]), the labels in `comp` and the points `metric` is called
+/// with ([`TreeMetric`]);
 /// `perm` ([`KdTree::perm`]) maps a position to the point index that ties
 /// compare. Either slot is `(∞, u32::MAX)` when no qualifying member
 /// exists, and a found slot holds a tree position. Each examined foreign
@@ -465,12 +467,12 @@ pub struct BoruvkaExtras<'a> {
 ///   shorter than the true nearest-foreign distance;
 /// * `second` is found whenever the row holds a foreign member outside
 ///   `best`'s component.
-pub fn row_witness_scan<M: Metric>(
+pub fn row_witness_scan<M: TreeMetric>(
     rows: &KnnRows<'_>,
     metric: &M,
     q: u32,
     root: usize,
-    comp: &[u32],
+    comp: &TreeOrdered<u32>,
     perm: &[u32],
     work: &mut SearchWork,
 ) -> ((f32, u32), (f32, u32)) {
@@ -496,7 +498,7 @@ pub fn row_witness_scan<M: Metric>(
             continue;
         }
         work.dist_evals += 1;
-        let d2 = metric.refine_euclid2(e2, q, p);
+        let d2 = metric.refine_euclid2_at(e2, q, p);
         if d2 < best.0 || (d2 == best.0 && id(p) < id(best.1)) {
             // The displaced best seeds the second slot when it lives in a
             // different component than the new winner; when it shares the
@@ -527,9 +529,10 @@ pub fn row_witness_scan<M: Metric>(
 /// of the metric's squared distance.
 ///
 /// **Tree order.** Every per-point array of a run is indexed by tree
-/// position ([`KdTree::perm`]), and so is the metric: it is called with
-/// positions, so mutual reachability takes its core distances in tree
-/// order (`MutualReachability { core2: &tree.in_tree_order(&core2) }`), as
+/// position ([`KdTree::perm`]), and so is the metric: a [`TreeMetric`] is
+/// called with positions, so mutual reachability takes its core distances
+/// in tree order
+/// (`TreeMutualReachability { core2: &tree.in_tree_order(&core2) }`), as
 /// do `node_core2` ([`KdTree::min_core2_into`]) and the `rows`
 /// ([`crate::knn::knn_rows_into`]). Point indices stay where the result
 /// depends on them: every tie between equal distances goes to the smaller
@@ -555,7 +558,7 @@ pub fn row_witness_scan<M: Metric>(
 /// distances ([`PointSet::new`] rejects non-finite coordinates) — the check
 /// is unconditional so corrupt distances fail loudly instead of spinning.
 /// Also panics if a provided `rows` shape does not match `points.len()`.
-pub fn boruvka_mst<M: Metric>(
+pub fn boruvka_mst<M: TreeMetric>(
     ctx: &ExecCtx,
     points: &PointSet,
     tree: &KdTree,
@@ -584,6 +587,7 @@ pub fn boruvka_mst<M: Metric>(
     // point index of the component.
     let mut comp = scratch.take_u32();
     comp.extend_from_slice(perm);
+    let mut comp = TreeOrdered::from_vec(comp);
     let mut n_components = n;
     let mut edges: Vec<Edge> = Vec::with_capacity(n - 1);
     // Round-persistent buffers (drawn from the pool, reused every round).
@@ -994,7 +998,7 @@ pub fn boruvka_mst<M: Metric>(
         // Consecutive positions mostly share a label, so each run of equal
         // labels asks the DSU once.
         {
-            let comp_view = UnsafeSlice::new(&mut comp);
+            let comp_view = UnsafeSlice::new(comp.as_mut_slice());
             let dsu_ref = &dsu;
             ctx.for_each_chunk_traced(
                 n,
@@ -1020,7 +1024,7 @@ pub fn boruvka_mst<M: Metric>(
         cache.promote();
     }
     scratch.put_dsu(dsu);
-    scratch.put_u32(comp);
+    scratch.put_u32(comp.into_vec());
     scratch.put_u32(purity);
     scratch.put_u32(roots);
     scratch.put_u64(candidate);
@@ -1036,7 +1040,7 @@ pub fn boruvka_mst<M: Metric>(
 mod tests {
     use super::*;
     use crate::kruskal::total_weight;
-    use crate::metric::{Euclidean, MutualReachability};
+    use crate::metric::{Euclidean, MutualReachability, TreeMutualReachability};
     use crate::prim::prim_mst;
     use rand::prelude::*;
 
@@ -1091,7 +1095,7 @@ mod tests {
         let tree = KdTree::build(&ctx, &points);
         // Borůvka reads the metric at tree positions.
         let tree_core2 = tree.in_tree_order(&core2);
-        let metric = MutualReachability { core2: &tree_core2 };
+        let metric = TreeMutualReachability { core2: &tree_core2 };
         let mut node_core2 = Vec::new();
         tree.min_core2_into(&tree_core2, &mut node_core2);
         let scratch = ScratchPool::new();
@@ -1166,7 +1170,7 @@ mod tests {
             };
             let pool = ScratchPool::new();
             let edges = if mreach {
-                let metric = MutualReachability { core2: &core2 };
+                let metric = TreeMutualReachability { core2: &core2 };
                 boruvka_mst(&ctx, &points, &tree, &metric, extras, &pool)
             } else {
                 boruvka_mst(&ctx, &points, &tree, &Euclidean, extras, &pool)

@@ -34,9 +34,9 @@ use pandora_exec::{ExecCtx, ScratchPool, UnsafeSlice, DEFAULT_GRAIN};
 
 use crate::boruvka::{boruvka_mst, BoruvkaExtras, BoruvkaStats, EndgameCache, EndgameStore};
 use crate::error::PandoraError;
-use crate::kdtree::KdTree;
+use crate::kdtree::{KdTree, TreeOrdered};
 use crate::knn::{knn_rows_into, KnnRows};
-use crate::metric::{Euclidean, MetricKind, MutualReachability};
+use crate::metric::{Euclidean, MetricKind, TreeMutualReachability};
 use crate::point::PointSet;
 
 /// Extra neighbours captured past the largest `minPts` an index serves.
@@ -147,7 +147,7 @@ pub fn emst_with_core2(ctx: &ExecCtx, points: &PointSet, core2: &[f32]) -> Vec<E
         node_core2: &node_core2,
         ..Default::default()
     };
-    let metric = MutualReachability { core2: &core2 };
+    let metric = TreeMutualReachability { core2: &core2 };
     boruvka_mst(ctx, points, &tree, &metric, extras, &ScratchPool::new())
 }
 
@@ -512,6 +512,7 @@ pub fn emst_from_index_with(
     tree_core2.resize(index.len(), 0.0);
     let mut core2 = vec![0.0f32; index.len()];
     index.fill_core2(ctx, min_pts, &mut core2, Some(&mut tree_core2));
+    let tree_core2 = TreeOrdered::from_vec(tree_core2);
     scratch.rebind(index);
     // Cold scratch sets warm up from the best snapshot any earlier request
     // against this index published (module docs: the store lives on the
@@ -557,10 +558,10 @@ pub fn emst_from_index_with(
             cache: Some((&mut scratch.endgame, min_pts)),
             stats: Some(&index.stats),
         };
-        let metric = MutualReachability { core2: &tree_core2 };
+        let metric = TreeMutualReachability { core2: &tree_core2 };
         boruvka_mst(ctx, points, tree, &metric, extras, pool)
     };
-    pool.put_f32(tree_core2);
+    pool.put_f32(tree_core2.into_vec());
     let mst_s = t.elapsed().as_secs_f64();
     // Offer this run's endgame bounds back to the shared store so the next
     // cold scratch (another session, another daemon lane) starts warm.
@@ -582,7 +583,7 @@ mod tests {
     use super::*;
     use crate::knn::core_distances2;
     use crate::kruskal::total_weight;
-    use crate::metric::Metric;
+    use crate::metric::{Metric, MutualReachability};
     use crate::prim::prim_mst;
     use rand::prelude::*;
 
@@ -606,7 +607,7 @@ mod tests {
             boruvka_mst(ctx, points, &tree, &Euclidean, extras, &pool)
         } else {
             let tree_core2 = tree.in_tree_order(&core2);
-            let metric = MutualReachability { core2: &tree_core2 };
+            let metric = TreeMutualReachability { core2: &tree_core2 };
             boruvka_mst(ctx, points, &tree, &metric, extras, &pool)
         };
         Emst {

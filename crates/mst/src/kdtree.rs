@@ -55,7 +55,9 @@
 //!   position. The batched k-NN rows, the component labels, the core
 //!   distances and the nearest-foreign searches all number points by
 //!   position, so each leaf's points are one contiguous range of every
-//!   per-point array and a pass in tree order streams them. Input indices
+//!   per-point array and a pass in tree order streams them. Those inputs
+//!   are typed [`TreeOrdered`], so per-index data cannot stand in for
+//!   them. Input indices
 //!   remain where results depend on them: every tie between equal
 //!   distances goes to the smaller *index* (`perm()` value), never the
 //!   smaller position.
@@ -74,8 +76,8 @@ use pandora_exec::trace::KernelKind;
 use pandora_exec::{ExecCtx, UnsafeSlice, DEFAULT_GRAIN};
 
 use crate::metric::{
-    block_dist2, box_box_dist2, box_dist2, euclid_block_dist2, point_box_dist2, with_dim, Dim, Dyn,
-    Metric, LEAF_BLOCK,
+    block_dist2, box_box_dist2, box_dist2, euclid_block_dist2, point_box_dist2, with_dim, Dim,
+    TreeMetric, LEAF_BLOCK,
 };
 use crate::point::PointSet;
 
@@ -102,11 +104,6 @@ const BUILD_SPLIT_TARGET: usize = 64;
 /// 2× margin. Enforced at build time.
 const MAX_STACK: usize = 64;
 
-/// Largest dimension whose nearest-foreign query coordinates are copied
-/// from the leaf blocks onto the stack; a higher-dimensional query reads
-/// its point's row of the point set instead.
-const QUERY_DIM_MAX: usize = 16;
-
 /// Outcome of a bounded nearest-foreign search
 /// ([`KdTree::nearest_foreign_bounded`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,6 +128,44 @@ pub struct SearchWork {
     pub dist_evals: u64,
     /// Node visits (box distances computed).
     pub node_visits: u64,
+}
+
+/// Per-point values in **tree order**: entry `i` belongs to the point at
+/// tree position `i`, i.e. the point `perm()[i]`.
+///
+/// The tree-space inputs — core distances for
+/// [`crate::metric::TreeMutualReachability`] and
+/// [`KdTree::min_core2_into`], component labels for
+/// [`KdTree::component_purity`] and the nearest-foreign searches — take
+/// this type rather than a bare slice, so values kept per point index
+/// cannot be passed there by mistake. Outside this crate the only way to
+/// make one is [`KdTree::in_tree_order`]; it reads as a slice.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TreeOrdered<T>(Vec<T>);
+
+impl<T> TreeOrdered<T> {
+    /// Wraps a buffer whose entries the caller wrote in tree order.
+    pub(crate) fn from_vec(values: Vec<T>) -> Self {
+        Self(values)
+    }
+
+    /// The buffer itself, e.g. to hand back to a pool.
+    pub(crate) fn into_vec(self) -> Vec<T> {
+        self.0
+    }
+
+    /// The entries, for updates that keep them in tree order.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
+        &mut self.0
+    }
+}
+
+impl<T> std::ops::Deref for TreeOrdered<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.0
+    }
 }
 
 /// A static kd-tree with structure-of-arrays node metadata.
@@ -457,10 +492,10 @@ impl KdTree {
     /// [`KdTree::min_core2_into`], the nearest-foreign searches and
     /// [`crate::boruvka::boruvka_mst`]'s metric read. E.g. core distances
     /// from [`crate::knn::core_distances2`] become
-    /// `MutualReachability { core2: &tree.in_tree_order(&core2) }`.
-    pub fn in_tree_order(&self, by_point: &[f32]) -> Vec<f32> {
+    /// `TreeMutualReachability { core2: &tree.in_tree_order(&core2) }`.
+    pub fn in_tree_order<T: Copy>(&self, by_point: &[T]) -> TreeOrdered<T> {
         assert_eq!(by_point.len(), self.perm.len(), "one value per point");
-        self.perm.iter().map(|&p| by_point[p as usize]).collect()
+        TreeOrdered(self.perm.iter().map(|&p| by_point[p as usize]).collect())
     }
 
     /// Whether the tree is empty.
@@ -480,8 +515,7 @@ impl KdTree {
 
     /// Computes per-node minimum squared core distances (leaf-up sweep)
     /// into a caller-owned buffer, for mutual-reachability pruning bounds.
-    /// `core2` is in tree order ([`KdTree::in_tree_order`]), so each leaf
-    /// reads one contiguous range.
+    /// `core2` is in tree order, so each leaf reads one contiguous range.
     ///
     /// The tree itself stays untouched — core distances are a property of
     /// the *request* (`minPts`), not of the index, so a tree shared by
@@ -489,7 +523,7 @@ impl KdTree {
     /// own bounds to [`KdTree::nearest_foreign_bounded`]. The buffer is
     /// cleared and resized (capacity retained), so steady-state reuse
     /// allocates nothing.
-    pub fn min_core2_into(&self, core2: &[f32], out: &mut Vec<f32>) {
+    pub fn min_core2_into(&self, core2: &TreeOrdered<f32>, out: &mut Vec<f32>) {
         assert_eq!(core2.len(), self.perm.len());
         out.clear();
         out.resize(self.n_nodes(), f32::INFINITY);
@@ -509,7 +543,7 @@ impl KdTree {
     /// Per-node component purity: the component id shared by every point in
     /// the subtree, or `u32::MAX` if mixed. `comp` holds one label per tree
     /// position. O(n).
-    pub fn component_purity(&self, comp: &[u32]) -> Vec<u32> {
+    pub fn component_purity(&self, comp: &TreeOrdered<u32>) -> Vec<u32> {
         let mut purity = Vec::new();
         self.component_purity_into(&ExecCtx::serial(), comp, &mut purity);
         purity
@@ -522,7 +556,12 @@ impl KdTree {
     /// The O(n) leaf scans (the dominant cost) run in parallel; the
     /// internal combine is a serial leaf-up sweep over the O(n / leaf_size)
     /// nodes, which is noise by comparison.
-    pub fn component_purity_into(&self, ctx: &ExecCtx, comp: &[u32], purity: &mut Vec<u32>) {
+    pub fn component_purity_into(
+        &self,
+        ctx: &ExecCtx,
+        comp: &TreeOrdered<u32>,
+        purity: &mut Vec<u32>,
+    ) {
         purity.clear();
         purity.resize(self.n_nodes(), INVALID);
         {
@@ -838,9 +877,9 @@ impl KdTree {
     /// Nearest point to the point at tree position `q` in a *different
     /// component*, under `metric`.
     ///
-    /// Everything is numbered by tree position: `q`, the labels in `comp`
-    /// (one per position), the metric's per-point data (e.g. core
-    /// distances in [`KdTree::in_tree_order`]) and the returned point.
+    /// Everything is numbered by tree position: `q`, the labels in `comp`,
+    /// the points `metric` is called with ([`TreeMetric`]) and the
+    /// returned point.
     /// `purity` comes from [`KdTree::component_purity`] for the current
     /// Borůvka round. `node_core2` is either empty (no pruning bounds —
     /// always valid, just less pruning for mutual reachability) or the
@@ -848,12 +887,12 @@ impl KdTree {
     /// the request's `minPts`. Returns `(squared distance, position)`;
     /// ties go to the smaller point *index* (`perm()` value), so the
     /// answer is the brute-force `(d2, index)` minimum.
-    pub fn nearest_foreign<M: Metric>(
+    pub fn nearest_foreign<M: TreeMetric>(
         &self,
         points: &PointSet,
         metric: &M,
         q: u32,
-        comp: &[u32],
+        comp: &TreeOrdered<u32>,
         purity: &[u32],
         node_core2: &[f32],
     ) -> Option<(f32, u32)> {
@@ -874,12 +913,12 @@ impl KdTree {
     /// `None` unless it finds a point at distance ≤ the bound (equal-bound
     /// subtrees are still visited, so smaller-index ties win regardless).
     #[allow(clippy::too_many_arguments)] // mirrors nearest_foreign_bounded
-    pub fn nearest_foreign_from<M: Metric>(
+    pub fn nearest_foreign_from<M: TreeMetric>(
         &self,
         points: &PointSet,
         metric: &M,
         q: u32,
-        comp: &[u32],
+        comp: &TreeOrdered<u32>,
         purity: &[u32],
         node_core2: &[f32],
         seed: Option<(f32, u32)>,
@@ -904,16 +943,15 @@ impl KdTree {
     /// than the seed bound. Borůvka stores it so interior points stay
     /// filtered for many rounds instead of re-searching every round.
     ///
-    /// The query's coordinates come from the tree's own leaf blocks, and
-    /// leaf scans read `comp` and the metric's per-point data at
+    /// Leaf scans read `comp` and the metric's per-point data at
     /// consecutive positions.
     #[allow(clippy::too_many_arguments)] // the innermost configurable query
-    pub fn nearest_foreign_bounded<M: Metric>(
+    pub fn nearest_foreign_bounded<M: TreeMetric>(
         &self,
         points: &PointSet,
         metric: &M,
         q: u32,
-        comp: &[u32],
+        comp: &TreeOrdered<u32>,
         purity: &[u32],
         node_core2: &[f32],
         seed: Option<(f32, u32)>,
@@ -937,13 +975,7 @@ impl KdTree {
         // Lower bound on everything foreign this search pruned or rejected;
         // only meaningful when no candidate is found.
         let mut margin = f32::INFINITY;
-        let mut qbuf = [0.0f32; QUERY_DIM_MAX];
-        let qp: &[f32] = if self.dim <= QUERY_DIM_MAX {
-            self.coords_at(Dyn(self.dim), q as usize, &mut qbuf);
-            &qbuf[..self.dim]
-        } else {
-            points.point(self.perm[q as usize] as usize)
-        };
+        let qp = points.point(self.perm[q as usize] as usize);
         let my_comp = comp[q as usize];
         let min_core2: &[f32] = node_core2;
         let mut visits = 0u64;
@@ -955,7 +987,7 @@ impl KdTree {
             } else {
                 min_core2[nid]
             };
-            metric.box_bound2(points, q, box_d2, mc)
+            metric.box_bound2_at(points, q, box_d2, mc)
         };
         let mut stack = [(0u32, 0.0f32); MAX_STACK];
         let mut sp = 0usize;
@@ -1004,7 +1036,7 @@ impl KdTree {
                     // Chunked leaf scan: the Euclidean part is computed for
                     // a whole AoSoA block at once; the scalar pass gathers
                     // component labels and finalizes the metric
-                    // (`refine_euclid2` agrees exactly with `dist2`).
+                    // (`refine_euclid2_at` agrees exactly with `dist2`).
                     let (s, e) = (
                         self.start[nid as usize] as usize,
                         self.end[nid as usize] as usize,
@@ -1018,7 +1050,8 @@ impl KdTree {
                             if comp[i] == my_comp {
                                 continue;
                             }
-                            let d2 = metric.refine_euclid2(d2buf[i - b * LEAF_BLOCK], q, i as u32);
+                            let d2 =
+                                metric.refine_euclid2_at(d2buf[i - b * LEAF_BLOCK], q, i as u32);
                             if d2 < best_d2 || (d2 == best_d2 && self.perm[i] < best_id) {
                                 best_d2 = d2;
                                 best_p = i as u32;
@@ -1648,7 +1681,7 @@ mod tests {
         let tree = KdTree::build(&ctx, &points);
         let perm = tree.perm();
         // Components by point index: evens vs odds, labelled per position.
-        let comp: Vec<u32> = perm.iter().map(|&p| p % 2).collect();
+        let comp = TreeOrdered::from_vec(perm.iter().map(|&p| p % 2).collect());
         let purity = tree.component_purity(&comp);
         for q in [0u32, 7, 150] {
             let (d2, p) = tree
@@ -1671,7 +1704,8 @@ mod tests {
         let ctx = ExecCtx::serial();
         let points = random_points(500, 3, 13);
         let tree = KdTree::build(&ctx, &points);
-        let comp: Vec<u32> = tree.perm().iter().map(|&p| p % 3).collect();
+        let by_point: Vec<u32> = (0..500).map(|p| p % 3).collect();
+        let comp = tree.in_tree_order(&by_point);
         let purity = tree.component_purity(&comp);
         for q in 0..50u32 {
             let plain = tree.nearest_foreign(&points, &Euclidean, q, &comp, &purity, &[]);
@@ -1696,12 +1730,12 @@ mod tests {
         let ctx = ExecCtx::serial();
         let points = random_points(100, 2, 9);
         let tree = KdTree::build(&ctx, &points);
-        let comp_all_same = vec![3u32; 100];
+        let comp_all_same = TreeOrdered::from_vec(vec![3u32; 100]);
         let mut purity = Vec::new();
         tree.component_purity_into(&ctx, &comp_all_same, &mut purity);
         assert!(purity.iter().all(|&p| p == 3));
         // Reuse the same buffer with a different labelling.
-        let comp_mixed: Vec<u32> = (0..100u32).collect();
+        let comp_mixed = TreeOrdered::from_vec((0..100u32).collect());
         tree.component_purity_into(&ctx, &comp_mixed, &mut purity);
         assert_eq!(purity[0], INVALID);
     }

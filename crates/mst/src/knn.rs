@@ -148,8 +148,9 @@ pub fn knn_rows_into(
 ///   nearest-foreign distance, feeding the boundary-point filter.
 ///
 /// Both arguments require the metric to **dominate the Euclidean
-/// distance** (`dist2(a,b) ≥ ‖a−b‖²`), which holds for [`crate::metric::Euclidean`]
-/// and [`crate::metric::MutualReachability`].
+/// distance** (`refine_euclid2_at(e2, a, b) ≥ e2`), which holds for
+/// [`crate::metric::Euclidean`] and
+/// [`crate::metric::TreeMutualReachability`].
 #[derive(Debug, Clone, Copy)]
 pub struct KnnRows<'a> {
     /// Neighbours per row.

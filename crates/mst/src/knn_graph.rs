@@ -20,7 +20,7 @@ use pandora_exec::trace::KernelKind;
 use pandora_exec::{ExecCtx, UnsafeSlice};
 
 use crate::kdtree::KdTree;
-use crate::metric::Metric;
+use crate::metric::{Metric, TreeMetric};
 use crate::point::PointSet;
 
 /// Spanning tree from the k-NN graph plus exact completion rounds.
@@ -100,7 +100,7 @@ pub fn knn_graph_mst<M: Metric>(
             comp[v as usize] = dsu.find(v);
         }
         // The searches number points by tree position.
-        let tree_comp: Vec<u32> = perm.iter().map(|&v| comp[v as usize]).collect();
+        let tree_comp = tree.in_tree_order(&comp);
         let purity = tree.component_purity(&tree_comp);
         let tree_metric = ByPosition { metric, perm };
         let candidate: Vec<std::sync::atomic::AtomicU64> = (0..n)
@@ -163,20 +163,15 @@ struct ByPosition<'a, M> {
     perm: &'a [u32],
 }
 
-impl<M: Metric> Metric for ByPosition<'_, M> {
-    fn dist2(&self, points: &PointSet, a: u32, b: u32) -> f32 {
-        let (a, b) = (self.perm[a as usize], self.perm[b as usize]);
-        self.metric.dist2(points, a, b)
-    }
-
-    fn refine_euclid2(&self, euclid_d2: f32, a: u32, b: u32) -> f32 {
+impl<M: Metric> TreeMetric for ByPosition<'_, M> {
+    fn refine_euclid2_at(&self, euclid_d2: f32, a: u32, b: u32) -> f32 {
         let (a, b) = (self.perm[a as usize], self.perm[b as usize]);
         self.metric.refine_euclid2(euclid_d2, a, b)
     }
 
-    fn box_bound2(&self, points: &PointSet, q: u32, box_dist2: f32, box_min_core2: f32) -> f32 {
+    fn box_bound2_at(&self, points: &PointSet, q: u32, box_dist2: f32, min_core2: f32) -> f32 {
         let q = self.perm[q as usize];
-        self.metric.box_bound2(points, q, box_dist2, box_min_core2)
+        self.metric.box_bound2(points, q, box_dist2, min_core2)
     }
 }
 

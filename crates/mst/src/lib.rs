@@ -12,8 +12,9 @@
 //! * [`knn`] — batched k-NN rows / HDBSCAN\* core distances, computed
 //!   leaf by leaf, with ties at the k-th distance going to the smaller
 //!   index;
-//! * [`boruvka`] — parallel Borůvka MST over any [`metric::Metric`]
-//!   (Euclidean or mutual reachability), warm-started across rounds;
+//! * [`boruvka`] — parallel Borůvka MST over any [`metric::TreeMetric`]
+//!   (Euclidean or mutual reachability, read at kd-tree positions),
+//!   warm-started across rounds;
 //! * [`index`] — the EMST stage: the frozen, shareable
 //!   [`index::EmstIndex`] (kd-tree plus sorted k-NN rows serving every
 //!   `minPts` up to a ceiling by prefix), per-request
@@ -48,10 +49,12 @@ pub use index::{
     emst, emst_from_index, emst_from_index_with, emst_with_core2, Emst, EmstIndex, EmstScratch,
     StageTimings, ROW_SLACK,
 };
-pub use kdtree::{ForeignSearch, KdTree, KnnHeap, SearchWork};
+pub use kdtree::{ForeignSearch, KdTree, KnnHeap, SearchWork, TreeOrdered};
 pub use knn::{core_distances2, knn_rows_into, KnnRows};
 pub use knn_graph::knn_graph_mst;
 pub use linkage::{Linkage, LINKAGE_ENV};
-pub use metric::{Euclidean, Metric, MetricKind, MutualReachability};
+pub use metric::{
+    Euclidean, Metric, MetricKind, MutualReachability, TreeMetric, TreeMutualReachability,
+};
 pub use nnchain::{nnchain_from_index, nnchain_merges, NnChainRun};
 pub use point::PointSet;

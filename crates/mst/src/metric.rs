@@ -6,6 +6,7 @@
 //! monotone square, so comparisons are unaffected and `sqrt` is deferred to
 //! the final edge weights.
 
+use crate::kdtree::TreeOrdered;
 use crate::point::PointSet;
 
 /// Which base dissimilarity a clustering request runs under — the
@@ -71,7 +72,13 @@ impl core::fmt::Display for MetricKind {
     }
 }
 
-/// A metric usable by the Borůvka EMST and k-NN code paths.
+/// A metric over **point indices**: every point argument is an index into
+/// the [`PointSet`], and per-point data (e.g. core distances) is read per
+/// index. Prim ([`crate::prim::prim_mst`]), the k-NN graph's candidate
+/// edges ([`crate::knn_graph::knn_graph_mst`]) and DBCV call it this way.
+///
+/// Borůvka and the nearest-foreign searches number points by kd-tree
+/// position instead and take a [`TreeMetric`].
 ///
 /// All values are squared distances.
 pub trait Metric: Sync {
@@ -90,6 +97,28 @@ pub trait Metric: Sync {
     /// inside the axis-aligned box `[bbox_min, bbox_max]`, given the minimum
     /// (squared) core distance of the points inside the box.
     fn box_bound2(&self, points: &PointSet, q: u32, box_dist2: f32, box_min_core2: f32) -> f32;
+}
+
+/// A metric over **kd-tree positions**, the numbering of
+/// [`crate::boruvka::boruvka_mst`], [`crate::boruvka::row_witness_scan`]
+/// and [`crate::kdtree::KdTree::nearest_foreign`]: every point argument
+/// is a position `a` of the tree, standing for the point
+/// `tree.perm()[a]`, and per-point data is read in tree order
+/// ([`TreeOrdered`]), so the leaf scans stream it.
+///
+/// Implementations: [`Euclidean`] and [`TreeMutualReachability`] (core
+/// distances in tree order). All values are squared distances.
+pub trait TreeMetric: Sync {
+    /// Finalizes a precomputed squared Euclidean distance between the points
+    /// at positions `a` and `b` into this metric's squared distance. Must
+    /// agree exactly with the same metric's [`Metric::dist2`] on the points
+    /// `perm[a]` and `perm[b]`.
+    fn refine_euclid2_at(&self, euclid_d2: f32, a: u32, b: u32) -> f32;
+
+    /// Lower bound on the squared distance from the point at position `q`
+    /// to any point inside a box `box_dist2` away whose points' smallest
+    /// squared core distance is `box_min_core2`.
+    fn box_bound2_at(&self, points: &PointSet, q: u32, box_dist2: f32, box_min_core2: f32) -> f32;
 }
 
 /// Width of the chunked leaf distance kernels: distances to this many
@@ -249,7 +278,7 @@ pub fn point_box_dist2(p: &[f32], bbox_min: &[f32], bbox_max: &[f32]) -> f32 {
     with_dim!(p.len(), d => box_dist2(d, p, bbox_min, bbox_max))
 }
 
-/// Plain Euclidean distance.
+/// Plain Euclidean distance, under either numbering.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Euclidean;
 
@@ -270,7 +299,21 @@ impl Metric for Euclidean {
     }
 }
 
-/// HDBSCAN\*'s mutual reachability distance over squared core distances.
+impl TreeMetric for Euclidean {
+    #[inline(always)]
+    fn refine_euclid2_at(&self, euclid_d2: f32, _a: u32, _b: u32) -> f32 {
+        euclid_d2
+    }
+
+    #[inline(always)]
+    fn box_bound2_at(&self, _points: &PointSet, _q: u32, box_dist2: f32, _min_core2: f32) -> f32 {
+        box_dist2
+    }
+}
+
+/// HDBSCAN\*'s mutual reachability distance over squared core distances
+/// per point index (a [`Metric`]). Borůvka takes
+/// [`TreeMutualReachability`] instead.
 #[derive(Debug, Clone, Copy)]
 pub struct MutualReachability<'a> {
     /// Squared core distance (distance to the `minPts`-th neighbour) per point.
@@ -296,6 +339,63 @@ impl Metric for MutualReachability<'_> {
         // d_mreach(q, x) ≥ max(core(q), d(q,x), min core in box) for any x
         // in the box.
         box_dist2.max(self.core2[q as usize]).max(box_min_core2)
+    }
+}
+
+/// Mutual reachability over squared core distances in **tree order** (a
+/// [`TreeMetric`]), the form [`crate::boruvka::boruvka_mst`] reads:
+/// `TreeMutualReachability { core2: &tree.in_tree_order(&core2) }` for
+/// per-index `core2`. Equal to [`MutualReachability`] over the same core
+/// distances, pair for pair.
+///
+/// ```
+/// use pandora_exec::{ExecCtx, ScratchPool};
+/// use pandora_mst::{boruvka_mst, core_distances2, BoruvkaExtras, KdTree, PointSet};
+/// use pandora_mst::TreeMutualReachability;
+///
+/// let ctx = ExecCtx::serial();
+/// let points = PointSet::new(vec![0.0, 0.0, 1.0, 0.0, 5.0, 5.0], 2);
+/// let tree = KdTree::build(&ctx, &points);
+/// let core2 = core_distances2(&ctx, &points, &tree, 2); // per point index
+/// let core2 = tree.in_tree_order(&core2);
+/// let metric = TreeMutualReachability { core2: &core2 };
+/// let pool = ScratchPool::new();
+/// let edges = boruvka_mst(&ctx, &points, &tree, &metric, BoruvkaExtras::default(), &pool);
+/// assert_eq!(edges.len(), 2);
+/// ```
+///
+/// Core distances per point index do not compile there:
+///
+/// ```compile_fail,E0277
+/// use pandora_exec::{ExecCtx, ScratchPool};
+/// use pandora_mst::{boruvka_mst, core_distances2, BoruvkaExtras, KdTree, PointSet};
+/// use pandora_mst::MutualReachability;
+///
+/// let ctx = ExecCtx::serial();
+/// let points = PointSet::new(vec![0.0, 0.0, 1.0, 0.0, 5.0, 5.0], 2);
+/// let tree = KdTree::build(&ctx, &points);
+/// let core2 = core_distances2(&ctx, &points, &tree, 2); // per point index
+/// let metric = MutualReachability { core2: &core2 };
+/// let pool = ScratchPool::new();
+/// let edges = boruvka_mst(&ctx, &points, &tree, &metric, BoruvkaExtras::default(), &pool);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct TreeMutualReachability<'a> {
+    /// Squared core distance per tree position.
+    pub core2: &'a TreeOrdered<f32>,
+}
+
+impl TreeMetric for TreeMutualReachability<'_> {
+    #[inline(always)]
+    fn refine_euclid2_at(&self, euclid_d2: f32, a: u32, b: u32) -> f32 {
+        euclid_d2
+            .max(self.core2[a as usize])
+            .max(self.core2[b as usize])
+    }
+
+    #[inline(always)]
+    fn box_bound2_at(&self, _points: &PointSet, q: u32, box_dist2: f32, min_core2: f32) -> f32 {
+        box_dist2.max(self.core2[q as usize]).max(min_core2)
     }
 }
 
@@ -380,6 +480,33 @@ mod tests {
                 Euclidean.refine_euclid2(e2, a, b),
                 Euclidean.dist2(&points, a, b)
             );
+        }
+    }
+
+    #[test]
+    fn tree_order_mutual_reachability_agrees_with_the_index_metric() {
+        use crate::kdtree::KdTree;
+
+        let n = 40usize;
+        let coords: Vec<f32> = (0..n * 2).map(|i| ((i * 37 % 101) as f32) * 0.25).collect();
+        let points = PointSet::new(coords, 2);
+        let tree = KdTree::build_with_leaf_size(&pandora_exec::ExecCtx::serial(), &points, 4);
+        let perm = tree.perm();
+        assert!(perm.iter().enumerate().any(|(i, &p)| p as usize != i));
+        let core2: Vec<f32> = (0..n).map(|i| (i % 7) as f32).collect();
+        let by_index = MutualReachability { core2: &core2 };
+        let tree_core2 = tree.in_tree_order(&core2);
+        let at = TreeMutualReachability { core2: &tree_core2 };
+        for a in 0..n as u32 {
+            let pa = perm[a as usize];
+            for b in 0..n as u32 {
+                let pb = perm[b as usize];
+                let e2 = points.dist2(pa as usize, pb as usize);
+                let want = by_index.dist2(&points, pa, pb);
+                assert_eq!(at.refine_euclid2_at(e2, a, b), want);
+            }
+            let want = by_index.box_bound2(&points, pa, 2.5, 1.5);
+            assert_eq!(at.box_bound2_at(&points, a, 2.5, 1.5), want);
         }
     }
 

@@ -19,6 +19,7 @@ use pandora::exec::{ExecCtx, ScratchPool};
 use pandora::mst::kruskal::total_weight;
 use pandora::mst::{
     boruvka_mst, core_distances2, knn_graph_mst, BoruvkaExtras, KdTree, MutualReachability,
+    TreeMutualReachability,
 };
 
 fn main() {
@@ -41,7 +42,7 @@ fn main() {
     let mut node_core2 = Vec::new();
     tree.min_core2_into(&tree_core2, &mut node_core2);
     let metric = MutualReachability { core2: &core2 };
-    let tree_metric = MutualReachability { core2: &tree_core2 };
+    let tree_metric = TreeMutualReachability { core2: &tree_core2 };
 
     let t = Instant::now();
     let extras = BoruvkaExtras {

@@ -69,6 +69,6 @@ pub mod prelude {
     };
     pub use pandora_mst::{
         boruvka_mst, core_distances2, BoruvkaExtras, EmstIndex, EmstScratch, Euclidean, KdTree,
-        Linkage, MetricKind, MutualReachability, PandoraError, PointSet,
+        Linkage, MetricKind, MutualReachability, PandoraError, PointSet, TreeMutualReachability,
     };
 }

@@ -19,7 +19,7 @@ use pandora::hdbscan::{
     HdbscanParams,
 };
 use pandora::mst::{
-    boruvka_mst, core_distances2, Euclidean, KdTree, KnnHeap, MutualReachability, PointSet,
+    boruvka_mst, core_distances2, Euclidean, KdTree, KnnHeap, PointSet, TreeMutualReachability,
 };
 
 struct CountingAlloc;
@@ -112,9 +112,10 @@ fn steady_state_queries_do_not_allocate() {
     let core2 = tree.in_tree_order(&core_distances2(&ctx, &points, &tree, 2));
     let mut node_core2 = Vec::new();
     tree.min_core2_into(&core2, &mut node_core2);
-    let comp: Vec<u32> = tree.perm().iter().map(|&v| v % 7).collect();
+    let labels: Vec<u32> = (0..n as u32).map(|v| v % 7).collect();
+    let comp = tree.in_tree_order(&labels);
     let purity = tree.component_purity(&comp);
-    let metric = MutualReachability { core2: &core2 };
+    let metric = TreeMutualReachability { core2: &core2 };
     let foreign_allocs = min_allocs_over(3, || {
         for q in 0..n as u32 {
             let found = tree.nearest_foreign(&points, &metric, q, &comp, &purity, &node_core2);

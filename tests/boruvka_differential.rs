@@ -22,7 +22,8 @@ use pandora::exec::pool::ThreadPool;
 use pandora::exec::{ExecCtx, ScratchPool};
 use pandora::mst::{
     boruvka_mst, emst_from_index_with, knn_rows_into, BoruvkaExtras, EmstIndex, EmstScratch,
-    EndgameCache, Euclidean, KdTree, KnnRows, MetricKind, MutualReachability, PointSet, ROW_SLACK,
+    EndgameCache, Euclidean, KdTree, KnnRows, MetricKind, MutualReachability, PointSet,
+    TreeMutualReachability, ROW_SLACK,
 };
 
 use common::{brute_core2, reference_boruvka};
@@ -70,7 +71,7 @@ fn check(points: &PointSet, min_pts: usize, case: &str) {
             d2: &d2,
             idx: &idx,
         };
-        let mreach = MutualReachability { core2: &tree_core2 };
+        let mreach = TreeMutualReachability { core2: &tree_core2 };
         let pool = ScratchPool::new();
         for with_rows in [false, true] {
             // A cold then a warm run through one endgame cache.

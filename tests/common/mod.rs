@@ -23,7 +23,7 @@ use pandora::core::Edge;
 use pandora::exec::{ExecCtx, ScratchPool};
 use pandora::mst::{
     boruvka_mst, core_distances2, BoruvkaExtras, Emst, Euclidean, KdTree, Metric,
-    MutualReachability, PointSet, StageTimings,
+    MutualReachability, PointSet, StageTimings, TreeMutualReachability,
 };
 
 /// The EMST of `points` at `min_pts`, built without the index machinery:
@@ -41,7 +41,7 @@ pub fn reference_emst(ctx: &ExecCtx, points: &PointSet, min_pts: usize) -> Emst 
         boruvka_mst(ctx, points, &tree, &Euclidean, extras, &pool)
     } else {
         let tree_core2 = tree.in_tree_order(&core2);
-        let metric = MutualReachability { core2: &tree_core2 };
+        let metric = TreeMutualReachability { core2: &tree_core2 };
         boruvka_mst(ctx, points, &tree, &metric, extras, &pool)
     };
     Emst {

@@ -8,6 +8,7 @@ use pandora::mst::kruskal::{kruskal_mst, total_weight};
 use pandora::mst::prim::prim_mst;
 use pandora::mst::{
     boruvka_mst, core_distances2, BoruvkaExtras, Euclidean, KdTree, MutualReachability, PointSet,
+    TreeMutualReachability,
 };
 
 /// The bare Euclidean Borůvka run.
@@ -57,7 +58,7 @@ fn boruvka_matches_prim_under_mutual_reachability() {
             node_core2: &node_core2,
             ..Default::default()
         };
-        let tree_metric = MutualReachability { core2: &tree_core2 };
+        let tree_metric = TreeMutualReachability { core2: &tree_core2 };
         let got = boruvka_mst(
             &ctx,
             &points,

@@ -22,7 +22,7 @@ use pandora::mst::prim::prim_mst;
 use pandora::mst::{
     boruvka_mst, core_distances2, emst, emst_from_index, knn_rows_into, row_witness_scan,
     BoruvkaExtras, Emst, EmstIndex, EmstScratch, Euclidean, KdTree, KnnHeap, KnnRows,
-    MutualReachability, PointSet, SearchWork,
+    MutualReachability, PointSet, SearchWork, TreeMutualReachability,
 };
 
 use common::{brute_emst, reference_emst};
@@ -288,7 +288,7 @@ proptest! {
             })
             .collect();
         let tree_core2 = tree.in_tree_order(&core2);
-        let metric = MutualReachability { core2: &tree_core2 };
+        let metric = TreeMutualReachability { core2: &tree_core2 };
         let exact = |q: usize, p: u32| {
             points
                 .dist2(q, p as usize)
@@ -300,7 +300,7 @@ proptest! {
         let comp: Vec<u32> = (0..n as u64)
             .map(|p| ((p.wrapping_add(1).wrapping_mul(comp_seed | 1)) >> 32) as u32 % 4)
             .collect();
-        let tree_comp: Vec<u32> = perm.iter().map(|&v| comp[v as usize]).collect();
+        let tree_comp = tree.in_tree_order(&comp);
         let id = |(d2, p): (f32, u32)| (d2, if p == u32::MAX { p } else { perm[p as usize] });
         for q in 0..n {
             let root = comp[q] as usize;
