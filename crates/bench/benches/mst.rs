@@ -1,11 +1,13 @@
-//! EMST substrate: kd-tree construction, k-NN core distances, Borůvka.
+//! EMST substrate: kd-tree construction, the freeze's k-NN rows, k-NN core
+//! distances, Borůvka.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use pandora_data::by_name;
 use pandora_exec::{ExecCtx, ScratchPool};
 use pandora_mst::{
-    boruvka_mst, core_distances2, emst, BoruvkaExtras, Euclidean, KdTree, TreeMutualReachability,
+    boruvka_mst, core_distances2, emst, knn_rows_into, BoruvkaExtras, Euclidean, KdTree,
+    TreeMutualReachability,
 };
 
 fn bench_kdtree_build(c: &mut Criterion) {
@@ -18,6 +20,30 @@ fn bench_kdtree_build(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &points, |b, points| {
             b.iter(|| KdTree::build(&ctx, points))
         });
+    }
+    group.finish();
+}
+
+fn bench_knn_rows(c: &mut Criterion) {
+    // The freeze's sorted k-NN rows at its two widths: rows_k 9 is
+    // `max_min_pts = 2` (the skewed-dendrogram set-up), rows_k 23 is
+    // `max_min_pts = 16` (the serving daemon's 5,000-point load).
+    let ctx = ExecCtx::threads();
+    let mut group = c.benchmark_group("knn_rows");
+    group.sample_size(10);
+    for (name, n, k) in [
+        ("Normal100M3D", 250_000usize, 9usize),
+        ("VisualVar10M2D", 5_000, 23),
+    ] {
+        let points = by_name(name).unwrap().generate(n, 31);
+        let tree = KdTree::build(&ctx, &points);
+        let (mut d2, mut idx) = (Vec::new(), Vec::new());
+        group.throughput(Throughput::Elements(points.len() as u64));
+        group.bench_with_input(
+            BenchmarkId::new(format!("k{k}"), name),
+            &points,
+            |b, points| b.iter(|| knn_rows_into(&ctx, points, &tree, k, &mut d2, &mut idx)),
+        );
     }
     group.finish();
 }
@@ -102,6 +128,7 @@ fn bench_emst_pipeline(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().measurement_time(std::time::Duration::from_secs(4));
-    targets = bench_kdtree_build, bench_core_distances, bench_boruvka, bench_emst_pipeline
+    targets = bench_kdtree_build, bench_knn_rows, bench_core_distances, bench_boruvka,
+        bench_emst_pipeline
 );
 criterion_main!(benches);

@@ -1,11 +1,10 @@
 //! Stable parallel merge sort.
 //!
 //! The comparison sort for keys that do not pack into one `u64` word:
-//! Kruskal's weighted edges (`pandora-mst`'s `kruskal.rs`) and the k-NN
-//! graph's candidate edges (`knn_graph.rs`). PANDORA's own two sorts, the
-//! canonical edge order and the chain sort, run on [`crate::radix`]; the
-//! canonical order uses this sort only for runs of equal weights, which it
-//! orders by their endpoints.
+//! Kruskal's weighted edges (`pandora-mst`'s `kruskal.rs`). PANDORA's own
+//! two sorts, the canonical edge order and the chain sort, run on
+//! [`crate::radix`]; the canonical order uses this sort only for runs of
+//! equal weights, which it orders by their endpoints.
 //! Chunks are sorted in parallel with the standard library's stable sort,
 //! then merged pairwise in rounds; each merge is performed by a single
 //! task, pairs run in parallel.

@@ -36,19 +36,27 @@
 //!   dispatches once on the point set's dimension: 2-D and 3-D run with
 //!   compile-time coordinate counts, every other dimension runs the same
 //!   code with a run-time count.
-//! * **Leaf tiles.** The batched k-NN rows are computed per leaf: each
-//!   leaf's queries first scan their own leaf, then share one traversal
-//!   from the root that prunes nodes by box–box distance against the
-//!   largest k-th distance among them and scans candidate leaves nearest
-//!   first. A query skips a candidate leaf beyond its own k-th distance,
-//!   and an 8-point block when no lane can enter its top-k. A leaf's work
-//!   depends only on the tree, so the rows and the work counts do not
-//!   depend on the lane count.
+//! * **Leaf tiles.** The batched k-NN rows are computed per leaf. Each
+//!   query's top-k starts as the `k` smallest keys of its own leaf, all
+//!   computed and then selected at once. The leaf's queries then share
+//!   one traversal from the root that prunes nodes by box–box distance
+//!   against the largest k-th distance among them and scans candidate
+//!   leaves nearest first. A candidate leaf's box is tested against 8
+//!   queries per call, from a dimension-major copy of the tile's
+//!   coordinates and each query's k-th distance bits, summed in the order
+//!   of the one-query box distance, so every query skips exactly the
+//!   leaves beyond its own k-th distance; a scan passes over an 8-point
+//!   block when no lane can enter the top-k. A leaf's work depends only
+//!   on the tree, so the rows and the work counts do not depend on the
+//!   lane count.
 //! * **Canonical ties.** Every top-k keeps the `k` smallest keys
 //!   `(d2 bits << 32) | index`: the brute-force `(d2, index)` order, so
 //!   which of several points tied at the k-th distance is kept never
-//!   depends on the traversal order. Per-point queries
-//!   ([`KdTree::knn_into`]) and the batched rows therefore agree exactly.
+//!   depends on the traversal order. The keys are held ascending, the
+//!   largest last: a smaller key goes in at its rank and shifts the
+//!   larger ones up, so a finished top-k is already its sorted row.
+//!   Per-point queries ([`KdTree::knn_into`]) and the batched rows share
+//!   it and agree exactly.
 //!
 //! * **Tree positions.** Position `i` of the tree is the point
 //!   `perm()[i]`, and [`KdTree::positions`] maps a point back to its
@@ -76,8 +84,8 @@ use pandora_exec::trace::KernelKind;
 use pandora_exec::{ExecCtx, UnsafeSlice, DEFAULT_GRAIN};
 
 use crate::metric::{
-    block_dist2, box_box_dist2, box_dist2, euclid_block_dist2, point_box_dist2, with_dim, Dim,
-    TreeMetric, LEAF_BLOCK,
+    block_dist2, box_block_dist2, box_box_dist2, box_dist2, euclid_block_dist2, point_box_dist2,
+    with_dim, Dim, TreeMetric, LEAF_BLOCK,
 };
 use crate::point::PointSet;
 
@@ -608,11 +616,11 @@ impl KdTree {
     }
 
     /// Fills `heap` with the `k` nearest neighbours of `q` (excluding `q`),
-    /// allocation-free once the heap has capacity `k`. The neighbours are
-    /// the first `k` of all other points in `(d2, index)` order, the same
-    /// as the rows of [`crate::knn::knn_rows_into`].
+    /// allocation-free once it has capacity `k`. The neighbours are the
+    /// first `k` of all other points in `(d2, index)` order, the same as
+    /// the rows of [`crate::knn::knn_rows_into`].
     ///
-    /// The heap is reset first, so it can be reused across queries. Read
+    /// The top-k is reset first, so it can be reused across queries. Read
     /// the result via [`KnnHeap::sorted`] (ascending) or
     /// [`KnnHeap::max_d2`] (the k-th squared distance, e.g. core distances).
     pub fn knn_into(&self, points: &PointSet, q: u32, k: usize, heap: &mut KnnHeap) {
@@ -625,14 +633,14 @@ impl KdTree {
     }
 
     /// One query's top-k traversal: descends by the cached splits, pushes
-    /// far children that may still hold a key below the heap's largest.
-    fn knn_descend<D: Dim>(&self, dim: D, qp: &[f32], q: u32, heap: &mut [u64]) {
+    /// far children that may still hold a key below the top-k's largest.
+    fn knn_descend<D: Dim>(&self, dim: D, qp: &[f32], q: u32, topk: &mut [u64]) {
         let mut stack = [(0u32, 0.0f32); MAX_STACK];
         let mut sp = 0usize;
         let mut nid = 0u32;
         let mut bound = self.box_dist2(dim, 0, qp);
         loop {
-            if floor_key(bound) <= heap[0] {
+            if bound.to_bits() <= kth_bits(topk) {
                 loop {
                     let left = self.left[nid as usize];
                     if left == INVALID {
@@ -648,19 +656,19 @@ impl KdTree {
                         (left + 1, left)
                     };
                     let dfar = self.box_dist2(dim, far as usize, qp);
-                    if floor_key(dfar) <= heap[0] {
+                    if dfar.to_bits() <= kth_bits(topk) {
                         stack[sp] = (far, dfar);
                         sp += 1;
                     }
                     let dnear = self.box_dist2(dim, near as usize, qp);
-                    if floor_key(dnear) > heap[0] {
+                    if dnear.to_bits() > kth_bits(topk) {
                         nid = INVALID;
                         break;
                     }
                     nid = near;
                 }
                 if nid != INVALID {
-                    self.scan_leaf(dim, qp, q, nid as usize, heap);
+                    self.scan_leaf(dim, qp, q, nid as usize, topk);
                 }
             }
             if sp == 0 {
@@ -671,23 +679,23 @@ impl KdTree {
         }
     }
 
-    /// Offers every point of leaf `nid` except `q` to `heap`, one AoSoA
+    /// Offers every point of leaf `nid` except `q` to `topk`, one AoSoA
     /// block at a time: the block kernel yields 8 distances at once, and a
-    /// block none of whose lanes can enter the heap is passed over.
+    /// block none of whose lanes can enter the top-k is passed over.
     /// Returns the distance evaluations made (8 per block).
     #[inline(always)]
-    fn scan_leaf<D: Dim>(&self, dim: D, qp: &[f32], q: u32, nid: usize, heap: &mut [u64]) -> u64 {
+    fn scan_leaf<D: Dim>(&self, dim: D, qp: &[f32], q: u32, nid: usize, topk: &mut [u64]) -> u64 {
         let (s, e) = (self.start[nid] as usize, self.end[nid] as usize);
         let bw = LEAF_BLOCK * dim.get();
         let (first, last) = (s / LEAF_BLOCK, e.div_ceil(LEAF_BLOCK));
         let mut d2 = [0.0f32; LEAF_BLOCK];
         for b in first..last {
             block_dist2(dim, qp, &self.leaf_coords[b * bw..(b + 1) * bw], &mut d2);
-            // The lanes that lie in the leaf and can enter the heap: their
-            // distance bits do not exceed those of the heap's largest key.
+            // The lanes that lie in the leaf and can enter the top-k: their
+            // distance bits do not exceed those of its largest key.
             let base = b * LEAF_BLOCK;
             let (lo, hi) = (s.max(base) - base, e.min(base + LEAF_BLOCK) - base);
-            let worst = (heap[0] >> 32) as u32;
+            let worst = kth_bits(topk);
             let mut lanes = 0u32;
             for (j, x) in d2.iter().enumerate() {
                 lanes |= u32::from(x.to_bits() <= worst) << j;
@@ -698,10 +706,50 @@ impl KdTree {
                 lanes &= lanes - 1;
                 let p = self.perm[base + j];
                 if p != q {
-                    offer(heap, nn_key(d2[j], p));
+                    offer(topk, nn_key(d2[j], p));
                 }
             }
         }
+        ((last - first) * LEAF_BLOCK) as u64
+    }
+
+    /// Fills `topk` with the `k` smallest keys of the points of the query's
+    /// own leaf `nid` (all but `q`, at tree position `qpos`), ascending and
+    /// padded with [`EMPTY_KEY`]: every key is computed, then the `k`
+    /// smallest are selected and sorted at once. `keys` is scratch. Returns
+    /// the distance evaluations made (8 per block), as [`Self::scan_leaf`]
+    /// counts them.
+    fn select_own_leaf<D: Dim>(
+        &self,
+        dim: D,
+        qp: &[f32],
+        qpos: usize,
+        nid: usize,
+        keys: &mut Vec<u64>,
+        topk: &mut [u64],
+    ) -> u64 {
+        let (s, e) = (self.start[nid] as usize, self.end[nid] as usize);
+        let bw = LEAF_BLOCK * dim.get();
+        let (first, last) = (s / LEAF_BLOCK, e.div_ceil(LEAF_BLOCK));
+        let mut d2 = [0.0f32; LEAF_BLOCK];
+        keys.clear();
+        for b in first..last {
+            block_dist2(dim, qp, &self.leaf_coords[b * bw..(b + 1) * bw], &mut d2);
+            let base = b * LEAF_BLOCK;
+            for i in s.max(base)..e.min(base + LEAF_BLOCK) {
+                if i != qpos {
+                    keys.push(nn_key(d2[i - base], self.perm[i]));
+                }
+            }
+        }
+        let k = topk.len();
+        if keys.len() > k {
+            keys.select_nth_unstable(k - 1);
+            keys.truncate(k);
+        }
+        keys.sort_unstable();
+        topk[..keys.len()].copy_from_slice(keys);
+        topk[keys.len()..].fill(EMPTY_KEY);
         ((last - first) * LEAF_BLOCK) as u64
     }
 
@@ -713,11 +761,12 @@ impl KdTree {
     /// emits its positions in ascending order. `emit` runs on the pool's
     /// lanes.
     ///
-    /// Each leaf's queries first scan their own leaf, then share one
-    /// traversal from the root: nodes are pruned by their box distance to
-    /// the leaf's box against the largest k-th distance among the queries,
-    /// candidate leaves are scanned in near-first order, and a query passes
-    /// over a candidate leaf beyond its own k-th distance. Rows equal
+    /// Each leaf's queries first select their top-k from their own leaf,
+    /// then share one traversal from the root: nodes are pruned by their
+    /// box distance to the leaf's box against the largest k-th distance
+    /// among the queries, candidate leaves are scanned in near-first
+    /// order, and a query passes over a candidate leaf beyond its own k-th
+    /// distance (8 queries' box distances per kernel call). Rows equal
     /// [`KdTree::knn_into`]'s. Records one [`KernelKind::TreeTraverse`]
     /// event: the distance evaluations as elements, and bytes for those
     /// evaluations (`4·dim` each), the box distances, i.e. node visits
@@ -782,33 +831,58 @@ impl KdTree {
         let mut counts = (0u64, 0u64);
         let (s, e) = (self.start[leaf] as usize, self.end[leaf] as usize);
         let members = &self.perm[s..e];
-        let LeafTile { keys, queries, row } = tile;
-        keys.clear();
-        keys.resize(members.len() * k, EMPTY_KEY);
+        let m = members.len();
+        let LeafTile {
+            keys,
+            kth,
+            queries,
+            groups,
+            scratch,
+            row,
+        } = tile;
         let dm = dim.get();
-        // The queries' coordinates, read from the leaf's own blocks.
+        let gw = LEAF_BLOCK * dm;
+        // The queries' coordinates, read from the leaf's own blocks: one
+        // row per query, and the same values regrouped dimension-major in
+        // groups of LEAF_BLOCK queries (zero-padded) for the box tests.
         queries.clear();
-        queries.resize(members.len() * dm, 0.0);
-        for (i, qp) in (s..e).zip(queries.chunks_exact_mut(dm)) {
-            self.coords_at(dim, i, qp);
+        queries.resize(m * dm, 0.0);
+        groups.clear();
+        groups.resize(m.div_ceil(LEAF_BLOCK) * gw, 0.0);
+        for (i, qp) in queries.chunks_exact_mut(dm).enumerate() {
+            self.coords_at(dim, s + i, qp);
+            let group = &mut groups[(i / LEAF_BLOCK) * gw..];
+            for (d, &c) in qp.iter().enumerate() {
+                group[d * LEAF_BLOCK + i % LEAF_BLOCK] = c;
+            }
         }
         // The leaf's own points first, so the traversal starts with finite
-        // bounds whenever the leaf holds more than `k` points.
-        let tile = keys.chunks_exact_mut(k).zip(queries.chunks_exact(dm));
-        for ((heap, qp), &q) in tile.zip(members) {
-            counts.0 += self.scan_leaf(dim, qp, q, leaf, heap);
+        // bounds whenever the leaf holds more than `k` points. `kth` keeps
+        // each query's k-th distance bits (`kth_bits`) for the box tests.
+        keys.clear();
+        keys.resize(m * k, EMPTY_KEY);
+        kth.clear();
+        kth.resize(m.div_ceil(LEAF_BLOCK) * LEAF_BLOCK, 0);
+        for (i, (topk, qp)) in keys
+            .chunks_exact_mut(k)
+            .zip(queries.chunks_exact(dm))
+            .enumerate()
+        {
+            counts.0 += self.select_own_leaf(dim, qp, s + i, leaf, scratch, topk);
+            kth[i] = kth_bits(topk);
         }
         // Then one traversal from the root serves every query: a node is
         // pruned when its box lies farther from the leaf's box than the
-        // largest k-th distance (the largest heap root) in the tile.
+        // largest k-th distance in the tile.
         let (lo, hi) = self.node_box(dim, leaf);
-        let tile_worst = |keys: &[u64]| keys.iter().step_by(k).copied().max().unwrap_or(EMPTY_KEY);
-        let mut worst = tile_worst(keys);
+        let tile_worst = |kth: &[u32]| kth[..m].iter().copied().max().unwrap_or(u32::MAX);
+        let mut worst = tile_worst(kth);
         let mut stack = [(0u32, 0.0f32); MAX_STACK];
         let mut sp = 0usize;
         let (mut nid, mut bound) = (0u32, 0.0f32);
+        let mut gaps = [0.0f32; LEAF_BLOCK];
         loop {
-            if floor_key(bound) <= worst {
+            if bound.to_bits() <= worst {
                 loop {
                     let left = self.left[nid as usize];
                     if left == INVALID {
@@ -822,26 +896,40 @@ impl KdTree {
                     } else {
                         ((left, dl), (left + 1, dr))
                     };
-                    if floor_key(dfar) <= worst {
+                    if dfar.to_bits() <= worst {
                         stack[sp] = (far, dfar);
                         sp += 1;
                     }
-                    if floor_key(dnear) > worst {
+                    if dnear.to_bits() > worst {
                         nid = INVALID;
                         break;
                     }
                     nid = near;
                 }
                 if nid != INVALID && nid as usize != leaf {
+                    // A candidate leaf: its box is tested against
+                    // LEAF_BLOCK queries per call, and each query within
+                    // its own k-th distance scans it.
                     let (clo, chi) = self.node_box(dim, nid as usize);
-                    let tile = keys.chunks_exact_mut(k).zip(queries.chunks_exact(dm));
-                    for ((heap, qp), &q) in tile.zip(members) {
-                        counts.1 += 1;
-                        if floor_key(box_dist2(dim, qp, clo, chi)) <= heap[0] {
-                            counts.0 += self.scan_leaf(dim, qp, q, nid as usize, heap);
+                    counts.1 += m as u64;
+                    for (g, group) in groups.chunks_exact(gw).enumerate() {
+                        box_block_dist2(dim, group, clo, chi, &mut gaps);
+                        let base = g * LEAF_BLOCK;
+                        let mut lanes = 0u32;
+                        for (j, (x, &w)) in gaps.iter().zip(&kth[base..]).enumerate() {
+                            lanes |= u32::from(x.to_bits() <= w) << j;
+                        }
+                        lanes &= (1u32 << (m - base).min(LEAF_BLOCK)) - 1;
+                        while lanes != 0 {
+                            let i = base + lanes.trailing_zeros() as usize;
+                            lanes &= lanes - 1;
+                            let topk = &mut keys[i * k..(i + 1) * k];
+                            let qp = &queries[i * dm..(i + 1) * dm];
+                            counts.0 += self.scan_leaf(dim, qp, members[i], nid as usize, topk);
+                            kth[i] = kth_bits(topk);
                         }
                     }
-                    worst = tile_worst(keys);
+                    worst = tile_worst(kth);
                 }
             }
             if sp == 0 {
@@ -850,11 +938,11 @@ impl KdTree {
             sp -= 1;
             (nid, bound) = stack[sp];
         }
-        // The keys compare by index; the rows hold positions.
-        for (heap, r) in keys.chunks_exact_mut(k).zip(s as u32..) {
-            heap.sort_unstable();
+        // The rows are sorted already; the keys hold indices, the rows
+        // positions.
+        for (topk, r) in keys.chunks_exact(k).zip(s as u32..) {
             row.clear();
-            row.extend(heap.iter().map(|&key| match key_entry(key) {
+            row.extend(topk.iter().map(|&key| match key_entry(key) {
                 (d2, u32::MAX) => (d2, u32::MAX),
                 (d2, p) => (d2, self.pos[p as usize]),
             }));
@@ -1217,19 +1305,30 @@ impl KdTree {
 
 /// Per-lane scratch of the leaf-tiled k-NN pass.
 struct LeafTile {
-    /// One top-k heap of `k` keys per query of the current leaf.
+    /// One ascending top-k of `k` keys per query of the current leaf.
     keys: Vec<u64>,
+    /// Each query's k-th distance bits ([`kth_bits`] of its top-k).
+    kth: Vec<u32>,
     /// The current leaf's query coordinates, row-major.
     queries: Vec<f32>,
+    /// The same coordinates in groups of [`LEAF_BLOCK`] queries,
+    /// dimension-major within each group.
+    groups: Vec<f32>,
+    /// The keys of a query's own leaf, before selection.
+    scratch: Vec<u64>,
     /// One decoded row, handed to the caller.
     row: Vec<(f32, u32)>,
 }
 
 impl LeafTile {
     fn new(dim: usize, k: usize) -> Self {
+        let queries = DEFAULT_LEAF_SIZE.div_ceil(LEAF_BLOCK) * LEAF_BLOCK;
         Self {
             keys: Vec::with_capacity(DEFAULT_LEAF_SIZE * k),
+            kth: Vec::with_capacity(queries),
             queries: Vec::with_capacity(DEFAULT_LEAF_SIZE * dim),
+            groups: Vec::with_capacity(queries * dim),
+            scratch: Vec::with_capacity(DEFAULT_LEAF_SIZE),
             row: Vec::with_capacity(k),
         }
     }
@@ -1468,12 +1567,14 @@ fn nn_key(d2: f32, p: u32) -> u64 {
     (u64::from(d2.to_bits()) << 32) | u64::from(p)
 }
 
-/// The smallest key a point at squared distance `bound` or more can have.
-/// A node, leaf or block whose floor exceeds a heap's largest key holds
-/// nothing that heap keeps.
+/// The distance bits of the largest key in the ascending top-k `topk`:
+/// `u32::MAX` while a slot is empty. A node, leaf or block whose squared
+/// distance bound has larger bits holds nothing the top-k keeps (every
+/// key there exceeds its largest); one with equal bits may still hold a
+/// smaller index.
 #[inline(always)]
-fn floor_key(bound: f32) -> u64 {
-    u64::from(bound.to_bits()) << 32
+fn kth_bits(topk: &[u64]) -> u32 {
+    (topk[topk.len() - 1] >> 32) as u32
 }
 
 /// `(d2, index)` of a key; an empty slot reads `(+∞, u32::MAX)`, the row
@@ -1487,52 +1588,41 @@ fn key_entry(key: u64) -> (f32, u32) {
     }
 }
 
-/// Offers `key` to `heap`, a max-heap of the smallest keys seen (empty
-/// slots hold [`EMPTY_KEY`], so `heap[0]` is the k-th smallest key or
-/// empty): a smaller key replaces the root and sifts down.
+/// Offers `key` to `topk`, the smallest keys seen in ascending order (empty
+/// slots hold [`EMPTY_KEY`], so the last slot is the k-th smallest key or
+/// empty). A key below the last goes in at its rank, the number of held
+/// keys below it, counted without branches; the keys above it shift up
+/// one slot and the last drops out.
 #[inline(always)]
-fn offer(heap: &mut [u64], key: u64) {
-    if key >= heap[0] {
+fn offer(topk: &mut [u64], key: u64) {
+    let last = topk.len() - 1;
+    if key >= topk[last] {
         return;
     }
-    let len = heap.len();
-    let mut i = 0;
-    loop {
-        let l = 2 * i + 1;
-        if l >= len {
-            break;
-        }
-        let c = if l + 1 < len && heap[l + 1] > heap[l] {
-            l + 1
-        } else {
-            l
-        };
-        if heap[c] <= key {
-            break;
-        }
-        heap[i] = heap[c];
-        i = c;
-    }
-    heap[i] = key;
+    let rank = topk[..last].iter().map(|&x| usize::from(x < key)).sum();
+    topk.copy_within(rank..last, rank + 1);
+    topk[rank] = key;
 }
 
-/// Reusable bounded max-heap keeping the `k` smallest neighbours in
-/// `(d2, index)` order: a tie at the k-th distance keeps the smaller index,
-/// whatever order the traversal offers the tied points in.
+/// Reusable top-k keeping the `k` smallest neighbours in `(d2, index)`
+/// order: a tie at the k-th distance keeps the smaller index, whatever
+/// order the traversal offers the tied points in. Despite its name it is
+/// a sorted array, not a heap: the keys stay ascending, so reading them
+/// needs no sort.
 ///
 /// Allocates its storage once (grown to the largest `k` seen); every
 /// [`KdTree::knn_into`] call resets it in place, so batched query loops
 /// perform zero heap allocations per query in the steady state.
 pub struct KnnHeap {
-    /// `k` keys ([`nn_key`]) forming a max-heap; empty slots hold
-    /// [`EMPTY_KEY`].
+    /// `k` keys ([`nn_key`]) in ascending order; empty slots hold
+    /// [`EMPTY_KEY`] at the end.
     keys: Vec<u64>,
     /// The held neighbours, ascending, as [`KnnHeap::sorted`] returns them.
     sorted: Vec<(f32, u32)>,
 }
 
 impl KnnHeap {
-    /// Creates a heap with capacity for `k` neighbours.
+    /// Creates a top-k with capacity for `k` neighbours.
     pub fn new(k: usize) -> Self {
         let mut heap = Self {
             keys: Vec::new(),
@@ -1542,7 +1632,7 @@ impl KnnHeap {
         heap
     }
 
-    /// Clears the heap and sets the neighbour budget (reserving only when
+    /// Clears the top-k and sets the neighbour budget (reserving only when
     /// `k` grows past any previously seen value).
     pub fn reset(&mut self, k: usize) {
         self.keys.clear();
@@ -1553,7 +1643,7 @@ impl KnnHeap {
 
     /// Number of neighbours currently held.
     pub fn len(&self) -> usize {
-        self.keys.iter().filter(|&&key| key != EMPTY_KEY).count()
+        self.keys.partition_point(|&key| key != EMPTY_KEY)
     }
 
     /// Whether no neighbour has been recorded.
@@ -1566,31 +1656,25 @@ impl KnnHeap {
     #[inline(always)]
     pub fn worst(&self) -> f32 {
         self.keys
-            .first()
+            .last()
             .map_or(f32::INFINITY, |&top| key_entry(top).0)
     }
 
     /// The largest held distance — the k-th-nearest-neighbour squared
-    /// distance once the heap is full (0.0 when empty).
+    /// distance once the top-k is full (0.0 when empty).
     pub fn max_d2(&self) -> f32 {
-        self.keys
-            .iter()
-            .filter(|&&key| key != EMPTY_KEY)
-            .max()
+        self.keys[..self.len()]
+            .last()
             .map_or(0.0, |&key| key_entry(key).0)
     }
 
-    /// Sorts the held neighbours ascending by `(distance, index)` and
-    /// returns them. The heap stays usable (the next `reset` clears it).
+    /// The held neighbours, ascending by `(distance, index)`. The top-k
+    /// stays usable (the next `reset` clears it).
     pub fn sorted(&mut self) -> &[(f32, u32)] {
-        self.keys.sort_unstable();
         self.sorted.clear();
-        self.sorted.extend(
-            self.keys
-                .iter()
-                .take_while(|&&key| key != EMPTY_KEY)
-                .map(|&key| key_entry(key)),
-        );
+        let held = self.len();
+        self.sorted
+            .extend(self.keys[..held].iter().map(|&key| key_entry(key)));
         &self.sorted
     }
 }

@@ -4,12 +4,14 @@
 //! the distance to its `minPts`-th nearest neighbour, counting the point
 //! itself (paper §6.5; `minPts = 2` means "distance to the nearest other
 //! point"). Every batched pass here runs through one kd-tree routine that
-//! computes the rows leaf by leaf (`KdTree::for_each_knn_row`): a leaf's
-//! ~30 queries share one candidate traversal, the distance kernels are
-//! specialized for 2-D and 3-D, and each row is the brute-force
-//! `(d2, index)` top-k, ties at the k-th distance going to the smaller
-//! index. The pass allocates only per-lane scratch, never per query, and
-//! traces the distances it evaluates.
+//! computes the rows leaf by leaf (`KdTree::for_each_knn_row`): each of a
+//! leaf's ~30 queries selects its first top-k from its own leaf, then
+//! they share one candidate traversal whose leaf boxes are tested against
+//! 8 queries at a time; the distance kernels are specialized for 2-D and
+//! 3-D. Each row is the brute-force `(d2, index)` top-k, ties at the k-th
+//! distance going to the smaller index, and it leaves the traversal
+//! already sorted. The pass allocates only per-lane scratch, never per
+//! query, and traces the distances it evaluates.
 //!
 //! The sorted rows ([`knn_rows_into`], [`KnnRows`]) are kept in **tree
 //! order**: row `r` belongs to the point at tree position `r`
@@ -326,6 +328,11 @@ mod tests {
             }
         }
         let (traversals, ..) = first.expect("at least one context ran");
+        // The exact work of this input: the k = 9 rows pass, then the
+        // k = 3 core distances, each `(distance evaluations, bytes)`. A
+        // change to the kernel that prunes the same blocks and boxes keeps
+        // these; one that prunes differently updates them and says so.
+        assert_eq!(traversals, [(451_472, 7_212_480), (283_600, 4_791_144)]);
         for (evals, bytes) in traversals {
             // Whole 8-point blocks; every point at least against its own
             // leaf; far from all pairs.

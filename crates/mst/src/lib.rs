@@ -32,7 +32,6 @@ pub mod error;
 pub mod index;
 pub mod kdtree;
 pub mod knn;
-pub mod knn_graph;
 pub mod kruskal;
 pub mod linkage;
 pub mod metric;
@@ -51,7 +50,6 @@ pub use index::{
 };
 pub use kdtree::{ForeignSearch, KdTree, KnnHeap, SearchWork, TreeOrdered};
 pub use knn::{core_distances2, knn_rows_into, KnnRows};
-pub use knn_graph::knn_graph_mst;
 pub use linkage::{Linkage, LINKAGE_ENV};
 pub use metric::{
     Euclidean, Metric, MetricKind, MutualReachability, TreeMetric, TreeMutualReachability,

@@ -74,8 +74,7 @@ impl core::fmt::Display for MetricKind {
 
 /// A metric over **point indices**: every point argument is an index into
 /// the [`PointSet`], and per-point data (e.g. core distances) is read per
-/// index. Prim ([`crate::prim::prim_mst`]), the k-NN graph's candidate
-/// edges ([`crate::knn_graph::knn_graph_mst`]) and DBCV call it this way.
+/// index. Prim ([`crate::prim::prim_mst`]) and DBCV call it this way.
 ///
 /// Borůvka and the nearest-foreign searches number points by kd-tree
 /// position instead and take a [`TreeMetric`].
@@ -234,6 +233,31 @@ pub(crate) fn box_dist2<D: Dim>(dim: D, p: &[f32], lo: &[f32], hi: &[f32]) -> f3
         acc += axis_gap2(p[d], lo[d], hi[d]);
     }
     acc
+}
+
+/// Squared distances from the [`LEAF_BLOCK`] points of one dimension-major
+/// block (the layout of [`block_dist2`]) to the box `[lo, hi]`: 8 lanes of
+/// [`box_dist2`] at once, summed over the dimensions in the same order, so
+/// each lane equals `box_dist2` on that point bit for bit.
+#[inline(always)]
+pub(crate) fn box_block_dist2<D: Dim>(
+    dim: D,
+    block: &[f32],
+    lo: &[f32],
+    hi: &[f32],
+    out: &mut [f32; LEAF_BLOCK],
+) {
+    let dim = dim.get();
+    let (block, lo, hi) = (&block[..dim * LEAF_BLOCK], &lo[..dim], &hi[..dim]);
+    let (first, rest) = block.split_at(LEAF_BLOCK);
+    for j in 0..LEAF_BLOCK {
+        out[j] = axis_gap2(first[j], lo[0], hi[0]);
+    }
+    for ((lane, &l), &h) in rest.chunks_exact(LEAF_BLOCK).zip(&lo[1..]).zip(&hi[1..]) {
+        for j in 0..LEAF_BLOCK {
+            out[j] += axis_gap2(lane[j], l, h);
+        }
+    }
 }
 
 /// Squared distance between the boxes `[a_lo, a_hi]` and `[b_lo, b_hi]`:
@@ -442,11 +466,12 @@ mod tests {
     }
 
     #[test]
-    fn block_kernel_matches_scalar_dist2() {
-        for dim in [2usize, 3, 5] {
+    fn block_kernels_match_their_scalar_forms() {
+        for dim in [1usize, 2, 3, 5] {
             // One full AoSoA block of deterministic coordinates plus a
-            // query point; the kernel must agree bitwise with the scalar
-            // path (the tree's `refine_euclid2` contract depends on it).
+            // query point; the kernels must agree bitwise with the scalar
+            // paths (the tree's `refine_euclid2` contract and its exact
+            // box pruning depend on it).
             let n = LEAF_BLOCK;
             let coords: Vec<f32> = (0..(n + 1) * dim)
                 .map(|i| ((i * 37 % 101) as f32) * 0.25 - 12.0)
@@ -464,6 +489,15 @@ mod tests {
             euclid_block_dist2(q, &block, &mut out);
             for (p, &got) in out.iter().enumerate() {
                 assert_eq!(got, points.dist2(n, p), "dim={dim} p={p}");
+            }
+            // The block against a box around the query, so each lane
+            // crosses it on some axes and lies inside it on others.
+            let lo: Vec<f32> = q.iter().map(|&c| c - 3.0).collect();
+            let hi: Vec<f32> = q.iter().map(|&c| c + 1.5).collect();
+            with_dim!(dim, d => box_block_dist2(d, &block, &lo, &hi, &mut out));
+            for (p, &got) in out.iter().enumerate() {
+                let want = point_box_dist2(points.point(p), &lo, &hi);
+                assert_eq!(got.to_bits(), want.to_bits(), "box: dim={dim} p={p}");
             }
         }
     }

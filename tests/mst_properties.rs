@@ -17,6 +17,7 @@ use pandora::core::pandora::dendrogram_from_sorted;
 use pandora::core::SortedMst;
 use pandora::exec::pool::ThreadPool;
 use pandora::exec::{ExecCtx, ScratchPool};
+use pandora::mst::kdtree::DEFAULT_LEAF_SIZE;
 use pandora::mst::kruskal::total_weight;
 use pandora::mst::prim::prim_mst;
 use pandora::mst::{
@@ -57,6 +58,17 @@ fn adversarial_points() -> impl Strategy<Value = PointSet> {
     })
 }
 
+/// Point sets in dimensions the 2-D and 3-D kernels do not cover, so the
+/// k-NN passes run their run-time-dimension instance: 1-D and 5-D, on a
+/// half-unit grid of 8 values per axis, so ties are common.
+fn runtime_dim_points() -> impl Strategy<Value = PointSet> {
+    (0usize..2, 2usize..60).prop_flat_map(|(pick, n)| {
+        let dim = [1usize, 5][pick];
+        prop::collection::vec(0u32..8, n * dim..n * dim + 1)
+            .prop_map(move |raw| PointSet::new(raw.iter().map(|&v| v as f32 * 0.5).collect(), dim))
+    })
+}
+
 /// The serial context and pools of 1, 2 and 3 lanes.
 fn contexts() -> &'static [ExecCtx] {
     static CONTEXTS: OnceLock<Vec<ExecCtx>> = OnceLock::new();
@@ -92,14 +104,14 @@ fn knn_oracle(points: &PointSet, k: usize) -> Vec<Vec<(f32, u32)>> {
 }
 
 /// Checks `knn_rows_into` on every context, and `knn_into` and `knn()` on
-/// every point, against the oracle at each `k`. The rows are in tree order
-/// with tree-position entries; they are read back by point index. Returns
-/// the first mismatch.
-fn knn_matches_oracle(points: &PointSet, ks: &[usize]) -> Result<(), String> {
+/// every point, against the oracle at each `k`, on a tree with `leaf_size`
+/// points per leaf at most. The rows are in tree order with tree-position
+/// entries; they are read back by point index. Returns the first mismatch.
+fn knn_matches_oracle(points: &PointSet, leaf_size: usize, ks: &[usize]) -> Result<(), String> {
     let n = points.len();
     let max_k = ks.iter().copied().max().unwrap_or(0);
     let oracle = knn_oracle(points, max_k);
-    let tree = KdTree::build(&ExecCtx::serial(), points);
+    let tree = KdTree::build_with_leaf_size(&ExecCtx::serial(), points, leaf_size);
     let (perm, pos) = (tree.perm(), tree.positions());
     let mut heap = KnnHeap::new(max_k);
     for &k in ks {
@@ -155,7 +167,7 @@ fn knn_rows_are_canonical_on_duplicate_lattices() {
     for (dim, side) in [(2usize, 7u64), (3, 5)] {
         let coords: Vec<f32> = (0..3_000 * dim).map(|_| next(side)).collect();
         let points = PointSet::new(coords, dim);
-        if let Err(e) = knn_matches_oracle(&points, &[1, 3, 9, 23]) {
+        if let Err(e) = knn_matches_oracle(&points, DEFAULT_LEAF_SIZE, &[1, 3, 9, 23]) {
             panic!("{dim}-D lattice: {e}");
         }
     }
@@ -379,8 +391,26 @@ proptest! {
     fn knn_rows_and_queries_equal_the_brute_force_oracle(points in adversarial_points()) {
         // k = 23 exceeds most of these sets' leaves and some whole sets
         // (n <= k pads the rows).
-        if let Err(e) = knn_matches_oracle(&points, &[1, 3, 9, 23]) {
+        if let Err(e) = knn_matches_oracle(&points, DEFAULT_LEAF_SIZE, &[1, 3, 9, 23]) {
             prop_assert!(false, "n={} dim={}: {}", points.len(), points.dim(), e);
+        }
+    }
+
+    #[test]
+    fn knn_rows_in_runtime_dims_and_partial_tiles_equal_the_oracle(
+        points in runtime_dim_points()
+    ) {
+        // Leaves of 1, 5 and 13 points make tiles that are not whole
+        // 8-query groups; k runs from 1 past the leaf size and past n − 1,
+        // where the rows pad.
+        let n = points.len();
+        for leaf_size in [1usize, 5, 13] {
+            let mut ks = vec![1, 2, leaf_size, leaf_size + 1, leaf_size + 4, n - 1, n, n + 2];
+            ks.sort_unstable();
+            ks.dedup();
+            if let Err(e) = knn_matches_oracle(&points, leaf_size, &ks) {
+                prop_assert!(false, "n={} dim={} leaf_size={}: {}", n, points.dim(), leaf_size, e);
+            }
         }
     }
 

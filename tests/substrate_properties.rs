@@ -1,6 +1,6 @@
 //! Property tests for the newer substrate and algorithm pieces: partition,
-//! histogram, radix key–value records, the mixed baseline, single-level
-//! expansion and the k-NN-graph MST.
+//! histogram, radix key–value records, the mixed baseline and single-level
+//! expansion.
 
 use proptest::prelude::*;
 
@@ -104,22 +104,5 @@ proptest! {
             prop_assert!(w[0].2 <= w[1].2);
         }
         prop_assert_eq!(z.last().unwrap().3 as usize, n);
-    }
-}
-
-#[test]
-fn knn_graph_mst_is_spanning_on_clusters() {
-    use pandora::data::synthetic::gaussian_blobs;
-    use pandora::mst::{knn_graph_mst, Euclidean, KdTree};
-    let ctx = ExecCtx::threads();
-    let (points, _) = gaussian_blobs(800, 2, 4, 500.0, 0.5, 3);
-    let tree = KdTree::build(&ctx, &points);
-    for k in [1usize, 3, 8] {
-        let edges = knn_graph_mst(&ctx, &points, &tree, &Euclidean, k, &[]);
-        let mst = SortedMst::from_edges(&ctx, points.len(), &edges);
-        mst.validate_tree().unwrap();
-        // Exactly 3 long bridges between the 4 far-apart blobs.
-        let bridges = edges.iter().filter(|e| e.w > 100.0).count();
-        assert_eq!(bridges, 3, "k={k}");
     }
 }
