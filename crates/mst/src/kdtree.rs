@@ -38,13 +38,13 @@
 //!   code with a run-time count.
 //! * **Leaf tiles.** The batched k-NN rows are computed per leaf. Each
 //!   query's top-k starts as the `k` smallest keys of its own leaf, all
-//!   computed and then selected at once. The leaf's queries then share
+//!   computed and then sorted at once. The leaf's queries then share
 //!   one traversal from the root that prunes nodes by box–box distance
 //!   against the largest k-th distance among them and scans candidate
 //!   leaves nearest first. A candidate leaf's box is tested against 8
 //!   queries per call, from a dimension-major copy of the tile's
-//!   coordinates and each query's k-th distance bits, summed in the order
-//!   of the one-query box distance, so every query skips exactly the
+//!   coordinates and each query's k-th distance, summed in the order of
+//!   the one-query box distance, so every query skips exactly the
 //!   leaves beyond its own k-th distance; a scan passes over an 8-point
 //!   block when no lane can enter the top-k. A leaf's work depends only
 //!   on the tree, so the rows and the work counts do not depend on the
@@ -640,7 +640,7 @@ impl KdTree {
         let mut nid = 0u32;
         let mut bound = self.box_dist2(dim, 0, qp);
         loop {
-            if bound.to_bits() <= kth_bits(topk) {
+            if bound <= kth_d2(topk) {
                 loop {
                     let left = self.left[nid as usize];
                     if left == INVALID {
@@ -656,12 +656,12 @@ impl KdTree {
                         (left + 1, left)
                     };
                     let dfar = self.box_dist2(dim, far as usize, qp);
-                    if dfar.to_bits() <= kth_bits(topk) {
+                    if dfar <= kth_d2(topk) {
                         stack[sp] = (far, dfar);
                         sp += 1;
                     }
                     let dnear = self.box_dist2(dim, near as usize, qp);
-                    if dnear.to_bits() > kth_bits(topk) {
+                    if dnear > kth_d2(topk) {
                         nid = INVALID;
                         break;
                     }
@@ -692,13 +692,13 @@ impl KdTree {
         for b in first..last {
             block_dist2(dim, qp, &self.leaf_coords[b * bw..(b + 1) * bw], &mut d2);
             // The lanes that lie in the leaf and can enter the top-k: their
-            // distance bits do not exceed those of its largest key.
+            // distance does not exceed that of its largest key.
             let base = b * LEAF_BLOCK;
             let (lo, hi) = (s.max(base) - base, e.min(base + LEAF_BLOCK) - base);
-            let worst = kth_bits(topk);
+            let worst = kth_d2(topk);
             let mut lanes = 0u32;
-            for (j, x) in d2.iter().enumerate() {
-                lanes |= u32::from(x.to_bits() <= worst) << j;
+            for (j, &x) in d2.iter().enumerate() {
+                lanes |= u32::from(x <= worst) << j;
             }
             lanes &= ((1u32 << hi) - 1) & !((1u32 << lo) - 1);
             while lanes != 0 {
@@ -714,42 +714,40 @@ impl KdTree {
     }
 
     /// Fills `topk` with the `k` smallest keys of the points of the query's
-    /// own leaf `nid` (all but `q`, at tree position `qpos`), ascending and
-    /// padded with [`EMPTY_KEY`]: every key is computed, then the `k`
-    /// smallest are selected and sorted at once. `keys` is scratch. Returns
-    /// the distance evaluations made (8 per block), as [`Self::scan_leaf`]
-    /// counts them.
+    /// own leaf `nid` (all but the query, at tree position `qpos`),
+    /// ascending and padded with [`EMPTY_KEY`]: every key is computed into
+    /// `keys` (one slot per leaf point) and sorted, and the first `k` are
+    /// kept. Returns the distance evaluations made (8 per block), as
+    /// [`Self::scan_leaf`] counts them.
     fn select_own_leaf<D: Dim>(
         &self,
         dim: D,
         qp: &[f32],
         qpos: usize,
         nid: usize,
-        keys: &mut Vec<u64>,
+        keys: &mut [u64],
         topk: &mut [u64],
     ) -> u64 {
         let (s, e) = (self.start[nid] as usize, self.end[nid] as usize);
         let bw = LEAF_BLOCK * dim.get();
         let (first, last) = (s / LEAF_BLOCK, e.div_ceil(LEAF_BLOCK));
         let mut d2 = [0.0f32; LEAF_BLOCK];
-        keys.clear();
+        let keys = &mut keys[..e - s];
         for b in first..last {
             block_dist2(dim, qp, &self.leaf_coords[b * bw..(b + 1) * bw], &mut d2);
             let base = b * LEAF_BLOCK;
             for i in s.max(base)..e.min(base + LEAF_BLOCK) {
-                if i != qpos {
-                    keys.push(nn_key(d2[i - base], self.perm[i]));
-                }
+                keys[i - s] = nn_key(d2[i - base], self.perm[i]);
             }
         }
-        let k = topk.len();
-        if keys.len() > k {
-            keys.select_nth_unstable(k - 1);
-            keys.truncate(k);
-        }
+        // The query's own slot takes the empty key: never among the `k`
+        // smallest while the leaf holds `k` other points, and padding when
+        // it holds fewer.
+        keys[qpos - s] = EMPTY_KEY;
         keys.sort_unstable();
-        topk[..keys.len()].copy_from_slice(keys);
-        topk[keys.len()..].fill(EMPTY_KEY);
+        let held = keys.len().min(topk.len());
+        topk[..held].copy_from_slice(&keys[..held]);
+        topk[held..].fill(EMPTY_KEY);
         ((last - first) * LEAF_BLOCK) as u64
     }
 
@@ -858,31 +856,37 @@ impl KdTree {
         }
         // The leaf's own points first, so the traversal starts with finite
         // bounds whenever the leaf holds more than `k` points. `kth` keeps
-        // each query's k-th distance bits (`kth_bits`) for the box tests.
+        // each query's k-th distance (`kth_d2`) for the box tests.
         keys.clear();
         keys.resize(m * k, EMPTY_KEY);
         kth.clear();
-        kth.resize(m.div_ceil(LEAF_BLOCK) * LEAF_BLOCK, 0);
+        kth.resize(m.div_ceil(LEAF_BLOCK) * LEAF_BLOCK, 0.0);
+        scratch.clear();
+        scratch.resize(m, EMPTY_KEY);
         for (i, (topk, qp)) in keys
             .chunks_exact_mut(k)
             .zip(queries.chunks_exact(dm))
             .enumerate()
         {
             counts.0 += self.select_own_leaf(dim, qp, s + i, leaf, scratch, topk);
-            kth[i] = kth_bits(topk);
+            kth[i] = kth_d2(topk);
         }
         // Then one traversal from the root serves every query: a node is
         // pruned when its box lies farther from the leaf's box than the
         // largest k-th distance in the tile.
         let (lo, hi) = self.node_box(dim, leaf);
-        let tile_worst = |kth: &[u32]| kth[..m].iter().copied().max().unwrap_or(u32::MAX);
+        let tile_worst = |kth: &[f32]| {
+            kth[..m]
+                .iter()
+                .fold(0.0f32, |w, &x| if x > w { x } else { w })
+        };
         let mut worst = tile_worst(kth);
         let mut stack = [(0u32, 0.0f32); MAX_STACK];
         let mut sp = 0usize;
         let (mut nid, mut bound) = (0u32, 0.0f32);
         let mut gaps = [0.0f32; LEAF_BLOCK];
         loop {
-            if bound.to_bits() <= worst {
+            if bound <= worst {
                 loop {
                     let left = self.left[nid as usize];
                     if left == INVALID {
@@ -896,11 +900,11 @@ impl KdTree {
                     } else {
                         ((left, dl), (left + 1, dr))
                     };
-                    if dfar.to_bits() <= worst {
+                    if dfar <= worst {
                         stack[sp] = (far, dfar);
                         sp += 1;
                     }
-                    if dnear.to_bits() > worst {
+                    if dnear > worst {
                         nid = INVALID;
                         break;
                     }
@@ -916,8 +920,8 @@ impl KdTree {
                         box_block_dist2(dim, group, clo, chi, &mut gaps);
                         let base = g * LEAF_BLOCK;
                         let mut lanes = 0u32;
-                        for (j, (x, &w)) in gaps.iter().zip(&kth[base..]).enumerate() {
-                            lanes |= u32::from(x.to_bits() <= w) << j;
+                        for (j, (&x, &w)) in gaps.iter().zip(&kth[base..]).enumerate() {
+                            lanes |= u32::from(x <= w) << j;
                         }
                         lanes &= (1u32 << (m - base).min(LEAF_BLOCK)) - 1;
                         while lanes != 0 {
@@ -926,7 +930,7 @@ impl KdTree {
                             let topk = &mut keys[i * k..(i + 1) * k];
                             let qp = &queries[i * dm..(i + 1) * dm];
                             counts.0 += self.scan_leaf(dim, qp, members[i], nid as usize, topk);
-                            kth[i] = kth_bits(topk);
+                            kth[i] = kth_d2(topk);
                         }
                     }
                     worst = tile_worst(kth);
@@ -1307,14 +1311,16 @@ impl KdTree {
 struct LeafTile {
     /// One ascending top-k of `k` keys per query of the current leaf.
     keys: Vec<u64>,
-    /// Each query's k-th distance bits ([`kth_bits`] of its top-k).
-    kth: Vec<u32>,
+    /// Each query's k-th distance ([`kth_d2`] of its top-k), in whole
+    /// groups of [`LEAF_BLOCK`].
+    kth: Vec<f32>,
     /// The current leaf's query coordinates, row-major.
     queries: Vec<f32>,
     /// The same coordinates in groups of [`LEAF_BLOCK`] queries,
     /// dimension-major within each group.
     groups: Vec<f32>,
-    /// The keys of a query's own leaf, before selection.
+    /// The keys of a query's own leaf, one per leaf point, before
+    /// selection.
     scratch: Vec<u64>,
     /// One decoded row, handed to the caller.
     row: Vec<(f32, u32)>,
@@ -1567,14 +1573,15 @@ fn nn_key(d2: f32, p: u32) -> u64 {
     (u64::from(d2.to_bits()) << 32) | u64::from(p)
 }
 
-/// The distance bits of the largest key in the ascending top-k `topk`:
-/// `u32::MAX` while a slot is empty. A node, leaf or block whose squared
-/// distance bound has larger bits holds nothing the top-k keeps (every
-/// key there exceeds its largest); one with equal bits may still hold a
-/// smaller index.
+/// The squared distance of the largest key in the ascending top-k
+/// `topk`: `+∞` while a slot is empty. A node, leaf or block whose squared
+/// distance bound exceeds it holds nothing the top-k keeps (every key
+/// there exceeds its largest); one at an equal bound may still hold a
+/// smaller index. Distances are never NaN or −0.0, so comparing them as
+/// floats decides exactly as comparing their keys' distance bits.
 #[inline(always)]
-fn kth_bits(topk: &[u64]) -> u32 {
-    (topk[topk.len() - 1] >> 32) as u32
+fn kth_d2(topk: &[u64]) -> f32 {
+    key_entry(topk[topk.len() - 1]).0
 }
 
 /// `(d2, index)` of a key; an empty slot reads `(+∞, u32::MAX)`, the row
