@@ -53,8 +53,8 @@
 //!   `(d2 bits << 32) | index`: the brute-force `(d2, index)` order, so
 //!   which of several points tied at the k-th distance is kept never
 //!   depends on the traversal order. The keys are held ascending, the
-//!   largest last: a smaller key goes in at its rank and shifts the
-//!   larger ones up, so a finished top-k is already its sorted row.
+//!   largest last: a smaller key goes in at its sorted place and shifts
+//!   the larger ones up, so a finished top-k is already its sorted row.
 //!   Per-point queries ([`KdTree::knn_into`]) and the batched rows share
 //!   it and agree exactly.
 //!
@@ -693,13 +693,13 @@ impl KdTree {
             block_dist2(dim, qp, &self.leaf_coords[b * bw..(b + 1) * bw], &mut d2);
             // The lanes that lie in the leaf and can enter the top-k: their
             // distance does not exceed that of its largest key.
+            let worst = [kth_d2(topk); LEAF_BLOCK];
+            if !any_within(&d2, &worst) {
+                continue;
+            }
             let base = b * LEAF_BLOCK;
             let (lo, hi) = (s.max(base) - base, e.min(base + LEAF_BLOCK) - base);
-            let worst = kth_d2(topk);
-            let mut lanes = 0u32;
-            for (j, &x) in d2.iter().enumerate() {
-                lanes |= u32::from(x <= worst) << j;
-            }
+            let mut lanes = lanes_within(&d2, &worst);
             lanes &= ((1u32 << hi) - 1) & !((1u32 << lo) - 1);
             while lanes != 0 {
                 let j = lanes.trailing_zeros() as usize;
@@ -919,10 +919,13 @@ impl KdTree {
                     for (g, group) in groups.chunks_exact(gw).enumerate() {
                         box_block_dist2(dim, group, clo, chi, &mut gaps);
                         let base = g * LEAF_BLOCK;
-                        let mut lanes = 0u32;
-                        for (j, (&x, &w)) in gaps.iter().zip(&kth[base..]).enumerate() {
-                            lanes |= u32::from(x <= w) << j;
+                        let group_kth = kth[base..base + LEAF_BLOCK]
+                            .try_into()
+                            .expect("kth holds whole groups");
+                        if !any_within(&gaps, group_kth) {
+                            continue;
                         }
+                        let mut lanes = lanes_within(&gaps, group_kth);
                         lanes &= (1u32 << (m - base).min(LEAF_BLOCK)) - 1;
                         while lanes != 0 {
                             let i = base + lanes.trailing_zeros() as usize;
@@ -1584,6 +1587,30 @@ fn kth_d2(topk: &[u64]) -> f32 {
     key_entry(topk[topk.len() - 1]).0
 }
 
+/// Whether `x[j] <= bound[j]` in any of the 8 lanes: one packed compare
+/// and one mask test.
+#[inline(always)]
+fn any_within(x: &[f32; LEAF_BLOCK], bound: &[f32; LEAF_BLOCK]) -> bool {
+    let mut any = false;
+    for (&a, &b) in x.iter().zip(bound) {
+        any |= a <= b;
+    }
+    any
+}
+
+/// The lanes `j` with `x[j] <= bound[j]`, one bit each. Callers test
+/// [`any_within`] first and call this only when some lane passes: kept
+/// inline, its bit packing leads the vectorizer to lay the distance
+/// kernels out lane by lane, which slows every block.
+#[inline(never)]
+fn lanes_within(x: &[f32; LEAF_BLOCK], bound: &[f32; LEAF_BLOCK]) -> u32 {
+    let mut lanes = 0u32;
+    for (j, (&a, &b)) in x.iter().zip(bound).enumerate() {
+        lanes |= u32::from(a <= b) << j;
+    }
+    lanes
+}
+
 /// `(d2, index)` of a key; an empty slot reads `(+∞, u32::MAX)`, the row
 /// padding.
 #[inline(always)]
@@ -1597,18 +1624,27 @@ fn key_entry(key: u64) -> (f32, u32) {
 
 /// Offers `key` to `topk`, the smallest keys seen in ascending order (empty
 /// slots hold [`EMPTY_KEY`], so the last slot is the k-th smallest key or
-/// empty). A key below the last goes in at its rank, the number of held
-/// keys below it, counted without branches; the keys above it shift up
-/// one slot and the last drops out.
+/// empty). A key below the last goes in at its sorted place in one
+/// branch-free pass: each slot keeps the smaller of its key and the one
+/// carried up from below and passes the larger on, so the keys above the
+/// new one shift up one slot and the last drops out.
 #[inline(always)]
 fn offer(topk: &mut [u64], key: u64) {
     let last = topk.len() - 1;
     if key >= topk[last] {
         return;
     }
-    let rank = topk[..last].iter().map(|&x| usize::from(x < key)).sum();
-    topk.copy_within(rank..last, rank + 1);
-    topk[rank] = key;
+    let mut carry = key;
+    for slot in topk.iter_mut() {
+        let held = *slot;
+        let (low, high) = if carry < held {
+            (carry, held)
+        } else {
+            (held, carry)
+        };
+        *slot = low;
+        carry = high;
+    }
 }
 
 /// Reusable top-k keeping the `k` smallest neighbours in `(d2, index)`
