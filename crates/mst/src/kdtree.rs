@@ -1323,7 +1323,7 @@ struct LeafTile {
     /// dimension-major within each group.
     groups: Vec<f32>,
     /// The keys of a query's own leaf, one per leaf point, before
-    /// selection.
+    /// sorting.
     scratch: Vec<u64>,
     /// One decoded row, handed to the caller.
     row: Vec<(f32, u32)>,
