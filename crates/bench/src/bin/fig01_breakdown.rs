@@ -129,9 +129,8 @@ fn main() {
         // dispatch). Every answer is asserted bit-identical to the
         // one-shot pipeline inside the harness.
         let serve = serve_throughput(&points, &sweep, 4, 4, 3);
-        // Dendrogram canary: α-contraction serial vs threaded (and the
-        // work-optimal backend raced on both contexts), measured over one
-        // shared sorted MST; bit-identical outputs asserted inside. The
+        // Dendrogram canary: α-contraction serial vs threaded, measured
+        // over one shared sorted MST; bit-identical outputs asserted inside. The
         // dendrogram stage is measured at ≥ 20k vertices regardless of
         // PANDORA_SCALE: below that the whole stage fits in a couple of
         // dispatch grains and the comparison only measures broadcast
@@ -213,13 +212,11 @@ fn main() {
         );
         println!(
             "dendro canary (n = {}) — α-contraction {:.1} ms serial vs {:.1} ms threaded \
-             ({:.2}x); work-optimal {:.1} ms serial vs {:.1} ms threaded",
+             ({:.2}x)",
             dendro.n,
             dendro.serial.total() * 1e3,
             dendro.threaded.total() * 1e3,
             dendro.speedup(),
-            dendro.wo_serial_s * 1e3,
-            dendro.wo_threaded_s * 1e3,
         );
         println!(
             "nnchain canary (n = {}) — Ward NN-chain {:.1} ms serial vs {:.1} ms threaded \

@@ -87,10 +87,9 @@ fn main() {
         &host_rows,
     );
 
-    // Host-measured dendrogram backend race: α-contraction per-phase
-    // serial/threaded speedup, with the work-optimal backend (Dhulipala
-    // et al.) on the same sorted MST. Outputs are asserted bit-identical
-    // inside the harness before any timing is reported.
+    // Host-measured dendrogram phase speedup: α-contraction per-phase
+    // serial/threaded speedup on one sorted MST. Outputs are asserted
+    // bit-identical inside the harness before any timing is reported.
     let mut dendro_rows = Vec::new();
     for ds in fig12_suite() {
         let points = ds.generate(n, 5);
@@ -103,15 +102,10 @@ fn main() {
             ratio(d.serial.expansion_s, d.threaded.expansion_s),
             format!("{:.2}x", d.speedup()),
             fmt_s(d.threaded.total()),
-            ratio(d.wo_serial_s, d.wo_threaded_s),
-            fmt_s(d.wo_threaded_s),
         ]);
     }
     print_table(
-        &format!(
-            "Dendrogram backends measured on this host ({lanes} lanes, best of 3): \
-             α-contraction vs work-optimal"
-        ),
+        &format!("Dendrogram phase speedup measured on this host ({lanes} lanes, best of 3)"),
         &[
             "dataset",
             "α sort",
@@ -119,8 +113,6 @@ fn main() {
             "α expan",
             "α total",
             "α thr wall",
-            "WO total",
-            "WO thr wall",
         ],
         &dendro_rows,
     );

@@ -6,12 +6,9 @@
 //! cores — phase fractions are a ratio, so they transfer across core counts
 //! far better than absolute times — plus the modeled EPYC-64c fractions.
 
-use pandora_bench::harness::{fmt_s, print_table, run_pipeline};
+use pandora_bench::harness::{print_table, run_pipeline};
 use pandora_bench::suite::{bench_scale, fig12_suite};
-use pandora_core::{DendrogramBackend, DendrogramWorkspace, SortedMst};
 use pandora_exec::device::DeviceModel;
-use pandora_exec::ExecCtx;
-use pandora_mst::emst;
 
 fn main() {
     let n = bench_scale();
@@ -59,53 +56,5 @@ fn main() {
     println!(
         "\npaper (EPYC 7A53): sort 0.67–0.85, contraction 0.12–0.22, \
          expansion 0.03–0.10."
-    );
-
-    // Backend race, per-phase wall clock on this host (threaded context):
-    // PANDORA's α-contraction vs the work-optimal rank divide-and-conquer.
-    // The work-optimal backend has no chain sort (sort = 0 by design); its
-    // "contraction" is the rank-split phase, "expansion" the leaf passes.
-    let ctx = ExecCtx::threads();
-    let mut race_rows = Vec::new();
-    for ds in fig12_suite() {
-        let points = ds.generate(n, 5);
-        let result = emst(&ctx, &points, 2);
-        let mst = SortedMst::from_edges(&ctx, points.len(), &result.edges);
-        let mut ws = DendrogramWorkspace::new();
-        let mut row = vec![ds.label.to_string()];
-        let mut dendros = Vec::new();
-        for backend in DendrogramBackend::ALL {
-            let (d, stats) = backend.build(&ctx, &mst, &mut ws);
-            let t = stats.timings;
-            row.push(fmt_s(t.sort_s));
-            row.push(fmt_s(t.contraction_s));
-            row.push(fmt_s(t.expansion_s));
-            row.push(fmt_s(t.total()));
-            dendros.push(d);
-        }
-        assert!(
-            dendros.windows(2).all(|w| w[0] == w[1]),
-            "backends diverged on {}",
-            ds.label
-        );
-        race_rows.push(row);
-    }
-    print_table(
-        &format!(
-            "Backend race on this host ({} lanes): α-contraction vs work-optimal, per phase",
-            ctx.lanes()
-        ),
-        &[
-            "dataset",
-            "α sort",
-            "α contr",
-            "α expan",
-            "α total",
-            "WO sort",
-            "WO split",
-            "WO leaves",
-            "WO total",
-        ],
-        &race_rows,
     );
 }

@@ -4,9 +4,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pandora_core::baseline::dendrogram_union_find_mt;
-use pandora_core::{
-    pandora, DendrogramBackend, DendrogramWorkspace, Edge, PhaseTimings, SortedMst,
-};
+use pandora_core::{pandora, DendrogramWorkspace, Edge, PhaseTimings, SortedMst};
 use pandora_exec::device::DeviceModel;
 use pandora_exec::trace::Trace;
 use pandora_exec::{ExecCtx, ScratchPool};
@@ -552,9 +550,9 @@ pub fn emst_cold_vs_warm(points: &PointSet, min_pts: usize, reps: usize) -> Cold
 }
 
 /// Measured dendrogram-stage canary: per-phase α-contraction wall times
-/// under a serial and a threaded context over the same sorted MST, plus
-/// the work-optimal backend raced on both contexts (best of `reps` each;
-/// all four runs asserted bit-identical before timings are trusted).
+/// under a serial and a threaded context over the same sorted MST (best
+/// of `reps` each; both runs asserted bit-identical before timings are
+/// trusted).
 #[derive(Debug, Clone)]
 pub struct DendroCanary {
     /// Vertex count of the measured MST.
@@ -563,10 +561,6 @@ pub struct DendroCanary {
     pub serial: PhaseTimings,
     /// α-contraction phases on the threaded context.
     pub threaded: PhaseTimings,
-    /// Work-optimal backend total on the serial context.
-    pub wo_serial_s: f64,
-    /// Work-optimal backend total on the threaded context.
-    pub wo_threaded_s: f64,
     /// Threaded-context lane count.
     pub lanes: usize,
 }
@@ -580,8 +574,8 @@ impl DendroCanary {
 
 /// Measures [`DendroCanary`] on `points`' mutual-reachability MST: one
 /// EMST and canonical sort up front (shared by every timed run, so only
-/// the dendrogram stage is measured), then each backend × context
-/// best-of-reps through a warm [`DendrogramWorkspace`].
+/// the dendrogram stage is measured), then each context best-of-reps
+/// through a warm [`DendrogramWorkspace`].
 ///
 /// This is the CI "dendrogram parallelism actually engaged" canary,
 /// mirroring [`emst_serial_vs_threaded`].
@@ -606,44 +600,18 @@ pub fn dendro_serial_vs_threaded(points: &PointSet, min_pts: usize, reps: usize)
         }
         best.expect("at least one rep")
     };
-    let best_wo = |ctx: &ExecCtx| -> (pandora_core::Dendrogram, f64) {
-        let mut ws = DendrogramWorkspace::new();
-        let mut best: Option<(pandora_core::Dendrogram, f64)> = None;
-        for _ in 0..reps.max(1) {
-            let t = Instant::now();
-            let (d, _) = DendrogramBackend::WorkOptimal.build(ctx, &mst, &mut ws);
-            let spent = t.elapsed().as_secs_f64();
-            if best.as_ref().is_none_or(|&(_, b)| spent < b) {
-                best = Some((d, spent));
-            }
-        }
-        best.expect("at least one rep")
-    };
-
     let serial_ctx = ExecCtx::serial();
     let (d_serial, serial) = best_alpha(&serial_ctx);
     let (d_threaded, threaded) = best_alpha(&threaded_ctx);
-    let (d_wo_serial, wo_serial_s) = best_wo(&serial_ctx);
-    let (d_wo_threaded, wo_threaded_s) = best_wo(&threaded_ctx);
     assert_eq!(
         d_serial, d_threaded,
         "α-contraction serial/threaded diverged"
-    );
-    assert_eq!(
-        d_serial, d_wo_serial,
-        "work-optimal diverged from α-contraction"
-    );
-    assert_eq!(
-        d_wo_serial, d_wo_threaded,
-        "work-optimal serial/threaded diverged"
     );
 
     DendroCanary {
         n: points.len(),
         serial,
         threaded,
-        wo_serial_s,
-        wo_threaded_s,
         lanes,
     }
 }
@@ -765,14 +733,11 @@ pub fn write_bench_ci_json(
         format!(
             ",\n  \"dendro_n\": {},\n  \"dendro_serial_ms\": {:.3},\n  \
              \"dendro_threaded_ms\": {:.3},\n  \
-             \"dendro_speedup\": {:.3},\n  \"dendro_wo_serial_ms\": {:.3},\n  \
-             \"dendro_wo_threaded_ms\": {:.3}",
+             \"dendro_speedup\": {:.3}",
             d.n,
             d.serial.total() * 1e3,
             d.threaded.total() * 1e3,
-            d.speedup(),
-            d.wo_serial_s * 1e3,
-            d.wo_threaded_s * 1e3
+            d.speedup()
         )
     });
     let nnchain_json = nnchain.map_or(String::new(), |c| {

@@ -22,8 +22,8 @@
 //!   of the same input edges — upstream nondeterminism (e.g. parallel MST
 //!   construction emitting edges in lane order) cannot leak into the
 //!   dendrogram.
-//! * Every backend ([`crate::algo::DendrogramBackend`]), serial or
-//!   threaded, consumes only the sorted order — never raw weights for
+//! * α-contraction ([`crate::pandora`]) and the baselines, serial or
+//!   threaded, consume only the sorted order — never raw weights for
 //!   tie-decisions — so all of them produce one bit-identical dendrogram.
 //! * Edge ids *are* sort ranks: the tie-break, not the weights, defines
 //!   each edge's dendrogram node id, its chain position, and which of two
@@ -101,10 +101,10 @@ impl SortedMst {
     ///
     /// The input need not come from an MST solver: any spanning tree with
     /// per-edge heights works, which is how the agglomerative linkage
-    /// engine (`pandora-mst`'s NN-chain) feeds both dendrogram backends —
-    /// each of its `n - 1` merges is emitted as one edge between
-    /// representative original points at the merge height, and a merge
-    /// sequence over `n` points always spans them. The rank/parent
+    /// engine (`pandora-mst`'s NN-chain) feeds the dendrogram stage — each
+    /// of its `n - 1` merges is emitted as one edge between representative
+    /// original points at the merge height, and a merge sequence over `n`
+    /// points always spans them. The rank/parent
     /// machinery downstream only assumes a weighted tree, so no adapter
     /// beyond this constructor is needed.
     ///

@@ -28,10 +28,6 @@
 //!   (paper Algorithm 2 / the `UnionFind-MT` comparison target).
 //! * [`baseline::dendrogram_top_down`] — divide-and-conquer baseline
 //!   (paper Algorithm 1).
-//! * [`work_optimal::dendrogram_work_optimal`] — the Dhulipala et al.
-//!   rank divide-and-conquer backend; [`algo::DendrogramBackend`] selects
-//!   between it and α-contraction (request > `PANDORA_DENDROGRAM` env >
-//!   default), with both proven bit-identical by the differential suite.
 //!
 //! ```
 //! use pandora_core::{Edge, pandora};
@@ -45,7 +41,6 @@
 //! dendro.validate().unwrap();
 //! ```
 
-pub mod algo;
 pub mod baseline;
 pub mod census;
 pub mod dendrogram;
@@ -55,13 +50,10 @@ pub mod levels;
 pub mod pandora;
 pub mod single_level;
 pub mod validate;
-pub mod work_optimal;
 
-pub use algo::{DendrogramAlgo, DendrogramBackend, AUTO_CUTOFF_EDGES, DENDROGRAM_ENV};
 pub use dendrogram::Dendrogram;
 pub use edge::{Edge, SortedMst, INVALID};
 pub use pandora::{
-    dendrogram_from_sorted_with, dendrogram_with_stats, DendrogramWorkspace, PandoraStats,
-    PhaseTimings,
+    dendrogram_from_sorted_with, dendrogram_with_stats, DendrogramBackend, DendrogramWorkspace,
+    PandoraStats, PhaseTimings,
 };
-pub use work_optimal::{dendrogram_work_optimal, dendrogram_work_optimal_with};

@@ -78,11 +78,11 @@ pub fn dendrogram_from_sorted(ctx: &ExecCtx, mst: &SortedMst) -> (Dendrogram, Pa
 /// Reusable buffers for repeated dendrogram construction.
 ///
 /// One workspace serves any number of [`dendrogram_from_sorted_with`] calls
-/// (over the same or different MSTs — unlike the EMST workspace, nothing
-/// here is bound to a dataset): the contraction hierarchy's level trees,
-/// `maxIncident` tables, vertex maps, α splits, union–find and the packed
-/// chain-key array are all recycled through an internal
-/// [`ScratchPool`], so the steady state stops reallocating the hierarchy.
+/// over the same or different MSTs (nothing here is bound to a dataset):
+/// the contraction hierarchy's level trees, `maxIncident` tables, vertex
+/// maps, α splits, union–find and the packed chain-key array are all
+/// recycled through an internal [`ScratchPool`], so the steady state stops
+/// reallocating the hierarchy.
 /// Only the returned [`Dendrogram`] arrays are freshly allocated (the
 /// caller owns them).
 #[derive(Debug, Default)]
@@ -155,6 +155,35 @@ pub fn dendrogram_from_sorted_with(
         },
         stats,
     )
+}
+
+/// α-contraction under the name the benchmark package (`perfbench/`)
+/// still calls: it builds with `DendrogramBackend::resolve(None).build(..)`.
+/// Both calls are [`dendrogram_from_sorted_with`], nothing here reads the
+/// environment, and the type goes once the benchmark calls that function
+/// directly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum DendrogramBackend {
+    /// PANDORA's recursive α-contraction, the one dendrogram algorithm.
+    #[default]
+    AlphaContraction,
+}
+
+impl DendrogramBackend {
+    /// `requested`, or α-contraction.
+    pub fn resolve(requested: Option<Self>) -> Self {
+        requested.unwrap_or_default()
+    }
+
+    /// [`dendrogram_from_sorted_with`].
+    pub fn build(
+        self,
+        ctx: &ExecCtx,
+        mst: &SortedMst,
+        ws: &mut DendrogramWorkspace,
+    ) -> (Dendrogram, PandoraStats) {
+        dendrogram_from_sorted_with(ctx, mst, ws)
+    }
 }
 
 #[cfg(test)]

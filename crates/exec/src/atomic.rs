@@ -1,9 +1,8 @@
 //! Atomic views over plain slices and order-preserving float↔int keys.
 //!
 //! Some kernels update an ordinary `Vec` from several lanes at once: the
-//! α-split marks each vertex's `maxIncident` edge with a relaxed store, the
-//! work-optimal splitter picks each component's top edge with `fetch_min`,
-//! and Borůvka keeps each component's best candidate the same way.
+//! α-split marks each vertex's `maxIncident` edge with a relaxed store, and
+//! Borůvka keeps each component's best candidate with `fetch_min`.
 //! [`as_atomic_u32`] and [`as_atomic_u64`] provide the in-place atomic
 //! views. Radix sorting of `f32` edge weights uses the classic monotone bit
 //! transforms in [`f32_to_ordered_u32`].

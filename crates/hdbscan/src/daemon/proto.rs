@@ -32,7 +32,6 @@
 //! assert_eq!(err.error.code, proto::code::PARSE_ERROR);
 //! ```
 
-use pandora_core::DendrogramBackend;
 use pandora_mst::{Linkage, MetricKind, PandoraError};
 
 use super::json::{self, Json};
@@ -375,18 +374,6 @@ fn base_request(params: &Json) -> Result<ClusterRequest, WireError> {
             .ok_or_else(|| WireError::new(code::BAD_PARAMS, format!("unknown metric: {name}")))?;
         request = request.metric(metric);
     }
-    if let Some(v) = params.get("dendrogram").filter(|v| **v != Json::Null) {
-        let name = v
-            .as_str()
-            .ok_or_else(|| WireError::new(code::BAD_REQUEST, "\"dendrogram\" must be a string"))?;
-        let backend = DendrogramBackend::parse(name).ok_or_else(|| {
-            WireError::new(
-                code::BAD_PARAMS,
-                format!("unknown dendrogram backend: {name}"),
-            )
-        })?;
-        request = request.dendrogram(backend);
-    }
     Ok(request)
 }
 
@@ -586,7 +573,7 @@ mod tests {
         let line = r#"{"id": 3, "method": "cluster", "params": {
             "dataset": "d", "min_pts": 4, "min_cluster_size": 7,
             "allow_single_cluster": true, "linkage": "ward",
-            "metric": "euclidean", "dendrogram": "work-optimal"}}"#;
+            "metric": "euclidean"}}"#;
         let req = parse_request(line).expect("well-formed");
         assert_eq!(req.id, Json::Int(3));
         assert_eq!(req.method, Method::Cluster);
@@ -597,10 +584,16 @@ mod tests {
         assert!(params.request.allow_single_cluster);
         assert_eq!(params.request.linkage, Some(Linkage::Ward));
         assert_eq!(params.request.metric, Some(MetricKind::Euclidean));
-        assert_eq!(
-            params.request.dendrogram,
-            Some(DendrogramBackend::WorkOptimal)
-        );
+
+        // `dendrogram` once chose a dendrogram backend. It is now ignored
+        // like any other unknown key, whatever its value, so an old
+        // client's request parses to the same request.
+        let open = line.strip_suffix("}}").expect("params close the line");
+        for value in ["work-optimal", "gpu"] {
+            let old = format!(r#"{open}, "dendrogram": "{value}"}}}}"#);
+            let req = parse_request(&old).expect("well-formed");
+            assert_eq!(cluster_params(&req.params), Ok(params.clone()), "{value}");
+        }
     }
 
     #[test]

@@ -30,7 +30,6 @@ pub mod validity;
 pub use condensed::{condense, CondensedTree};
 pub use dbscan::{dbscan_star, epsilon_profile};
 pub use outlier::glosh_scores;
-pub use pandora_core::DendrogramBackend;
 pub use pandora_mst::{Linkage, MetricKind};
 pub use pipeline::{Hdbscan, HdbscanParams, HdbscanResult, StageTimings};
 pub use serve::{ClusterRequest, DatasetIndex, HierarchyStats, Session};

@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use pandora_core::{Dendrogram, DendrogramBackend, DendrogramWorkspace, PandoraStats, SortedMst};
+use pandora_core::{Dendrogram, DendrogramWorkspace, PandoraStats, SortedMst};
 use pandora_exec::ExecCtx;
 use pandora_mst::PointSet;
 // Defined once, next to the EMST result it starts out in.
@@ -155,17 +155,9 @@ impl Hdbscan {
             // No index exists for an empty dataset: run the back half of the
             // pipeline over an empty spanning tree.
             let mut timings = StageTimings::default();
-            let backend = DendrogramBackend::resolve(request.dendrogram).concrete_for(0);
             let mut dendro = DendrogramWorkspace::new();
-            let hierarchy = finish_hierarchy(
-                &self.ctx,
-                0,
-                Vec::new(),
-                &[],
-                backend,
-                &mut dendro,
-                &mut timings,
-            );
+            let hierarchy =
+                finish_hierarchy(&self.ctx, 0, Vec::new(), &[], &mut dendro, &mut timings);
             return extract_clusters(&self.ctx, hierarchy, &request, timings);
         }
         let index = DatasetIndex::freeze_with_ctx(self.ctx.clone(), points.clone(), params.min_pts)

@@ -51,7 +51,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use pandora_core::{DendrogramBackend, DendrogramWorkspace, Edge, SortedMst};
+use pandora_core::{dendrogram_from_sorted_with, DendrogramWorkspace, Edge, SortedMst};
 use pandora_exec::ExecCtx;
 use pandora_mst::{
     emst_from_index_with, nnchain_from_index, EmstIndex, EmstScratch, Linkage, MetricKind,
@@ -94,13 +94,6 @@ pub struct ClusterRequest {
     pub min_cluster_size: usize,
     /// Whether the root may be selected as a flat cluster.
     pub allow_single_cluster: bool,
-    /// Dendrogram backend override. `None` (the default) defers to the
-    /// `PANDORA_DENDROGRAM` environment variable, then to α-contraction
-    /// (precedence: request > env > default — see
-    /// [`DendrogramBackend::resolve`]). Every backend is bit-identical, so
-    /// this only changes *how* the dendrogram is computed, never the
-    /// result.
-    pub dendrogram: Option<DendrogramBackend>,
     /// Linkage criterion override. `None` (the default) defers to the
     /// `PANDORA_LINKAGE` environment variable, then to single linkage
     /// (precedence: request > env > default — see [`Linkage::resolve`]).
@@ -123,7 +116,6 @@ impl Default for ClusterRequest {
             min_pts: params.min_pts,
             min_cluster_size: params.min_cluster_size,
             allow_single_cluster: params.allow_single_cluster,
-            dendrogram: None,
             linkage: None,
             metric: None,
         }
@@ -152,13 +144,6 @@ impl ClusterRequest {
     /// Sets whether the root may be selected as a flat cluster.
     pub fn allow_single_cluster(mut self, allow: bool) -> Self {
         self.allow_single_cluster = allow;
-        self
-    }
-
-    /// Pins the dendrogram-construction backend for this request,
-    /// overriding the `PANDORA_DENDROGRAM` environment variable.
-    pub fn dendrogram(mut self, backend: DendrogramBackend) -> Self {
-        self.dendrogram = Some(backend);
         self
     }
 
@@ -252,9 +237,8 @@ const MIN_POOLED_SESSIONS: usize = 16;
 /// that never change a result: the parked scratch of finished sessions,
 /// and a cache of finished hierarchies. A hierarchy (core distances,
 /// canonical spanning tree, dendrogram and its level statistics) is keyed
-/// by `min_pts`, the resolved linkage, the effective metric and the
-/// concrete dendrogram backend. The cache holds at most as many bytes as
-/// the index's sorted k-NN rows (`rows_k × n × 8`; an entry costs about
+/// by `min_pts`, the resolved linkage and the effective metric. The cache
+/// holds at most as many bytes as the index's sorted k-NN rows (`rows_k × n × 8`; an entry costs about
 /// 28 bytes per point) and evicts the least recently used entry first. It
 /// lives and dies with the index: a replacement index starts empty.
 /// [`DatasetIndex::hierarchy_stats`] reports it.
@@ -463,8 +447,7 @@ impl Session {
     /// Answers one clustering request, reusing every warm stage buffer.
     ///
     /// After validation, the request's hierarchy key (`min_pts`, resolved
-    /// linkage, effective metric, concrete dendrogram backend) is looked
-    /// up in the index's cache of finished hierarchies (see
+    /// linkage, effective metric) is looked up in the index's cache of finished hierarchies (see
     /// [`DatasetIndex`]). On a hit, the cached core distances, spanning
     /// tree and dendrogram are copied into the result and only condensing,
     /// selection and labelling run. On a miss, the full pipeline runs and
@@ -533,8 +516,6 @@ impl Session {
             min_pts: request.min_pts,
             linkage,
             metric,
-            backend: DendrogramBackend::resolve(request.dendrogram)
-                .concrete_for(self.index.len().saturating_sub(1)),
         };
         if let Some(cached) = self.index.hierarchies.get(&key) {
             return Ok(extract_clusters(
@@ -574,7 +555,6 @@ impl Session {
             self.index.len(),
             emst.core2,
             &emst.edges,
-            key.backend,
             &mut self.state.dendro,
             &mut timings,
         );
@@ -592,15 +572,13 @@ impl Drop for Session {
 /// The hierarchy half of the pipeline, shared by a cache miss in
 /// [`Session::run`] and the empty-set path of [`crate::Hdbscan::run`]
 /// (which has no index to draw a session from): sorts the spanning tree
-/// into canonical order and builds its dendrogram with the concrete
-/// `backend` through the reusable workspace. Sets `timings.dendrogram_s`
-/// (sort included).
+/// into canonical order and builds its dendrogram by α-contraction through
+/// the reusable workspace. Sets `timings.dendrogram_s` (sort included).
 pub(crate) fn finish_hierarchy(
     ctx: &ExecCtx,
     n: usize,
     core2: Vec<f32>,
     edges: &[Edge],
-    backend: DendrogramBackend,
     dendro_ws: &mut DendrogramWorkspace,
     timings: &mut StageTimings,
 ) -> Hierarchy {
@@ -608,7 +586,7 @@ pub(crate) fn finish_hierarchy(
     ctx.set_phase("sort");
     let mst = SortedMst::from_edges(ctx, n, edges);
     let input_sort_s = t.elapsed().as_secs_f64();
-    let (dendrogram, mut pandora_stats) = backend.build(ctx, &mst, dendro_ws);
+    let (dendrogram, mut pandora_stats) = dendrogram_from_sorted_with(ctx, &mst, dendro_ws);
     pandora_stats.timings.sort_s += input_sort_s;
     timings.dendrogram_s = t.elapsed().as_secs_f64();
     Hierarchy {

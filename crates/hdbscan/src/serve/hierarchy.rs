@@ -1,23 +1,22 @@
 //! The index's cache of finished hierarchies.
 //!
-//! Of a request's parameters, only `min_pts`, the resolved linkage, the
-//! effective metric and the concrete dendrogram backend reach the core
-//! distances, the spanning tree and the dendrogram; `min_cluster_size` and
-//! `allow_single_cluster` enter only at condensing and selection. A
-//! [`HierarchyCache`] keeps the finished front half of recent requests on
-//! their [`DatasetIndex`](super::DatasetIndex), keyed by exactly those four
-//! values, so a request that differs from an earlier one only in its
-//! extraction parameters skips the spanning tree, the sort and the
-//! dendrogram. Every cached array is a pure function of the frozen points
-//! and the key (the serial ≡ threaded and backend-equivalence contracts),
-//! so a hit is bit-identical to a miss.
+//! Of a request's parameters, only `min_pts`, the resolved linkage and the
+//! effective metric reach the core distances, the spanning tree and the
+//! dendrogram; `min_cluster_size` and `allow_single_cluster` enter only at
+//! condensing and selection. A [`HierarchyCache`] keeps the finished front
+//! half of recent requests on their [`DatasetIndex`](super::DatasetIndex),
+//! keyed by exactly those three values, so a request that differs from an
+//! earlier one only in its extraction parameters skips the spanning tree,
+//! the sort and the dendrogram. Every cached array is a pure function of
+//! the frozen points and the key (the serial ≡ threaded contract), so a
+//! hit is bit-identical to a miss.
 
 use std::mem::size_of_val;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use pandora_core::{Dendrogram, DendrogramBackend, PandoraStats, PhaseTimings, SortedMst};
+use pandora_core::{Dendrogram, PandoraStats, PhaseTimings, SortedMst};
 use pandora_exec::counters::RelaxedCounter;
 use pandora_mst::{Linkage, MetricKind};
 
@@ -27,8 +26,6 @@ pub(crate) struct HierarchyKey {
     pub(crate) min_pts: usize,
     pub(crate) linkage: Linkage,
     pub(crate) metric: MetricKind,
-    /// Concrete: `Auto` is resolved against the edge count first.
-    pub(crate) backend: DendrogramBackend,
 }
 
 /// A finished hierarchy: the front half of one request's result.
@@ -163,7 +160,6 @@ mod tests {
             min_pts,
             linkage: Linkage::Single,
             metric: MetricKind::MutualReachability,
-            backend: DendrogramBackend::AlphaContraction,
         }
     }
 

@@ -8,11 +8,10 @@
 //! arXiv 2106.04727). This module defines *which* linkage a request runs
 //! under and how that choice is resolved.
 //!
-//! Selection precedence mirrors `DendrogramBackend` exactly:
-//! **request > environment > default** — an explicit
-//! `ClusterRequest::linkage` wins; otherwise the [`LINKAGE_ENV`] variable
-//! (`PANDORA_LINKAGE=single|complete|average|ward`) applies; otherwise
-//! single linkage runs. An unparseable environment value is ignored rather
+//! Selection precedence is **request > environment > default** — an
+//! explicit `ClusterRequest::linkage` wins; otherwise the [`LINKAGE_ENV`]
+//! variable (`PANDORA_LINKAGE=single|complete|average|ward`) applies;
+//! otherwise single linkage runs. An unparseable environment value is ignored rather
 //! than escalated — the serving tier never panics on configuration.
 //!
 //! # Which path each linkage takes

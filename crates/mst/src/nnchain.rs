@@ -55,8 +55,7 @@
 //! clusters' *representatives* (their minimum original point id; witness
 //! pairs for single linkage). Because every merge joins two disjoint
 //! clusters, the merge list is a spanning tree of the points — it feeds
-//! `SortedMst::from_edges` and both dendrogram backends completely
-//! unchanged.
+//! `SortedMst::from_edges` and the dendrogram stage completely unchanged.
 
 use std::time::Instant;
 

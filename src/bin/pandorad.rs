@@ -11,9 +11,8 @@
 //! scripting. Protocol reference and operations runbook: `docs/SERVING.md`.
 //!
 //! Environment: `PANDORA_THREADS` sizes the default worker-lane count,
-//! `PANDORA_QUEUE_DEPTH` the default admission queue,
-//! `PANDORA_LINKAGE` / `PANDORA_DENDROGRAM` the per-request defaults
-//! applied when a request omits those fields.
+//! `PANDORA_QUEUE_DEPTH` the default admission queue, and
+//! `PANDORA_LINKAGE` the linkage applied when a request omits that field.
 
 use std::path::Path;
 use std::process::ExitCode;

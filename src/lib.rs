@@ -64,8 +64,7 @@ pub mod prelude {
     pub use pandora_core::{Dendrogram, Edge, SortedMst};
     pub use pandora_exec::{ExecCtx, ScratchPool};
     pub use pandora_hdbscan::{
-        ClusterRequest, DatasetIndex, DendrogramBackend, Hdbscan, HdbscanParams, HdbscanResult,
-        Session,
+        ClusterRequest, DatasetIndex, Hdbscan, HdbscanParams, HdbscanResult, Session,
     };
     pub use pandora_mst::{
         boruvka_mst, core_distances2, BoruvkaExtras, EmstIndex, EmstScratch, Euclidean, KdTree,

@@ -1,10 +1,10 @@
-//! The dendrogram differential harness: every [`DendrogramBackend`] ×
-//! {serial, threaded} must produce **bit-identical** dendrograms (parents,
-//! heights, chain keys) and identical downstream HDBSCAN labels — on
-//! adversarial generated trees (chains, stars, balanced binary, tied
-//! weights, n ∈ {0, 1, 2}) and on pipeline-produced MSTs through
-//! [`Session::run`]. The ground truth is the sequential union–find oracle
-//! (paper Algorithm 2). At 20,000–40,000 vertices, where both PANDORA
+//! The dendrogram differential harness: α-contraction under {serial,
+//! threaded} must produce **bit-identical** dendrograms (parents, heights,
+//! chain keys) and identical downstream HDBSCAN labels — on adversarial
+//! generated trees (chains, stars, balanced binary, tied weights,
+//! n ∈ {0, 1, 2}) and on pipeline-produced MSTs through
+//! [`Session::run`](pandora::hdbscan::Session::run). The ground truth is
+//! the sequential union–find oracle (paper Algorithm 2). At 20,000–40,000 vertices, where both PANDORA
 //! sorts take their radix paths, the canonical order itself is also
 //! checked against a plain comparison sort.
 //!
@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use pandora::core::baseline::dendrogram_union_find;
 use pandora::core::expansion::{assign_chain_keys_into, sort_chain_keys};
 use pandora::core::levels::build_hierarchy;
-use pandora::core::{DendrogramBackend, DendrogramWorkspace, SortedMst};
+use pandora::core::{dendrogram_from_sorted_with, DendrogramWorkspace, SortedMst};
 use pandora::data::synthetic::gaussian_blobs;
 use pandora::exec::atomic::f32_to_ordered_u32_desc;
 use pandora::exec::ExecCtx;
@@ -37,31 +37,26 @@ fn contexts() -> [(&'static str, ExecCtx); 2] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The core differential property: every backend, under every context,
-    /// equals the oracle bit-for-bit (hence also each other), validates
-    /// structurally, and agrees on the derived height.
+    /// The core differential property: α-contraction, under every
+    /// context, equals the oracle bit-for-bit (hence also itself across
+    /// contexts), validates structurally, and agrees on the derived height.
     #[test]
     fn all_backends_and_contexts_match_the_oracle(case in mst_strategy()) {
         let mst = SortedMst::from_edges(&ExecCtx::serial(), case.n_vertices, &case.edges);
         let oracle = dendrogram_union_find(&mst);
         let oracle_height = oracle.height();
-        for backend in DendrogramBackend::ALL {
-            for (ctx_name, ctx) in contexts() {
-                let mut ws = DendrogramWorkspace::new();
-                let (got, stats) = backend.build(&ctx, &mst, &mut ws);
-                prop_assert!(
-                    got.validate().is_ok(),
-                    "invalid dendrogram: backend={} ctx={ctx_name} case[{}]",
-                    backend.name(), case.params
-                );
-                prop_assert_eq!(
-                    &got, &oracle,
-                    "backend={} ctx={} case[{}]", backend.name(), ctx_name, &case.params
-                );
-                prop_assert_eq!(got.height(), oracle_height);
-                prop_assert!(stats.n_levels >= 1);
-                prop_assert_eq!(stats.level_edge_counts[0], mst.n_edges());
-            }
+        for (ctx_name, ctx) in contexts() {
+            let mut ws = DendrogramWorkspace::new();
+            let (got, stats) = dendrogram_from_sorted_with(&ctx, &mst, &mut ws);
+            prop_assert!(
+                got.validate().is_ok(),
+                "invalid dendrogram: ctx={ctx_name} case[{}]",
+                case.params
+            );
+            prop_assert_eq!(&got, &oracle, "ctx={} case[{}]", ctx_name, &case.params);
+            prop_assert_eq!(got.height(), oracle_height);
+            prop_assert!(stats.n_levels >= 1);
+            prop_assert_eq!(stats.level_edge_counts[0], mst.n_edges());
         }
     }
 
@@ -87,10 +82,10 @@ proptest! {
     }
 }
 
-/// Tie-break regression (satellite): with every weight equal at n = 1000,
-/// the dendrogram is decided purely by the canonical sorted order — and
-/// every backend × context must still agree with the oracle, regardless of
-/// the order the edges arrive in.
+/// Tie-break regression: with every weight equal at n = 1000, the
+/// dendrogram is decided purely by the canonical sorted order — and every
+/// context must still agree with the oracle, regardless of the order the
+/// edges arrive in.
 #[test]
 fn all_equal_weights_at_n_1000_are_deterministic() {
     let case = all_equal_weights_tree(1000, 0xD15C0);
@@ -107,25 +102,17 @@ fn all_equal_weights_at_n_1000_are_deterministic() {
     assert_eq!(mst.weight, mst2.weight, "case[{}]", case.params);
 
     let oracle = dendrogram_union_find(&mst);
-    for backend in DendrogramBackend::ALL {
-        for (ctx_name, ctx) in contexts() {
-            let mut ws = DendrogramWorkspace::new();
-            let (got, _) = backend.build(&ctx, &mst, &mut ws);
-            assert_eq!(
-                got,
-                oracle,
-                "backend={} ctx={ctx_name} case[{}]",
-                backend.name(),
-                case.params
-            );
-        }
+    for (ctx_name, ctx) in contexts() {
+        let mut ws = DendrogramWorkspace::new();
+        let (got, _) = dendrogram_from_sorted_with(&ctx, &mst, &mut ws);
+        assert_eq!(got, oracle, "ctx={ctx_name} case[{}]", case.params);
     }
 }
 
 /// Radix-scale oracle: at 20,000–40,000 vertices both PANDORA sorts run
 /// their radix paths, so the canonical order is checked against a plain
 /// comparison sort of `(weight word, src, dst)` triples, bit for bit, and
-/// every backend × context against the union–find oracle. It runs every
+/// every context's dendrogram against the union–find oracle. It runs every
 /// shape under every weight mode, signed zeros and negatives included.
 #[test]
 fn canonical_order_and_dendrograms_match_oracles_at_radix_scale() {
@@ -163,18 +150,16 @@ fn canonical_order_and_dendrograms_match_oracles_at_radix_scale() {
                 .collect();
             assert_eq!(words, expect_words, "{what}: weight bits");
             let oracle = oracle.get_or_insert_with(|| dendrogram_union_find(&mst));
-            for backend in DendrogramBackend::ALL {
-                let mut ws = DendrogramWorkspace::new();
-                let (got, _) = backend.build(&ctx, &mst, &mut ws);
-                assert_eq!(&got, &*oracle, "backend={} {what}", backend.name());
-            }
+            let mut ws = DendrogramWorkspace::new();
+            let (got, _) = dendrogram_from_sorted_with(&ctx, &mst, &mut ws);
+            assert_eq!(&got, &*oracle, "{what}");
         }
     }
 }
 
-/// Pipeline-produced MSTs: through `Session::run`, every backend (selected
-/// per request and via the default resolution) yields identical
-/// dendrograms, labels and probabilities under both contexts.
+/// Pipeline-produced MSTs: through `Session::run`, a serial and a
+/// threaded index yield identical spanning trees, dendrograms, labels and
+/// probabilities.
 #[test]
 fn session_results_identical_across_backends_and_contexts() {
     let (points, _) = gaussian_blobs(600, 3, 4, 6.0, 1.0, 42);
@@ -183,36 +168,25 @@ fn session_results_identical_across_backends_and_contexts() {
         let index = Arc::new(
             DatasetIndex::freeze_with_ctx(ctx, points.clone(), 8).expect("freeze succeeds"),
         );
-        let mut session = index.session();
-        for backend in DendrogramBackend::ALL {
-            let request = ClusterRequest::new().min_pts(4).dendrogram(backend);
-            let result = session.run(&request).expect("valid request");
-            assert_eq!(result.labels.len(), 600);
-            match &reference {
-                None => reference = Some(result),
-                Some(expect) => {
-                    let what = format!("backend={} ctx={ctx_name}", backend.name());
-                    assert_eq!(result.dendrogram, expect.dendrogram, "{what}: dendrogram");
-                    assert_eq!(result.labels, expect.labels, "{what}: labels");
-                    assert_eq!(
-                        result.probabilities, expect.probabilities,
-                        "{what}: probabilities"
-                    );
-                    assert_eq!(result.mst.src, expect.mst.src, "{what}: mst");
-                }
-            }
-        }
-        // Default resolution (no per-request override; honours
-        // PANDORA_DENDROGRAM, which the CI matrix sweeps) is one of the
-        // backends above, so it must match too.
-        let result = session
+        let result = index
+            .session()
             .run(&ClusterRequest::new().min_pts(4))
             .expect("valid request");
-        let expect = reference.as_ref().expect("reference set");
-        assert_eq!(result.labels, expect.labels, "default backend: labels");
-        assert_eq!(
-            result.dendrogram, expect.dendrogram,
-            "default backend: dendrogram"
-        );
+        assert_eq!(result.labels.len(), 600);
+        match &reference {
+            None => reference = Some(result),
+            Some(expect) => {
+                assert_eq!(
+                    result.dendrogram, expect.dendrogram,
+                    "{ctx_name}: dendrogram"
+                );
+                assert_eq!(result.labels, expect.labels, "{ctx_name}: labels");
+                assert_eq!(
+                    result.probabilities, expect.probabilities,
+                    "{ctx_name}: probabilities"
+                );
+                assert_eq!(result.mst.src, expect.mst.src, "{ctx_name}: mst");
+            }
+        }
     }
 }

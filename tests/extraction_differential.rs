@@ -6,8 +6,8 @@
 //!
 //! The grid: every `SHAPES` tree × every `WeightMode` (including
 //! `AllEqual` and `Signed` with ±0) × `min_cluster_size ∈ {2, 3, 5, 17, n}`
-//! × `allow_single_cluster ∈ {false, true}`, on dendrograms from every
-//! backend under a serial and a threaded context. It also checks the
+//! × `allow_single_cluster ∈ {false, true}`, on α-contraction dendrograms
+//! built under a serial and a threaded context. It also checks the
 //! invariant `select_clusters` relies on: every condensed cluster has 0 or
 //! 2 children.
 //!
@@ -19,7 +19,7 @@ mod common;
 use common::extraction::{reference_condense, reference_select_clusters};
 use common::{tree_case, WeightMode, SHAPES};
 
-use pandora::core::{DendrogramBackend, DendrogramWorkspace, SortedMst};
+use pandora::core::{dendrogram_from_sorted_with, DendrogramWorkspace, SortedMst};
 use pandora::exec::ExecCtx;
 use pandora::hdbscan::{
     cluster_stabilities, condense, extract_labels, glosh_scores, select_clusters, CondensedTree,
@@ -95,55 +95,51 @@ fn extraction_matches_the_reference_bit_for_bit() {
                 let seed = 1000 * s as u64 + 100 * w as u64 + n as u64;
                 let case = tree_case(shape, n, wmode, seed);
                 let mst = SortedMst::from_edges(&ExecCtx::serial(), case.n_vertices, &case.edges);
-                for backend in DendrogramBackend::ALL {
-                    for (ctx_name, ctx) in contexts() {
-                        let mut ws = DendrogramWorkspace::new();
-                        let (dendrogram, _) = backend.build(&ctx, &mst, &mut ws);
-                        for min_cluster_size in [2, 3, 5, 17, n] {
-                            let what = format!(
-                                "{} backend={} ctx={ctx_name} min_cluster_size={min_cluster_size}",
-                                case.params,
-                                backend.name()
-                            );
-                            let got = condense(&dendrogram, min_cluster_size);
-                            let want = reference_condense(&dendrogram, min_cluster_size);
-                            assert_condensed_identical(&got, &want, &what);
-                            assert_zero_or_two_children(&got, &what);
-                            split_trees += (got.n_clusters() > 1) as usize;
+                for (ctx_name, ctx) in contexts() {
+                    let mut ws = DendrogramWorkspace::new();
+                    let (dendrogram, _) = dendrogram_from_sorted_with(&ctx, &mst, &mut ws);
+                    for min_cluster_size in [2, 3, 5, 17, n] {
+                        let what = format!(
+                            "{} ctx={ctx_name} min_cluster_size={min_cluster_size}",
+                            case.params
+                        );
+                        let got = condense(&dendrogram, min_cluster_size);
+                        let want = reference_condense(&dendrogram, min_cluster_size);
+                        assert_condensed_identical(&got, &want, &what);
+                        assert_zero_or_two_children(&got, &what);
+                        split_trees += (got.n_clusters() > 1) as usize;
 
-                            let stability = cluster_stabilities(&got);
-                            let want_stability = cluster_stabilities(&want);
-                            assert_eq!(
-                                f64_bits(&stability),
-                                f64_bits(&want_stability),
-                                "stabilities: {what}"
+                        let stability = cluster_stabilities(&got);
+                        let want_stability = cluster_stabilities(&want);
+                        assert_eq!(
+                            f64_bits(&stability),
+                            f64_bits(&want_stability),
+                            "stabilities: {what}"
+                        );
+                        for allow_single_cluster in [false, true] {
+                            let what = format!("{what} allow_single={allow_single_cluster}");
+                            let selected = select_clusters(&got, &stability, allow_single_cluster);
+                            let want_selected = reference_select_clusters(
+                                &want,
+                                &want_stability,
+                                allow_single_cluster,
                             );
-                            for allow_single_cluster in [false, true] {
-                                let what = format!("{what} allow_single={allow_single_cluster}");
-                                let selected =
-                                    select_clusters(&got, &stability, allow_single_cluster);
-                                let want_selected = reference_select_clusters(
-                                    &want,
-                                    &want_stability,
-                                    allow_single_cluster,
-                                );
-                                assert_eq!(selected, want_selected, "selection: {what}");
-                                let (labels, probabilities) = extract_labels(&got, &selected);
-                                let (want_labels, want_probabilities) =
-                                    extract_labels(&want, &want_selected);
-                                assert_eq!(labels, want_labels, "labels: {what}");
-                                assert_eq!(
-                                    f32_bits(&probabilities),
-                                    f32_bits(&want_probabilities),
-                                    "probabilities: {what}"
-                                );
-                            }
+                            assert_eq!(selected, want_selected, "selection: {what}");
+                            let (labels, probabilities) = extract_labels(&got, &selected);
+                            let (want_labels, want_probabilities) =
+                                extract_labels(&want, &want_selected);
+                            assert_eq!(labels, want_labels, "labels: {what}");
                             assert_eq!(
-                                f32_bits(&glosh_scores(&got)),
-                                f32_bits(&glosh_scores(&want)),
-                                "GLOSH scores: {what}"
+                                f32_bits(&probabilities),
+                                f32_bits(&want_probabilities),
+                                "probabilities: {what}"
                             );
                         }
+                        assert_eq!(
+                            f32_bits(&glosh_scores(&got)),
+                            f32_bits(&glosh_scores(&want)),
+                            "GLOSH scores: {what}"
+                        );
                     }
                 }
             }

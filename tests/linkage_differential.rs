@@ -22,7 +22,8 @@ use std::sync::Arc;
 use common::linkage::{brute_core2, naive_agglomerative, point_strategy};
 use proptest::prelude::*;
 
-use pandora::core::{DendrogramBackend, Edge};
+use pandora::core::baseline::dendrogram_union_find;
+use pandora::core::Edge;
 use pandora::exec::{ExecCtx, ScratchPool};
 use pandora::hdbscan::{ClusterRequest, DatasetIndex};
 use pandora::mst::{emst, nnchain_merges, Linkage, PointSet};
@@ -197,39 +198,28 @@ fn oracle_canon(merges: &[common::linkage::OracleMerge]) -> Vec<(u32, u32, f64)>
     v
 }
 
-/// Both dendrogram backends consume an NN-chain merge sequence unchanged:
-/// served results per linkage are bit-identical across
-/// [`DendrogramBackend`]s, end to end through [`Session::run`].
+/// The dendrogram stage consumes an NN-chain merge sequence unchanged:
+/// per linkage, the dendrogram served through [`Session::run`] validates
+/// and equals the union–find oracle over the served spanning tree.
+///
+/// [`Session::run`]: pandora::hdbscan::Session::run
 #[test]
-fn both_dendrogram_backends_consume_every_linkage_identically() {
+fn every_linkage_serves_a_valid_dendrogram() {
     use pandora::data::synthetic::gaussian_blobs;
     let (points, _) = gaussian_blobs(400, 2, 3, 80.0, 0.9, 31);
     let index =
         Arc::new(DatasetIndex::freeze_with_ctx(ExecCtx::serial(), points, 8).expect("freeze"));
     let mut session = index.session();
     for linkage in Linkage::ALL {
-        let mut reference = None;
-        for backend in DendrogramBackend::ALL {
-            let request = ClusterRequest::new()
-                .min_pts(4)
-                .linkage(linkage)
-                .dendrogram(backend);
-            let served = session.run(&request).expect("valid request");
-            served.dendrogram.validate().unwrap();
-            match &reference {
-                None => reference = Some(served),
-                Some(first) => {
-                    assert_eq!(
-                        first.dendrogram,
-                        served.dendrogram,
-                        "backend divergence: {linkage} × {}",
-                        backend.name()
-                    );
-                    assert_eq!(first.labels, served.labels);
-                    assert_eq!(first.probabilities, served.probabilities);
-                }
-            }
-        }
+        let request = ClusterRequest::new().min_pts(4).linkage(linkage);
+        let served = session.run(&request).expect("valid request");
+        served.dendrogram.validate().unwrap();
+        assert_eq!(
+            served.dendrogram,
+            dendrogram_union_find(&served.mst),
+            "{linkage}: dendrogram"
+        );
+        assert_eq!(served.labels.len(), 400, "{linkage}");
         assert_eq!(session.scratch_outstanding(), 0, "{linkage}");
     }
 }

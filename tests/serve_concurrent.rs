@@ -17,8 +17,7 @@ use rand::prelude::*;
 use pandora::data::synthetic::gaussian_blobs;
 use pandora::exec::ExecCtx;
 use pandora::hdbscan::{
-    ClusterRequest, DatasetIndex, DendrogramBackend, Hdbscan, HdbscanResult, Linkage, MetricKind,
-    PandoraError,
+    ClusterRequest, DatasetIndex, Hdbscan, HdbscanResult, Linkage, MetricKind, PandoraError,
 };
 use pandora::mst::PointSet;
 
@@ -57,18 +56,10 @@ fn cold_run(points: &PointSet, request: &ClusterRequest) -> HdbscanResult {
 }
 
 /// What the index's hierarchy cache keys `request` by: `min_pts`, the
-/// resolved linkage, the effective metric and the concrete backend.
-fn hierarchy_key(
-    request: &ClusterRequest,
-    n: usize,
-) -> (usize, Linkage, MetricKind, DendrogramBackend) {
+/// resolved linkage and the effective metric.
+fn hierarchy_key(request: &ClusterRequest) -> (usize, Linkage, MetricKind) {
     let linkage = Linkage::resolve(request.linkage);
-    (
-        request.min_pts,
-        linkage,
-        request.effective_metric(linkage),
-        DendrogramBackend::resolve(request.dendrogram).concrete_for(n - 1),
-    )
+    (request.min_pts, linkage, request.effective_metric(linkage))
 }
 
 #[test]
@@ -78,13 +69,12 @@ fn concurrent_sessions_are_bit_identical_to_cold_runs() {
     const STREAM_SEED: u64 = 0x5EED_CAC4E;
 
     let (points, _) = gaussian_blobs(900, 2, 4, 110.0, 0.9, 31);
-    let n = points.len();
     // The mixed request matrix: minPts and min_cluster_size both vary, so
     // concurrent sessions exercise different row prefixes, different
     // metric ranks in the endgame cache, and different condense cuts.
     // Several members share a hierarchy and differ only in extraction
-    // parameters (cache hits); a pinned backend, an explicit Euclidean
-    // metric and two NN-chain linkages give keys of their own.
+    // parameters (cache hits); an explicit Euclidean metric and two
+    // NN-chain linkages give keys of their own.
     let mix = [
         ClusterRequest::new().min_pts(2),
         ClusterRequest::new().min_pts(3).min_cluster_size(3),
@@ -97,13 +87,8 @@ fn concurrent_sessions_are_bit_identical_to_cold_runs() {
             .min_pts(8)
             .min_cluster_size(3)
             .allow_single_cluster(true),
-        ClusterRequest::new()
-            .min_pts(4)
-            .min_cluster_size(8)
-            .dendrogram(DendrogramBackend::WorkOptimal),
-        ClusterRequest::new()
-            .min_pts(4)
-            .dendrogram(DendrogramBackend::AlphaContraction),
+        ClusterRequest::new().min_pts(7).min_cluster_size(8),
+        ClusterRequest::new().min_pts(4),
         ClusterRequest::new()
             .min_pts(6)
             .metric(MetricKind::Euclidean),
@@ -119,7 +104,7 @@ fn concurrent_sessions_are_bit_identical_to_cold_runs() {
         ClusterRequest::new().min_pts(12).min_cluster_size(6),
         ClusterRequest::new().min_pts(5),
     ];
-    let keys: Vec<_> = mix.iter().map(|r| hierarchy_key(r, n)).collect();
+    let keys: Vec<_> = mix.iter().map(hierarchy_key).collect();
     let distinct_keys = keys.iter().collect::<HashSet<_>>().len();
 
     // Ground truth per mix member, computed cold (fresh substrate each).
@@ -258,29 +243,27 @@ fn a_second_session_warms_from_the_shared_endgame_store() {
     // as an adoption tick plus a strictly smaller tree re-search bill on
     // the engine counters, with answers still bit-identical to cold.
     //
-    // The two requests pin different concrete dendrogram backends (every
-    // backend is bit-identical), so they share the metric rank but not a
+    // The two requests differ in `min_pts` (4, then 5), so they share no
     // hierarchy-cache key: the second run is a miss that really reaches
-    // Borůvka, whatever PANDORA_DENDROGRAM says.
+    // Borůvka. The first run's snapshots are of a lower rank, which the
+    // second run may adopt.
     let (points, _) = gaussian_blobs(600, 2, 4, 160.0, 0.8, 21);
-    let cold = Hdbscan::with_ctx(
-        ClusterRequest::new().min_pts(4).to_params(),
-        ExecCtx::serial(),
-    )
-    .run(&points);
-    let index = Arc::new(DatasetIndex::freeze(points, 8).expect("freeze"));
+    let cold_at = |min_pts: usize| {
+        Hdbscan::with_ctx(
+            ClusterRequest::new().min_pts(min_pts).to_params(),
+            ExecCtx::serial(),
+        )
+        .run(&points)
+    };
+    let index = Arc::new(DatasetIndex::freeze(points.clone(), 8).expect("freeze"));
     let stats = index.emst().stats();
     assert_eq!(stats.snapshot_adopts(), 0, "no adoption before any request");
 
     let mut first = index.session();
     let served = first
-        .run(
-            &ClusterRequest::new()
-                .min_pts(4)
-                .dendrogram(DendrogramBackend::AlphaContraction),
-        )
+        .run(&ClusterRequest::new().min_pts(4))
         .expect("valid request");
-    assert_results_identical(&served, &cold, "first (cold-store) session");
+    assert_results_identical(&served, &cold_at(4), "first (cold-store) session");
     assert!(
         index.emst().endgame_store().is_published(),
         "the first request must publish its endgame snapshots"
@@ -299,13 +282,9 @@ fn a_second_session_warms_from_the_shared_endgame_store() {
     // `first` is still alive, so this session starts from a fresh scratch.
     let mut second = index.session();
     let served = second
-        .run(
-            &ClusterRequest::new()
-                .min_pts(4)
-                .dendrogram(DendrogramBackend::WorkOptimal),
-        )
+        .run(&ClusterRequest::new().min_pts(5))
         .expect("valid request");
-    assert_results_identical(&served, &cold, "second (adopting) session");
+    assert_results_identical(&served, &cold_at(5), "second (adopting) session");
     assert_eq!(
         stats.snapshot_adopts(),
         1,
