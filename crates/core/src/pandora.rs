@@ -82,9 +82,8 @@ pub fn dendrogram_from_sorted(ctx: &ExecCtx, mst: &SortedMst) -> (Dendrogram, Pa
 /// the contraction hierarchy's level trees, `maxIncident` tables, vertex
 /// maps, α splits, union–find and the packed chain-key array are all
 /// recycled through an internal [`ScratchPool`], so the steady state stops
-/// reallocating the hierarchy.
-/// Only the returned [`Dendrogram`] arrays are freshly allocated (the
-/// caller owns them).
+/// reallocating the hierarchy. Only the returned [`Dendrogram`] arrays are
+/// freshly allocated (the caller owns them).
 #[derive(Debug, Default)]
 pub struct DendrogramWorkspace {
     scratch: ScratchPool,

@@ -238,9 +238,10 @@ const MIN_POOLED_SESSIONS: usize = 16;
 /// and a cache of finished hierarchies. A hierarchy (core distances,
 /// canonical spanning tree, dendrogram and its level statistics) is keyed
 /// by `min_pts`, the resolved linkage and the effective metric. The cache
-/// holds at most as many bytes as the index's sorted k-NN rows (`rows_k × n × 8`; an entry costs about
-/// 28 bytes per point) and evicts the least recently used entry first. It
-/// lives and dies with the index: a replacement index starts empty.
+/// holds at most as many bytes as the index's sorted k-NN rows
+/// (`rows_k × n × 8`; an entry costs about 28 bytes per point) and evicts
+/// the least recently used entry first. It lives and dies with the index:
+/// a replacement index starts empty.
 /// [`DatasetIndex::hierarchy_stats`] reports it.
 pub struct DatasetIndex {
     emst: EmstIndex,
@@ -447,11 +448,11 @@ impl Session {
     /// Answers one clustering request, reusing every warm stage buffer.
     ///
     /// After validation, the request's hierarchy key (`min_pts`, resolved
-    /// linkage, effective metric) is looked up in the index's cache of finished hierarchies (see
-    /// [`DatasetIndex`]). On a hit, the cached core distances, spanning
-    /// tree and dendrogram are copied into the result and only condensing,
-    /// selection and labelling run. On a miss, the full pipeline runs and
-    /// its hierarchy is offered to the cache.
+    /// linkage, effective metric) is looked up in the index's cache of
+    /// finished hierarchies (see [`DatasetIndex`]). On a hit, the cached
+    /// core distances, spanning tree and dendrogram are copied into the
+    /// result and only condensing, selection and labelling run. On a miss,
+    /// the full pipeline runs and its hierarchy is offered to the cache.
     ///
     /// For single linkage (the default), the result is **bit-identical**
     /// to [`crate::Hdbscan::run`] with the request's parameters, hit or

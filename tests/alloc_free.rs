@@ -194,9 +194,9 @@ fn steady_state_queries_do_not_allocate() {
     //     what the extraction functions allocate on the same dendrogram,
     //     plus that copy, plus at most two strings when PANDORA_LINKAGE
     //     is set (the value read while resolving the key, and its
-    //     lowercased copy). A hit that ran Borůvka or the dendrogram would add its
-    //     core distances, edges, sorted tree, dendrogram and level counts
-    //     on top.
+    //     lowercased copy). A hit that ran Borůvka or the dendrogram
+    //     would add its core distances, edges, sorted tree, dendrogram and
+    //     level counts on top.
     let probe = session.run(&request(5)).expect("valid request");
     let extract_allocs = min_allocs_over(3, || {
         let condensed = condense(&probe.dendrogram, HdbscanParams::default().min_cluster_size);
