@@ -161,7 +161,7 @@ pub fn dendrogram_from_sorted_with(
 /// Both calls are [`dendrogram_from_sorted_with`], nothing here reads the
 /// environment, and the type goes once the benchmark calls that function
 /// directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub enum DendrogramBackend {
     /// PANDORA's recursive α-contraction, the one dendrogram algorithm.
     #[default]
