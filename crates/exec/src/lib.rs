@@ -9,8 +9,7 @@
 //!
 //! * [`ExecCtx::for_each`] / [`ExecCtx::for_each_chunk`] — parallel loops;
 //! * [`ExecCtx::reduce`] — parallel reductions;
-//! * [`scan`] — parallel exclusive/inclusive prefix sums and stream
-//!   compaction;
+//! * [`scan`] — parallel exclusive prefix sums;
 //! * [`sort::par_sort_by_key`] and [`radix`] — parallel sorts;
 //! * [`dsu::AtomicDsu`] — the synchronization-free pointer-jumping
 //!   union–find of Jaiganesh & Burtscher used by the paper for tree
@@ -26,7 +25,6 @@ pub mod atomic;
 pub mod counters;
 pub mod device;
 pub mod dsu;
-pub mod histogram;
 pub mod latch;
 pub mod partition;
 pub mod pool;

@@ -1,4 +1,4 @@
-//! Parallel prefix sums (scans) and stream compaction.
+//! Parallel exclusive prefix sums (scans).
 //!
 //! The paper's tree-contraction step is "equivalent to a prefix sum on an
 //! array with 2n entries" (§4.2); every compaction in the pipeline (α-edge
@@ -100,126 +100,6 @@ pub fn seq_exclusive_scan<T: ScanNum>(xs: &mut [T]) -> T {
     running
 }
 
-/// Inclusive prefix sum of `xs` in place; returns the total.
-pub fn inclusive_scan_in_place<T: ScanNum>(ctx: &ExecCtx, xs: &mut [T]) -> T {
-    let n = xs.len();
-    ctx.record(
-        KernelKind::Scan,
-        n as u64,
-        (2 * n * std::mem::size_of::<T>()) as u64,
-    );
-    if ctx.is_serial() || n < 4 * BLOCK_MIN {
-        let mut running = T::ZERO;
-        for x in xs.iter_mut() {
-            running = running.add(*x);
-            *x = running;
-        }
-        return running;
-    }
-    let lanes = ctx.lanes();
-    let block = (n.div_ceil(lanes * 4)).max(BLOCK_MIN);
-    let nb = n.div_ceil(block);
-
-    let mut sums = vec![T::ZERO; nb];
-    {
-        let xs_view = UnsafeSlice::new(xs);
-        let sums_view = UnsafeSlice::new(&mut sums);
-        ctx.for_each(nb, 1, |b| {
-            let mut acc = T::ZERO;
-            let start = b * block;
-            let end = (start + block).min(n);
-            for i in start..end {
-                // SAFETY: read-only in pass 1.
-                acc = acc.add(unsafe { xs_view.read(i) });
-            }
-            // SAFETY: distinct block ids.
-            unsafe { sums_view.write(b, acc) };
-        });
-    }
-    let total = seq_exclusive_scan(&mut sums);
-    {
-        let xs_view = UnsafeSlice::new(xs);
-        let sums_ref = &sums;
-        ctx.for_each(nb, 1, |b| {
-            let mut running = sums_ref[b];
-            let start = b * block;
-            let end = (start + block).min(n);
-            for i in start..end {
-                // SAFETY: blocks are disjoint index ranges.
-                unsafe {
-                    running = running.add(xs_view.read(i));
-                    xs_view.write(i, running);
-                }
-            }
-        });
-    }
-    total
-}
-
-/// Collects the indices `i` in `0..n` where `pred(i)` holds, in order.
-///
-/// This is the standard flag–scan–scatter stream compaction.
-pub fn compact_indices<F: Fn(usize) -> bool + Sync>(ctx: &ExecCtx, n: usize, pred: F) -> Vec<u32> {
-    if ctx.is_serial() || n < 4 * BLOCK_MIN {
-        let mut out = Vec::new();
-        for i in 0..n {
-            if pred(i) {
-                out.push(i as u32);
-            }
-        }
-        ctx.record(KernelKind::Scan, n as u64, (n + 4 * out.len()) as u64);
-        return out;
-    }
-    let lanes = ctx.lanes();
-    let block = (n.div_ceil(lanes * 4)).max(BLOCK_MIN);
-    let nb = n.div_ceil(block);
-
-    let mut counts = vec![0u32; nb];
-    {
-        let counts_view = UnsafeSlice::new(&mut counts);
-        let pred_ref = &pred;
-        ctx.for_each(nb, 1, |b| {
-            let start = b * block;
-            let end = (start + block).min(n);
-            let mut c = 0u32;
-            for i in start..end {
-                c += pred_ref(i) as u32;
-            }
-            // SAFETY: distinct block ids.
-            unsafe { counts_view.write(b, c) };
-        });
-    }
-    let total = exclusive_scan_in_place(ctx, &mut counts);
-    let mut out = vec![0u32; total as usize];
-    {
-        let out_view = UnsafeSlice::new(&mut out);
-        let counts_ref = &counts;
-        let pred_ref = &pred;
-        ctx.for_each_chunk_traced(
-            nb,
-            1,
-            KernelKind::Scan,
-            (n + 4 * total as usize) as u64,
-            |range| {
-                for b in range {
-                    let start = b * block;
-                    let end = (start + block).min(n);
-                    let mut cursor = counts_ref[b] as usize;
-                    for i in start..end {
-                        if pred_ref(i) {
-                            // SAFETY: each output slot is written exactly once:
-                            // cursors of different blocks cover disjoint ranges.
-                            unsafe { out_view.write(cursor, i as u32) };
-                            cursor += 1;
-                        }
-                    }
-                }
-            },
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,27 +135,5 @@ mod tests {
         let total = exclusive_scan_in_place(&ctx, &mut xs);
         assert_eq!(xs, vec![0.0, 0.5, 2.0]);
         assert_eq!(total, 4.0);
-    }
-
-    #[test]
-    fn compact_matches_filter() {
-        for ctx in ctxs() {
-            for n in [0usize, 10, 4095, 65_536] {
-                let got = compact_indices(&ctx, n, |i| i % 3 == 0);
-                let expect: Vec<u32> = (0..n as u32).filter(|i| i % 3 == 0).collect();
-                assert_eq!(got, expect, "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn compact_all_and_none() {
-        for ctx in ctxs() {
-            let all = compact_indices(&ctx, 20_000, |_| true);
-            assert_eq!(all.len(), 20_000);
-            assert_eq!(all[19_999], 19_999);
-            let none = compact_indices(&ctx, 20_000, |_| false);
-            assert!(none.is_empty());
-        }
     }
 }

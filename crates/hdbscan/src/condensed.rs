@@ -72,13 +72,6 @@ impl CondensedTree {
         self.child[row] as usize >= self.n_points
     }
 
-    /// The cluster id of a cluster-row child.
-    #[inline(always)]
-    pub fn child_cluster(&self, row: usize) -> u32 {
-        debug_assert!(self.child_is_cluster(row));
-        self.child[row] - self.n_points as u32
-    }
-
     #[inline(always)]
     fn push_row(&mut self, parent: u32, child: u32, lambda: f32, size: u32) {
         self.parent.push(parent);

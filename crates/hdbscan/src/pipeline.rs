@@ -10,12 +10,11 @@
 //!
 //! This one-shot driver runs the pipeline above through the serving API:
 //! one frozen [`DatasetIndex`] and one session request, which leaves the
-//! linkage unset. That means single linkage on the Borůvka EMST fast path
-//! unless `PANDORA_LINKAGE` names another criterion; the serving API
-//! ([`crate::serve::ClusterRequest::linkage`]) dispatches complete /
-//! average / Ward linkage through the NN-chain engine, where stage 2
-//! produces the merge sequence (itself a spanning tree) instead of the
-//! EMST and stages 3–4 run unchanged.
+//! linkage unset. That means single linkage on the Borůvka EMST fast path;
+//! the serving API ([`crate::serve::ClusterRequest::linkage`]) dispatches
+//! complete / average / Ward linkage through the NN-chain engine, where
+//! stage 2 produces the merge sequence (itself a spanning tree) instead of
+//! the EMST and stages 3–4 run unchanged.
 
 use std::sync::Arc;
 

@@ -94,9 +94,8 @@ pub struct ClusterRequest {
     pub min_cluster_size: usize,
     /// Whether the root may be selected as a flat cluster.
     pub allow_single_cluster: bool,
-    /// Linkage criterion override. `None` (the default) defers to the
-    /// `PANDORA_LINKAGE` environment variable, then to single linkage
-    /// (precedence: request > env > default — see [`Linkage::resolve`]).
+    /// Linkage criterion. `None` (the default) runs single linkage
+    /// ([`Linkage::default`]); no environment variable changes that.
     /// Single linkage keeps the Borůvka EMST fast path; the other criteria
     /// run the NN-chain engine over the same frozen substrate.
     pub linkage: Option<Linkage>,
@@ -147,8 +146,8 @@ impl ClusterRequest {
         self
     }
 
-    /// Pins the linkage criterion for this request, overriding the
-    /// `PANDORA_LINKAGE` environment variable.
+    /// Pins the linkage criterion for this request (single linkage when
+    /// left unset).
     ///
     /// ```
     /// use std::sync::Arc;
@@ -360,11 +359,6 @@ impl DatasetIndex {
         &self.ctx
     }
 
-    /// Seconds the freeze spent on the kd-tree build plus the k-NN pass.
-    pub fn freeze_seconds(&self) -> f64 {
-        self.emst.build_seconds() + self.emst.rows_seconds()
-    }
-
     /// Scratch sets currently parked in the session pool.
     pub fn pooled_sessions(&self) -> usize {
         self.pool.lock().len()
@@ -498,7 +492,7 @@ impl Session {
                 reason: "must be at least 1",
             });
         }
-        let linkage = Linkage::resolve(request.linkage);
+        let linkage = request.linkage.unwrap_or_default();
         let metric = request.effective_metric(linkage);
         if linkage == Linkage::Ward && !metric.effectively_euclidean(request.min_pts) {
             // An explicit mutual-reachability override (the linkage default

@@ -1,7 +1,10 @@
 //! Parallel Borůvka Euclidean MST (the paper's EMST substrate, \[39\]).
 //!
 //! Each round, every point finds its nearest neighbour in a *different*
-//! component via the kd-tree ([`KdTree::nearest_foreign`]); every component
+//! component: from a surviving witness or its k-NN row when either is
+//! certified exact, otherwise through the kd-tree's one nearest-foreign
+//! search ([`KdTree::nearest_foreign`], seeded with the best known
+//! candidate or with the component's bound); every component
 //! then keeps its minimum outgoing edge (atomic min on a packed
 //! `(distance, point)` key — deterministic tie-break), the chosen edges are
 //! added and the components merged. Components at least halve per round, so
@@ -878,7 +881,7 @@ pub fn boruvka_mst<M: TreeMetric>(
                         seed = Some((run_bound, u32::MAX));
                     }
                     searches += 1;
-                    let found = tree.nearest_foreign_bounded(
+                    let found = tree.nearest_foreign(
                         points,
                         metric,
                         q,
@@ -1039,6 +1042,7 @@ pub fn boruvka_mst<M: TreeMetric>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knn::core_distances2;
     use crate::kruskal::total_weight;
     use crate::metric::{Euclidean, MutualReachability, TreeMutualReachability};
     use crate::prim::prim_mst;
@@ -1087,12 +1091,9 @@ mod tests {
     fn matches_prim_with_mutual_reachability() {
         let ctx = ExecCtx::serial();
         let points = random_points(150, 2, 9);
-        // Core distances: squared distance to the 4th neighbour.
-        let tree0 = KdTree::build(&ctx, &points);
-        let core2: Vec<f32> = (0..points.len())
-            .map(|q| tree0.knn(&points, q as u32, 4)[3].0)
-            .collect();
+        // Core distances: squared distance to the 4th other point.
         let tree = KdTree::build(&ctx, &points);
+        let core2 = core_distances2(&ctx, &points, &tree, 5);
         // Borůvka reads the metric at tree positions.
         let tree_core2 = tree.in_tree_order(&core2);
         let metric = TreeMutualReachability { core2: &tree_core2 };
@@ -1154,12 +1155,7 @@ mod tests {
             d2: &d2,
             idx: &idx,
         };
-        let core2 = tree.in_tree_order(&crate::knn::core_distances2(
-            &ExecCtx::serial(),
-            &points,
-            &tree,
-            4,
-        ));
+        let core2 = tree.in_tree_order(&core_distances2(&ExecCtx::serial(), &points, &tree, 4));
         let run = |mreach: bool| {
             let (ctx, tracer) = ExecCtx::serial().with_tracing();
             let stats = BoruvkaStats::new();

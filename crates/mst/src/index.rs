@@ -311,7 +311,7 @@ impl EmstIndex {
 
     /// Aggregate Borůvka effectiveness counters for every request served
     /// from this index: merge-surviving witness hits, fallback
-    /// `nearest_foreign_bounded` re-searches, and shared-snapshot
+    /// `nearest_foreign` re-searches, and shared-snapshot
     /// adoptions.
     pub fn stats(&self) -> &BoruvkaStats {
         &self.stats

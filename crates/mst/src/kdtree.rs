@@ -1,8 +1,9 @@
 //! A bounding-box kd-tree over a [`PointSet`].
 //!
 //! This plays the role ArborX's BVH plays in the paper's EMST pipeline
-//! (\[39\]): it answers k-nearest-neighbour queries (core distances) and
-//! component-aware nearest-foreign-point queries (Borůvka rounds).
+//! (\[39\]): it computes every point's k nearest neighbours (core
+//! distances and sorted rows) and answers component-aware
+//! nearest-foreign-point queries (Borůvka rounds).
 //!
 //! Construction is subtree-parallel: the top levels are split
 //! level-synchronously (median split along the widest box dimension, node
@@ -32,8 +33,8 @@
 //!   indices would, so the tree is the one a gathering partition builds.
 //! * **Per-dimension kernels.** The point–box and box–box distances, the
 //!   8-point block distance and the top-k are written once, generic over
-//!   the dimension ([`crate::metric`]'s `Dim`). Each k-NN entry point
-//!   dispatches once on the point set's dimension: 2-D and 3-D run with
+//!   the dimension ([`crate::metric`]'s `Dim`). The rows pass dispatches
+//!   once on the point set's dimension: 2-D and 3-D run with
 //!   compile-time coordinate counts, every other dimension runs the same
 //!   code with a run-time count.
 //! * **Leaf tiles.** The batched k-NN rows are computed per leaf. Each
@@ -55,13 +56,11 @@
 //!   depends on the traversal order. The keys are held ascending, the
 //!   largest last: a smaller key goes in at its sorted place and shifts
 //!   the larger ones up, so a finished top-k is already its sorted row.
-//!   Per-point queries ([`KdTree::knn_into`]) and the batched rows share
-//!   it and agree exactly.
 //!
 //! * **Tree positions.** Position `i` of the tree is the point
 //!   `perm()[i]`, and [`KdTree::positions`] maps a point back to its
 //!   position. The batched k-NN rows, the component labels, the core
-//!   distances and the nearest-foreign searches all number points by
+//!   distances and the nearest-foreign search all number points by
 //!   position, so each leaf's points are one contiguous range of every
 //!   per-point array and a pass in tree order streams them. Those inputs
 //!   are typed [`TreeOrdered`], so per-index data cannot stand in for
@@ -70,12 +69,13 @@
 //!   distances goes to the smaller *index* (`perm()` value), never the
 //!   smaller position.
 //!
-//! Queries are **allocation-free in the steady state**: traversal uses a
-//! fixed-capacity stack (median splits bound the depth by ⌈log₂ n⌉ ≤ 32
-//! for `u32` indices), [`KdTree::knn_into`] writes into a caller-owned
-//! reusable [`KnnHeap`], and [`KdTree::nearest_foreign`] needs no scratch
-//! at all. Borůvka warm-starts searches by seeding the best-so-far bound
-//! from the previous round ([`KdTree::nearest_foreign_from`]) and prunes
+//! Each job has one path. The k-NN rows (core distances and the index's
+//! sorted rows, [`crate::knn`]) come from the leaf-tiled pass, which
+//! allocates only per-lane scratch. Borůvka's nearest-foreign queries go
+//! through [`KdTree::nearest_foreign`], which needs no scratch at all:
+//! traversal uses a fixed-capacity stack (median splits bound the depth
+//! by ⌈log₂ n⌉ ≤ 32 for `u32` indices). Borůvka warm-starts each search
+//! by seeding the best-so-far bound from the previous round and prunes
 //! subtrees whose mutual-reachability bound (box distance, query core
 //! distance, subtree minimum core distance) cannot beat it.
 
@@ -84,8 +84,8 @@ use pandora_exec::trace::KernelKind;
 use pandora_exec::{ExecCtx, UnsafeSlice, DEFAULT_GRAIN};
 
 use crate::metric::{
-    block_dist2, box_block_dist2, box_box_dist2, box_dist2, euclid_block_dist2, point_box_dist2,
-    with_dim, Dim, TreeMetric, LEAF_BLOCK,
+    block_dist2, box_block_dist2, box_box_dist2, euclid_block_dist2, point_box_dist2, with_dim,
+    Dim, TreeMetric, LEAF_BLOCK,
 };
 use crate::point::PointSet;
 
@@ -112,8 +112,7 @@ const BUILD_SPLIT_TARGET: usize = 64;
 /// 2× margin. Enforced at build time.
 const MAX_STACK: usize = 64;
 
-/// Outcome of a bounded nearest-foreign search
-/// ([`KdTree::nearest_foreign_bounded`]).
+/// Outcome of a nearest-foreign search ([`KdTree::nearest_foreign`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ForeignSearch {
     /// Nearest foreign point: `(exact squared metric distance, tree
@@ -528,7 +527,7 @@ impl KdTree {
     /// The tree itself stays untouched — core distances are a property of
     /// the *request* (`minPts`), not of the index, so a tree shared by
     /// concurrent sessions stays immutable while each session passes its
-    /// own bounds to [`KdTree::nearest_foreign_bounded`]. The buffer is
+    /// own bounds to [`KdTree::nearest_foreign`]. The buffer is
     /// cleared and resized (capacity retained), so steady-state reuse
     /// allocates nothing.
     pub fn min_core2_into(&self, core2: &TreeOrdered<f32>, out: &mut Vec<f32>) {
@@ -600,82 +599,6 @@ impl KdTree {
                 let r = purity[left as usize + 1];
                 purity[nid] = if l == r { l } else { INVALID };
             }
-        }
-    }
-
-    /// The `k` nearest neighbours of point `q` (excluding `q` itself),
-    /// returned as `(squared distance, index)` sorted ascending. Ties at
-    /// the k-th distance keep the smaller indices (see [`KnnHeap`]).
-    ///
-    /// Convenience wrapper over [`KdTree::knn_into`]; allocates the result.
-    /// Hot paths should hold a [`KnnHeap`] and call `knn_into` instead.
-    pub fn knn(&self, points: &PointSet, q: u32, k: usize) -> Vec<(f32, u32)> {
-        let mut heap = KnnHeap::new(k);
-        self.knn_into(points, q, k, &mut heap);
-        heap.sorted().to_vec()
-    }
-
-    /// Fills `heap` with the `k` nearest neighbours of `q` (excluding `q`),
-    /// allocation-free once it has capacity `k`. The neighbours are the
-    /// first `k` of all other points in `(d2, index)` order, the same as
-    /// the rows of [`crate::knn::knn_rows_into`].
-    ///
-    /// The top-k is reset first, so it can be reused across queries. Read
-    /// the result via [`KnnHeap::sorted`] (ascending) or
-    /// [`KnnHeap::max_d2`] (the k-th squared distance, e.g. core distances).
-    pub fn knn_into(&self, points: &PointSet, q: u32, k: usize, heap: &mut KnnHeap) {
-        heap.reset(k);
-        if self.perm.is_empty() || k == 0 {
-            return;
-        }
-        let qp = points.point(q as usize);
-        with_dim!(self.dim, d => self.knn_descend(d, qp, q, &mut heap.keys));
-    }
-
-    /// One query's top-k traversal: descends by the cached splits, pushes
-    /// far children that may still hold a key below the top-k's largest.
-    fn knn_descend<D: Dim>(&self, dim: D, qp: &[f32], q: u32, topk: &mut [u64]) {
-        let mut stack = [(0u32, 0.0f32); MAX_STACK];
-        let mut sp = 0usize;
-        let mut nid = 0u32;
-        let mut bound = self.box_dist2(dim, 0, qp);
-        loop {
-            if bound <= kth_d2(topk) {
-                loop {
-                    let left = self.left[nid as usize];
-                    if left == INVALID {
-                        break;
-                    }
-                    // Cached split: pick the near side in O(1); box
-                    // distances are only computed for pruning bounds.
-                    let near_is_left =
-                        qp[self.split_dim[nid as usize] as usize] <= self.split_val[nid as usize];
-                    let (near, far) = if near_is_left {
-                        (left, left + 1)
-                    } else {
-                        (left + 1, left)
-                    };
-                    let dfar = self.box_dist2(dim, far as usize, qp);
-                    if dfar <= kth_d2(topk) {
-                        stack[sp] = (far, dfar);
-                        sp += 1;
-                    }
-                    let dnear = self.box_dist2(dim, near as usize, qp);
-                    if dnear > kth_d2(topk) {
-                        nid = INVALID;
-                        break;
-                    }
-                    nid = near;
-                }
-                if nid != INVALID {
-                    self.scan_leaf(dim, qp, q, nid as usize, topk);
-                }
-            }
-            if sp == 0 {
-                break;
-            }
-            sp -= 1;
-            (nid, bound) = stack[sp];
         }
     }
 
@@ -764,13 +687,12 @@ impl KdTree {
     /// box distance to the leaf's box against the largest k-th distance
     /// among the queries, candidate leaves are scanned in near-first
     /// order, and a query passes over a candidate leaf beyond its own k-th
-    /// distance (8 queries' box distances per kernel call). Rows equal
-    /// [`KdTree::knn_into`]'s. Records one [`KernelKind::TreeTraverse`]
-    /// event: the distance evaluations as elements, and bytes for those
-    /// evaluations (`4·dim` each), the box distances, i.e. node visits
-    /// (`8·dim` each), and the rows written (`8·k` per point). Both counts
-    /// depend only on the tree and `k`, never on the lanes. Returns the
-    /// number of rows emitted.
+    /// distance (8 queries' box distances per kernel call). Records one
+    /// [`KernelKind::TreeTraverse`] event: the distance evaluations as
+    /// elements, and bytes for those evaluations (`4·dim` each), the box
+    /// distances, i.e. node visits (`8·dim` each), and the rows written
+    /// (`8·k` per point). Both counts depend only on the tree and `k`,
+    /// never on the lanes. Returns the number of rows emitted.
     pub(crate) fn for_each_knn_row<F>(
         &self,
         ctx: &ExecCtx,
@@ -970,7 +892,7 @@ impl KdTree {
     }
 
     /// Nearest point to the point at tree position `q` in a *different
-    /// component*, under `metric`.
+    /// component*, under `metric`: Borůvka's one nearest-foreign search.
     ///
     /// Everything is numbered by tree position: `q`, the labels in `comp`,
     /// the points `metric` is called with ([`TreeMetric`]) and the
@@ -979,69 +901,37 @@ impl KdTree {
     /// Borůvka round. `node_core2` is either empty (no pruning bounds —
     /// always valid, just less pruning for mutual reachability) or the
     /// per-node subtree core minima from [`KdTree::min_core2_into`] for
-    /// the request's `minPts`. Returns `(squared distance, position)`;
+    /// the request's `minPts`.
+    ///
+    /// `seed` warm-starts the search. `None` searches from scratch. A
+    /// valid candidate is a point (tree position) in a different component
+    /// than `q` with its exact squared metric distance, typically the
+    /// previous Borůvka round's winner when the two endpoints were not
+    /// merged; the result is the same as the unseeded search's. A
+    /// **bound-only** seed `(d2, u32::MAX)` is an upper bound the caller
+    /// no longer needs beaten (e.g. the component's current best outgoing
+    /// edge): the search finds only points at distance ≤ the bound
+    /// (equal-bound subtrees are still visited, so smaller-index ties win
+    /// regardless). Seeding tightens the pruning bound from the first node
+    /// visited.
+    ///
+    /// [`ForeignSearch::Found`] carries `(squared distance, position)`;
     /// ties go to the smaller point *index* (`perm()` value), so the
-    /// answer is the brute-force `(d2, index)` minimum.
-    pub fn nearest_foreign<M: TreeMetric>(
-        &self,
-        points: &PointSet,
-        metric: &M,
-        q: u32,
-        comp: &TreeOrdered<u32>,
-        purity: &[u32],
-        node_core2: &[f32],
-    ) -> Option<(f32, u32)> {
-        self.nearest_foreign_from(points, metric, q, comp, purity, node_core2, None)
-    }
-
-    /// [`KdTree::nearest_foreign`] warm-started with a known candidate.
+    /// answer is the brute-force `(d2, index)` minimum. The search comes
+    /// up empty only when nothing is foreign (`Empty(+∞)`) or under a
+    /// bound-only seed below the nearest-foreign distance.
+    /// [`ForeignSearch::Empty`] then carries the minimum over all pruned
+    /// subtree bounds and all scanned-but-losing foreign distances: a
+    /// lower bound on `q`'s nearest-foreign distance that lies strictly
+    /// above the seed bound and is usually far tighter than it. Borůvka
+    /// stores it so interior points stay filtered for many rounds instead
+    /// of re-searching every round.
     ///
-    /// `seed` is either a valid candidate — a point (tree position) in a
-    /// different component than `q` with its exact squared metric
-    /// distance, typically the previous Borůvka round's winner when the two
-    /// endpoints were not merged — or a **bound-only** seed
-    /// `(d2, u32::MAX)`: an upper bound
-    /// the caller no longer needs beaten (e.g. the component's current
-    /// best outgoing edge). Seeding tightens the pruning bound from the
-    /// first node visited. With a candidate seed the result is identical
-    /// to the unseeded query; with a bound-only seed the query returns
-    /// `None` unless it finds a point at distance ≤ the bound (equal-bound
-    /// subtrees are still visited, so smaller-index ties win regardless).
-    #[allow(clippy::too_many_arguments)] // mirrors nearest_foreign_bounded
-    pub fn nearest_foreign_from<M: TreeMetric>(
-        &self,
-        points: &PointSet,
-        metric: &M,
-        q: u32,
-        comp: &TreeOrdered<u32>,
-        purity: &[u32],
-        node_core2: &[f32],
-        seed: Option<(f32, u32)>,
-    ) -> Option<(f32, u32)> {
-        let mut work = SearchWork::default();
-        let found = self
-            .nearest_foreign_bounded(points, metric, q, comp, purity, node_core2, seed, &mut work);
-        match found {
-            ForeignSearch::Found(d2, p) => Some((d2, p)),
-            ForeignSearch::Empty(_) => None,
-        }
-    }
-
-    /// [`KdTree::nearest_foreign_from`] that additionally reports *how far
-    /// away* every foreign point provably is when the search comes up
-    /// empty, and adds the distance evaluations and node visits it made
-    /// to `work`.
-    ///
-    /// [`ForeignSearch::Empty`] carries the minimum over all pruned subtree
-    /// bounds and all scanned-but-losing foreign distances — a valid lower
-    /// bound on `q`'s nearest-foreign distance that is usually far tighter
-    /// than the seed bound. Borůvka stores it so interior points stay
-    /// filtered for many rounds instead of re-searching every round.
-    ///
-    /// Leaf scans read `comp` and the metric's per-point data at
+    /// The distance evaluations and node visits the search makes are added
+    /// to `work`. Leaf scans read `comp` and the metric's per-point data at
     /// consecutive positions.
     #[allow(clippy::too_many_arguments)] // the innermost configurable query
-    pub fn nearest_foreign_bounded<M: TreeMetric>(
+    pub fn nearest_foreign<M: TreeMetric>(
         &self,
         points: &PointSet,
         metric: &M,
@@ -1293,13 +1183,6 @@ impl KdTree {
             &self.bbox_min[nid * dim..(nid + 1) * dim],
             &self.bbox_max[nid * dim..(nid + 1) * dim],
         )
-    }
-
-    /// Squared distance from `qp` to node `nid`'s box.
-    #[inline(always)]
-    fn box_dist2<D: Dim>(&self, dim: D, nid: usize, qp: &[f32]) -> f32 {
-        let (lo, hi) = self.node_box(dim, nid);
-        box_dist2(dim, qp, lo, hi)
     }
 
     /// Squared distance from node `nid`'s box to the box `[lo, hi]`.
@@ -1647,81 +1530,6 @@ fn offer(topk: &mut [u64], key: u64) {
     }
 }
 
-/// Reusable top-k keeping the `k` smallest neighbours in `(d2, index)`
-/// order: a tie at the k-th distance keeps the smaller index, whatever
-/// order the traversal offers the tied points in. Despite its name it is
-/// a sorted array, not a heap: the keys stay ascending, so reading them
-/// needs no sort.
-///
-/// Allocates its storage once (grown to the largest `k` seen); every
-/// [`KdTree::knn_into`] call resets it in place, so batched query loops
-/// perform zero heap allocations per query in the steady state.
-pub struct KnnHeap {
-    /// `k` keys ([`nn_key`]) in ascending order; empty slots hold
-    /// [`EMPTY_KEY`] at the end.
-    keys: Vec<u64>,
-    /// The held neighbours, ascending, as [`KnnHeap::sorted`] returns them.
-    sorted: Vec<(f32, u32)>,
-}
-
-impl KnnHeap {
-    /// Creates a top-k with capacity for `k` neighbours.
-    pub fn new(k: usize) -> Self {
-        let mut heap = Self {
-            keys: Vec::new(),
-            sorted: Vec::new(),
-        };
-        heap.reset(k);
-        heap
-    }
-
-    /// Clears the top-k and sets the neighbour budget (reserving only when
-    /// `k` grows past any previously seen value).
-    pub fn reset(&mut self, k: usize) {
-        self.keys.clear();
-        self.keys.resize(k, EMPTY_KEY);
-        self.sorted.clear();
-        self.sorted.reserve(k);
-    }
-
-    /// Number of neighbours currently held.
-    pub fn len(&self) -> usize {
-        self.keys.partition_point(|&key| key != EMPTY_KEY)
-    }
-
-    /// Whether no neighbour has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The current pruning bound: the k-th smallest distance seen so far,
-    /// or `+∞` while fewer than `k` neighbours are held.
-    #[inline(always)]
-    pub fn worst(&self) -> f32 {
-        self.keys
-            .last()
-            .map_or(f32::INFINITY, |&top| key_entry(top).0)
-    }
-
-    /// The largest held distance — the k-th-nearest-neighbour squared
-    /// distance once the top-k is full (0.0 when empty).
-    pub fn max_d2(&self) -> f32 {
-        self.keys[..self.len()]
-            .last()
-            .map_or(0.0, |&key| key_entry(key).0)
-    }
-
-    /// The held neighbours, ascending by `(distance, index)`. The top-k
-    /// stays usable (the next `reset` clears it).
-    pub fn sorted(&mut self) -> &[(f32, u32)] {
-        self.sorted.clear();
-        let held = self.len();
-        self.sorted
-            .extend(self.keys[..held].iter().map(|&key| key_entry(key)));
-        &self.sorted
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1738,69 +1546,6 @@ mod tests {
         )
     }
 
-    fn brute_knn(points: &PointSet, q: usize, k: usize) -> Vec<(f32, u32)> {
-        let mut all: Vec<(f32, u32)> = (0..points.len())
-            .filter(|&p| p != q)
-            .map(|p| (points.dist2(q, p), p as u32))
-            .collect();
-        all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        all.truncate(k);
-        all
-    }
-
-    #[test]
-    fn knn_matches_brute_force() {
-        let ctx = ExecCtx::serial();
-        for dim in [2usize, 3, 5] {
-            let points = random_points(500, dim, 42 + dim as u64);
-            let tree = KdTree::build(&ctx, &points);
-            tree.check_invariants(&points).unwrap();
-            for q in [0u32, 17, 250, 499] {
-                for k in [1usize, 4, 16] {
-                    let got = tree.knn(&points, q, k);
-                    let expect = brute_knn(&points, q as usize, k);
-                    assert_eq!(got, expect, "dim={dim} q={q} k={k}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn knn_into_reuses_heap_across_queries_and_ks() {
-        let ctx = ExecCtx::serial();
-        let points = random_points(400, 3, 11);
-        let tree = KdTree::build(&ctx, &points);
-        let mut heap = KnnHeap::new(16);
-        for (q, k) in [(0u32, 16usize), (7, 1), (399, 8), (100, 16)] {
-            tree.knn_into(&points, q, k, &mut heap);
-            assert_eq!(heap.len(), k);
-            let expect = brute_knn(&points, q as usize, k);
-            assert_eq!(heap.max_d2(), expect.last().unwrap().0, "q={q} k={k}");
-            assert_eq!(heap.sorted(), expect, "q={q} k={k}");
-        }
-    }
-
-    #[test]
-    fn knn_k_larger_than_n() {
-        let ctx = ExecCtx::serial();
-        let points = random_points(5, 2, 1);
-        let tree = KdTree::build(&ctx, &points);
-        let got = tree.knn(&points, 0, 10);
-        assert_eq!(got.len(), 4);
-    }
-
-    #[test]
-    fn parallel_build_same_knn_results() {
-        let points = random_points(2000, 3, 7);
-        let serial = KdTree::build(&ExecCtx::serial(), &points);
-        let parallel = KdTree::build(&ExecCtx::threads(), &points);
-        serial.check_invariants(&points).unwrap();
-        parallel.check_invariants(&points).unwrap();
-        for q in [0u32, 999, 1999] {
-            assert_eq!(serial.knn(&points, q, 8), parallel.knn(&points, q, 8));
-        }
-    }
-
     #[test]
     fn nearest_foreign_respects_components() {
         let ctx = ExecCtx::serial();
@@ -1810,10 +1555,13 @@ mod tests {
         // Components by point index: evens vs odds, labelled per position.
         let comp = TreeOrdered::from_vec(perm.iter().map(|&p| p % 2).collect());
         let purity = tree.component_purity(&comp);
+        let mut work = SearchWork::default();
         for q in [0u32, 7, 150] {
-            let (d2, p) = tree
-                .nearest_foreign(&points, &Euclidean, q, &comp, &purity, &[])
-                .unwrap();
+            let found =
+                tree.nearest_foreign(&points, &Euclidean, q, &comp, &purity, &[], None, &mut work);
+            let ForeignSearch::Found(d2, p) = found else {
+                panic!("q={q}: an unseeded search finds a foreign point");
+            };
             assert_ne!(comp[p as usize], comp[q as usize]);
             // Brute force over point indices: the (d2, index) minimum.
             let qi = perm[q as usize] as usize;
@@ -1834,8 +1582,12 @@ mod tests {
         let by_point: Vec<u32> = (0..500).map(|p| p % 3).collect();
         let comp = tree.in_tree_order(&by_point);
         let purity = tree.component_purity(&comp);
+        let run = |q, seed| {
+            let mut work = SearchWork::default();
+            tree.nearest_foreign(&points, &Euclidean, q, &comp, &purity, &[], seed, &mut work)
+        };
         for q in 0..50u32 {
-            let plain = tree.nearest_foreign(&points, &Euclidean, q, &comp, &purity, &[]);
+            let plain = run(q, None);
             // Seed with an arbitrary valid foreign candidate (worse than
             // the optimum) and with the optimum itself.
             let any_foreign = (0..500u32)
@@ -1843,12 +1595,83 @@ mod tests {
                 .unwrap();
             let (qi, fi) = (tree.perm()[q as usize], tree.perm()[any_foreign as usize]);
             let weak_seed = Some((points.dist2(qi as usize, fi as usize), any_foreign));
-            let seeded =
-                tree.nearest_foreign_from(&points, &Euclidean, q, &comp, &purity, &[], weak_seed);
+            let seeded = run(q, weak_seed);
             assert_eq!(plain, seeded, "weak seed, q={q}");
-            let tight =
-                tree.nearest_foreign_from(&points, &Euclidean, q, &comp, &purity, &[], plain);
+            let ForeignSearch::Found(d2, p) = plain else {
+                panic!("q={q}: an unseeded search finds a foreign point");
+            };
+            let tight = run(q, Some((d2, p)));
             assert_eq!(plain, tight, "tight seed, q={q}");
+        }
+    }
+
+    /// Checks every query of `tree` against the brute-force nearest-foreign
+    /// distance D under `metric` (`by_index` is the same metric over point
+    /// indices): unseeded, and with bound-only seeds at and above D, the
+    /// search finds the `(d2, index)` minimum; below D it comes up empty
+    /// with a margin above the bound and at most D.
+    fn check_search_contract<M: TreeMetric>(
+        points: &PointSet,
+        tree: &KdTree,
+        metric: &M,
+        by_index: &dyn Fn(usize, usize) -> f32,
+        node_core2: &[f32],
+    ) {
+        let n = points.len();
+        let by_point: Vec<u32> = (0..n as u32).map(|p| p * 7 % 5).collect();
+        let comp = tree.in_tree_order(&by_point);
+        let purity = tree.component_purity(&comp);
+        let perm = tree.perm();
+        for q in 0..n as u32 {
+            let qi = perm[q as usize] as usize;
+            let (d, id) = (0..n)
+                .filter(|&x| by_point[x] != by_point[qi])
+                .map(|x| (by_index(qi, x), x as u32))
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                .unwrap();
+            let found = ForeignSearch::Found(d, tree.positions()[id as usize]);
+            let run = |seed| {
+                let mut work = SearchWork::default();
+                tree.nearest_foreign(
+                    points, metric, q, &comp, &purity, node_core2, seed, &mut work,
+                )
+            };
+            assert_eq!(run(None), found, "q={q}: unseeded");
+            for b in [d, d * 1.5 + 1.0] {
+                assert_eq!(run(Some((b, u32::MAX))), found, "q={q}: bound {b} >= {d}");
+            }
+            if d > 0.0 {
+                for b in [d * 0.5, f32::from_bits(d.to_bits() - 1)] {
+                    match run(Some((b, u32::MAX))) {
+                        ForeignSearch::Empty(m) => {
+                            assert!(b < m && m <= d, "q={q}: margin {m} for bound {b} < {d}")
+                        }
+                        other => panic!("q={q}: bound {b} < {d} gave {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_foreign_meets_its_contract_against_brute_force() {
+        use crate::metric::{Metric, MutualReachability, TreeMutualReachability};
+
+        let ctx = ExecCtx::serial();
+        for (dim, seed) in [(2usize, 21u64), (3, 22)] {
+            let points = random_points(400, dim, seed);
+            let tree = KdTree::build_with_leaf_size(&ctx, &points, 8);
+            let euclid = |a: usize, b: usize| points.dist2(a, b);
+            check_search_contract(&points, &tree, &Euclidean, &euclid, &[]);
+            // Mutual reachability, pruned by the subtree core minima.
+            let core2 = crate::knn::core_distances2(&ctx, &points, &tree, 4);
+            let tree_core2 = tree.in_tree_order(&core2);
+            let mut node_core2 = Vec::new();
+            tree.min_core2_into(&tree_core2, &mut node_core2);
+            let metric = TreeMutualReachability { core2: &tree_core2 };
+            let by_index = MutualReachability { core2: &core2 };
+            let mreach = |a: usize, b: usize| by_index.dist2(&points, a as u32, b as u32);
+            check_search_contract(&points, &tree, &metric, &mreach, &node_core2);
         }
     }
 
@@ -1876,7 +1699,6 @@ mod tests {
         tree.check_invariants(&empty).unwrap();
         let single = PointSet::new(vec![1.0, 2.0], 2);
         let tree = KdTree::build(&ctx, &single);
-        assert_eq!(tree.knn(&single, 0, 3), vec![]);
         tree.check_invariants(&single).unwrap();
     }
 
@@ -1889,8 +1711,5 @@ mod tests {
         let tree = KdTree::build(&ctx, &points);
         tree.check_invariants(&points).unwrap();
         assert!(tree.depth() <= 9, "depth {}", tree.depth());
-        let nn = tree.knn(&points, 0, 3);
-        assert_eq!(nn.len(), 3);
-        assert!(nn.iter().all(|&(d2, _)| d2 == 0.0));
     }
 }

@@ -1,17 +1,18 @@
-//! Batched k-nearest-neighbour queries and core distances.
+//! k-nearest-neighbour rows and core distances: the crate's one k-NN path.
 //!
 //! HDBSCAN\*'s `minPts` parameter defines the **core distance** of a point:
 //! the distance to its `minPts`-th nearest neighbour, counting the point
 //! itself (paper §6.5; `minPts = 2` means "distance to the nearest other
-//! point"). Every batched pass here runs through one kd-tree routine that
-//! computes the rows leaf by leaf (`KdTree::for_each_knn_row`): each of a
-//! leaf's ~30 queries selects its first top-k from its own leaf, then
-//! they share one candidate traversal whose leaf boxes are tested against
-//! 8 queries at a time; the distance kernels are specialized for 2-D and
-//! 3-D. Each row is the brute-force `(d2, index)` top-k, ties at the k-th
-//! distance going to the smaller index, and it leaves the traversal
-//! already sorted. The pass allocates only per-lane scratch, never per
-//! query, and traces the distances it evaluates.
+//! point"). Both entry points here ([`core_distances2`] and
+//! [`knn_rows_into`]) run through one kd-tree routine that computes every
+//! point's row leaf by leaf (`KdTree::for_each_knn_row`); there is no
+//! per-query k-NN. Each of a leaf's ~30 queries selects its first top-k
+//! from its own leaf, then they share one candidate traversal whose leaf
+//! boxes are tested against 8 queries at a time; the distance kernels are
+//! specialized for 2-D and 3-D. Each row is the brute-force `(d2, index)`
+//! top-k, ties at the k-th distance going to the smaller index, and it
+//! leaves the traversal already sorted. The pass allocates only per-lane
+//! scratch, never per query, and traces the distances it evaluates.
 //!
 //! The sorted rows ([`knn_rows_into`], [`KnnRows`]) are kept in **tree
 //! order**: row `r` belongs to the point at tree position `r`
@@ -78,8 +79,7 @@ pub fn core_distances2(
 /// are tree positions (map one back with `perm()`). A row holds the first
 /// `k` of all other points in `(d2, index)` order — a tie at the k-th
 /// distance keeps the smaller point index — padded with
-/// `(f32::INFINITY, u32::MAX)` when fewer than `k` neighbours exist. Each
-/// row equals [`KdTree::knn_into`]'s answer for its point.
+/// `(f32::INFINITY, u32::MAX)` when fewer than `k` neighbours exist.
 ///
 /// This is the frozen index's one-pass-per-dataset substrate
 /// ([`crate::index::EmstIndex`]): because the `j`-th entry of a

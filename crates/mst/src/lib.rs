@@ -5,10 +5,11 @@
 //!
 //! * [`point::PointSet`] — flat f32 point storage (rejects non-finite
 //!   coordinates, so every distance downstream is finite);
-//! * [`kdtree::KdTree`] — parallel-built bounding-box kd-tree with
-//!   allocation-free k-NN and component-aware nearest-foreign queries
-//!   (SoA node metadata, cached splits, fixed-capacity traversal stacks,
-//!   build on tree-ordered coordinates, 2-D/3-D-specialized kernels);
+//! * [`kdtree::KdTree`] — parallel-built bounding-box kd-tree with one
+//!   leaf-tiled k-NN rows pass and one allocation-free, component-aware
+//!   nearest-foreign search (SoA node metadata, cached splits,
+//!   fixed-capacity traversal stacks, build on tree-ordered coordinates,
+//!   2-D/3-D-specialized kernels);
 //! * [`knn`] — batched k-NN rows / HDBSCAN\* core distances, computed
 //!   leaf by leaf, with ties at the k-th distance going to the smaller
 //!   index;
@@ -48,9 +49,9 @@ pub use index::{
     emst, emst_from_index, emst_from_index_with, emst_with_core2, Emst, EmstIndex, EmstScratch,
     StageTimings, ROW_SLACK,
 };
-pub use kdtree::{ForeignSearch, KdTree, KnnHeap, SearchWork, TreeOrdered};
+pub use kdtree::{ForeignSearch, KdTree, SearchWork, TreeOrdered};
 pub use knn::{core_distances2, knn_rows_into, KnnRows};
-pub use linkage::{Linkage, LINKAGE_ENV};
+pub use linkage::Linkage;
 pub use metric::{
     Euclidean, Metric, MetricKind, MutualReachability, TreeMetric, TreeMutualReachability,
 };

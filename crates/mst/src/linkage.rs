@@ -6,13 +6,8 @@
 //! reductions) serves any reducible Lance–Williams linkage through the
 //! nearest-neighbor-chain engine in [`crate::nnchain`] (per ParChain,
 //! arXiv 2106.04727). This module defines *which* linkage a request runs
-//! under and how that choice is resolved.
-//!
-//! Selection precedence is **request > environment > default** — an
-//! explicit `ClusterRequest::linkage` wins; otherwise the [`LINKAGE_ENV`]
-//! variable (`PANDORA_LINKAGE=single|complete|average|ward`) applies;
-//! otherwise single linkage runs. An unparseable environment value is ignored rather
-//! than escalated — the serving tier never panics on configuration.
+//! under. A request that names none runs the default, single linkage; no
+//! environment variable changes that.
 //!
 //! # Which path each linkage takes
 //!
@@ -27,18 +22,14 @@
 
 use std::fmt;
 
-/// Environment variable overriding the default linkage
-/// (`PANDORA_LINKAGE=single|complete|average|ward`).
-pub const LINKAGE_ENV: &str = "PANDORA_LINKAGE";
-
 /// The agglomerative linkage criterion a clustering request runs under.
 ///
 /// All four are *reducible* in the Lance–Williams sense, which is what
 /// makes the nearest-neighbor-chain algorithm exact for them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Linkage {
-    /// Minimum distance between members (the HDBSCAN\* default; served by
-    /// the Borůvka EMST fast path).
+    /// Minimum distance between members (the HDBSCAN\* default, run when
+    /// a request names no linkage; served by the Borůvka EMST fast path).
     #[default]
     Single,
     /// Maximum distance between members.
@@ -53,7 +44,7 @@ impl Linkage {
     /// Every linkage, in default-first order (for differential sweeps).
     pub const ALL: [Self; 4] = [Self::Single, Self::Complete, Self::Average, Self::Ward];
 
-    /// The canonical spelling (also the env/CLI spelling).
+    /// The canonical spelling (also the wire spelling).
     pub fn name(self) -> &'static str {
         match self {
             Self::Single => "single",
@@ -73,19 +64,6 @@ impl Linkage {
             "ward" | "variance" | "ward2" => Some(Self::Ward),
             _ => None,
         }
-    }
-
-    /// Reads [`LINKAGE_ENV`]; `None` if unset or unparseable (an invalid
-    /// override is ignored, never a panic — serving-tier contract).
-    pub fn from_env() -> Option<Self> {
-        std::env::var(LINKAGE_ENV)
-            .ok()
-            .and_then(|v| Self::parse(&v))
-    }
-
-    /// Applies the selection precedence: `requested` > env > default.
-    pub fn resolve(requested: Option<Self>) -> Self {
-        requested.or_else(Self::from_env).unwrap_or_default()
     }
 
     /// Whether this linkage is served by the Borůvka EMST fast path
@@ -119,10 +97,8 @@ mod tests {
     }
 
     #[test]
-    fn resolve_prefers_request_over_default() {
-        // Env interaction is exercised in `tests/linkage_env.rs` (env vars
-        // are process-global; unit tests here stay mutation-free).
-        assert_eq!(Linkage::resolve(Some(Linkage::Ward)), Linkage::Ward);
+    fn an_unnamed_linkage_is_single() {
+        assert_eq!(Linkage::default(), Linkage::Single);
     }
 
     #[test]

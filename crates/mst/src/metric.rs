@@ -5,6 +5,14 @@
 //! internal computation uses *squared* distances: `max` commutes with the
 //! monotone square, so comparisons are unaffected and `sqrt` is deferred to
 //! the final edge weights.
+//!
+//! A metric comes in two numberings. [`Metric`] works on point indices and
+//! has one method, `dist2`: Prim and DBCV call it. [`TreeMetric`] works on
+//! kd-tree positions and is what the kernels call: the nearest-foreign
+//! search finalizes its block distances with `refine_euclid2_at` and
+//! prunes boxes with `box_bound2_at`, and Borůvka's row screen finalizes
+//! row distances the same way. The distance kernels themselves (block,
+//! point–box, block–box and box–box) are written once over `Dim`.
 
 use crate::kdtree::TreeOrdered;
 use crate::point::PointSet;
@@ -76,26 +84,13 @@ impl core::fmt::Display for MetricKind {
 /// the [`PointSet`], and per-point data (e.g. core distances) is read per
 /// index. Prim ([`crate::prim::prim_mst`]) and DBCV call it this way.
 ///
-/// Borůvka and the nearest-foreign searches number points by kd-tree
+/// Borůvka and the nearest-foreign search number points by kd-tree
 /// position instead and take a [`TreeMetric`].
 ///
 /// All values are squared distances.
 pub trait Metric: Sync {
     /// Squared distance between points `a` and `b`.
     fn dist2(&self, points: &PointSet, a: u32, b: u32) -> f32;
-
-    /// Finalizes a precomputed squared **Euclidean** distance into this
-    /// metric's squared distance for the pair `(a, b)`.
-    ///
-    /// Must agree exactly with [`Metric::dist2`]; the chunked leaf kernels
-    /// ([`euclid_block_dist2`]) compute the Euclidean part for a whole block
-    /// of points at once and hand each lane's result through here.
-    fn refine_euclid2(&self, euclid_d2: f32, a: u32, b: u32) -> f32;
-
-    /// Lower bound on the squared distance from query point `q` to any point
-    /// inside the axis-aligned box `[bbox_min, bbox_max]`, given the minimum
-    /// (squared) core distance of the points inside the box.
-    fn box_bound2(&self, points: &PointSet, q: u32, box_dist2: f32, box_min_core2: f32) -> f32;
 }
 
 /// A metric over **kd-tree positions**, the numbering of
@@ -111,7 +106,9 @@ pub trait TreeMetric: Sync {
     /// Finalizes a precomputed squared Euclidean distance between the points
     /// at positions `a` and `b` into this metric's squared distance. Must
     /// agree exactly with the same metric's [`Metric::dist2`] on the points
-    /// `perm[a]` and `perm[b]`.
+    /// `perm[a]` and `perm[b]`: the chunked leaf kernels
+    /// ([`euclid_block_dist2`]) compute the Euclidean part for a whole
+    /// block of points at once and hand each lane's result through here.
     fn refine_euclid2_at(&self, euclid_d2: f32, a: u32, b: u32) -> f32;
 
     /// Lower bound on the squared distance from the point at position `q`
@@ -311,16 +308,6 @@ impl Metric for Euclidean {
     fn dist2(&self, points: &PointSet, a: u32, b: u32) -> f32 {
         points.dist2(a as usize, b as usize)
     }
-
-    #[inline(always)]
-    fn refine_euclid2(&self, euclid_d2: f32, _a: u32, _b: u32) -> f32 {
-        euclid_d2
-    }
-
-    #[inline(always)]
-    fn box_bound2(&self, _points: &PointSet, _q: u32, box_dist2: f32, _box_min_core2: f32) -> f32 {
-        box_dist2
-    }
 }
 
 impl TreeMetric for Euclidean {
@@ -349,20 +336,6 @@ impl Metric for MutualReachability<'_> {
     fn dist2(&self, points: &PointSet, a: u32, b: u32) -> f32 {
         let d2 = points.dist2(a as usize, b as usize);
         d2.max(self.core2[a as usize]).max(self.core2[b as usize])
-    }
-
-    #[inline(always)]
-    fn refine_euclid2(&self, euclid_d2: f32, a: u32, b: u32) -> f32 {
-        euclid_d2
-            .max(self.core2[a as usize])
-            .max(self.core2[b as usize])
-    }
-
-    #[inline(always)]
-    fn box_bound2(&self, _points: &PointSet, q: u32, box_dist2: f32, box_min_core2: f32) -> f32 {
-        // d_mreach(q, x) ≥ max(core(q), d(q,x), min core in box) for any x
-        // in the box.
-        box_dist2.max(self.core2[q as usize]).max(box_min_core2)
     }
 }
 
@@ -419,6 +392,8 @@ impl TreeMetric for TreeMutualReachability<'_> {
 
     #[inline(always)]
     fn box_bound2_at(&self, _points: &PointSet, q: u32, box_dist2: f32, min_core2: f32) -> f32 {
+        // d_mreach(q, x) ≥ max(core(q), d(q,x), min core in box) for any x
+        // in the box.
         box_dist2.max(self.core2[q as usize]).max(min_core2)
     }
 }
@@ -470,7 +445,7 @@ mod tests {
         for dim in [1usize, 2, 3, 5] {
             // One full AoSoA block of deterministic coordinates plus a
             // query point; the kernels must agree bitwise with the scalar
-            // paths (the tree's `refine_euclid2` contract and its exact
+            // paths (the tree's `refine_euclid2_at` contract and its exact
             // box pruning depend on it).
             let n = LEAF_BLOCK;
             let coords: Vec<f32> = (0..(n + 1) * dim)
@@ -503,21 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn refine_euclid2_agrees_with_dist2() {
-        let points = PointSet::new(vec![0.0, 0.0, 3.0, 4.0, 1.0, 1.0], 2);
-        let core2 = vec![4.0, 30.0, 0.5];
-        let m = MutualReachability { core2: &core2 };
-        for (a, b) in [(0u32, 1u32), (1, 2), (0, 2)] {
-            let e2 = points.dist2(a as usize, b as usize);
-            assert_eq!(m.refine_euclid2(e2, a, b), m.dist2(&points, a, b));
-            assert_eq!(
-                Euclidean.refine_euclid2(e2, a, b),
-                Euclidean.dist2(&points, a, b)
-            );
-        }
-    }
-
-    #[test]
     fn tree_order_mutual_reachability_agrees_with_the_index_metric() {
         use crate::kdtree::KdTree;
 
@@ -538,8 +498,11 @@ mod tests {
                 let e2 = points.dist2(pa as usize, pb as usize);
                 let want = by_index.dist2(&points, pa, pb);
                 assert_eq!(at.refine_euclid2_at(e2, a, b), want);
+                let want = Euclidean.dist2(&points, pa, pb);
+                assert_eq!(Euclidean.refine_euclid2_at(e2, a, b), want);
             }
-            let want = by_index.box_bound2(&points, pa, 2.5, 1.5);
+            // max(core(q), box distance, min core in box).
+            let want = 2.5f32.max(core2[pa as usize]).max(1.5);
             assert_eq!(at.box_bound2_at(&points, a, 2.5, 1.5), want);
         }
     }
@@ -550,9 +513,12 @@ mod tests {
         let core2 = vec![1.0, 9.0];
         let m = MutualReachability { core2: &core2 };
         let d2 = m.dist2(&points, 0, 1);
-        // Box containing point 1 exactly.
+        // Box containing point 1 exactly; the identity permutation makes
+        // tree positions equal point indices.
         let bd2 = point_box_dist2(points.point(0), points.point(1), points.point(1));
-        let bound = m.box_bound2(&points, 0, bd2, 9.0);
-        assert!(bound <= d2);
+        let tree_core2 = TreeOrdered::from_vec(core2.clone());
+        let at = TreeMutualReachability { core2: &tree_core2 };
+        assert!(at.box_bound2_at(&points, 0, bd2, 9.0) <= d2);
+        assert!(Euclidean.box_bound2_at(&points, 0, bd2, 9.0) <= points.dist2(0, 1));
     }
 }

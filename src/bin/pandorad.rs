@@ -10,9 +10,9 @@
 //! `stats`, `shutdown`) over TCP, or over stdin/stdout with `--stdio` for
 //! scripting. Protocol reference and operations runbook: `docs/SERVING.md`.
 //!
-//! Environment: `PANDORA_THREADS` sizes the default worker-lane count,
-//! `PANDORA_QUEUE_DEPTH` the default admission queue, and
-//! `PANDORA_LINKAGE` the linkage applied when a request omits that field.
+//! Environment: `PANDORA_THREADS` sizes the default worker-lane count and
+//! `PANDORA_QUEUE_DEPTH` the default admission queue. No variable changes
+//! what a request computes: one that omits `linkage` runs single linkage.
 
 use std::path::Path;
 use std::process::ExitCode;

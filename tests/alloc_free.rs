@@ -1,6 +1,6 @@
 //! Verifies the EMST hot path's allocation contract with a counting global
-//! allocator: steady-state k-NN and nearest-foreign queries must perform
-//! **zero** heap allocations per query, and the batched core-distance
+//! allocator: steady-state nearest-foreign searches must perform **zero**
+//! heap allocations per query, and the batched core-distance
 //! kernel must allocate only its output plus per-chunk scratch; encoding a
 //! daemon payload into a buffer with room for it allocates nothing.
 //!
@@ -19,7 +19,8 @@ use pandora::hdbscan::{
     HdbscanParams,
 };
 use pandora::mst::{
-    boruvka_mst, core_distances2, Euclidean, KdTree, KnnHeap, PointSet, TreeMutualReachability,
+    boruvka_mst, core_distances2, Euclidean, ForeignSearch, KdTree, PointSet, SearchWork,
+    TreeMutualReachability,
 };
 
 struct CountingAlloc;
@@ -94,18 +95,6 @@ fn steady_state_queries_do_not_allocate() {
     let points = PointSet::new(coords, 3);
     let tree = KdTree::build(&ctx, &points);
 
-    // --- knn_into with a reused heap: zero allocations per query. ---
-    let k = 8usize;
-    let mut heap = KnnHeap::new(k);
-    tree.knn_into(&points, 0, k, &mut heap); // warm the heap's capacity
-    let knn_allocs = min_allocs_over(3, || {
-        for q in 0..n as u32 {
-            tree.knn_into(&points, q, k, &mut heap);
-            assert_eq!(heap.sorted().len(), k);
-        }
-    });
-    assert_eq!(knn_allocs, 0, "knn_into allocated in the steady state");
-
     // --- nearest_foreign: zero allocations per query (incl. the
     //     mutual-reachability metric with subtree core bounds). Queries,
     //     labels and core distances are all numbered by tree position. ---
@@ -116,12 +105,23 @@ fn steady_state_queries_do_not_allocate() {
     let comp = tree.in_tree_order(&labels);
     let purity = tree.component_purity(&comp);
     let metric = TreeMutualReachability { core2: &core2 };
+    let mut work = SearchWork::default();
     let foreign_allocs = min_allocs_over(3, || {
         for q in 0..n as u32 {
-            let found = tree.nearest_foreign(&points, &metric, q, &comp, &purity, &node_core2);
-            assert!(found.is_some());
-            let found = tree.nearest_foreign(&points, &Euclidean, q, &comp, &purity, &[]);
-            assert!(found.is_some());
+            let found = tree.nearest_foreign(
+                &points,
+                &metric,
+                q,
+                &comp,
+                &purity,
+                &node_core2,
+                None,
+                &mut work,
+            );
+            assert!(matches!(found, ForeignSearch::Found(..)));
+            let found =
+                tree.nearest_foreign(&points, &Euclidean, q, &comp, &purity, &[], None, &mut work);
+            assert!(matches!(found, ForeignSearch::Found(..)));
         }
     });
     assert_eq!(
@@ -192,11 +192,9 @@ fn steady_state_queries_do_not_allocate() {
     // --- Cache hit: a repeat `min_pts` copies the eight arrays of the
     //     cached hierarchy and runs only the extraction, so it allocates
     //     what the extraction functions allocate on the same dendrogram,
-    //     plus that copy, plus at most two strings when PANDORA_LINKAGE
-    //     is set (the value read while resolving the key, and its
-    //     lowercased copy). A hit that ran Borůvka or the dendrogram
-    //     would add its core distances, edges, sorted tree, dendrogram and
-    //     level counts on top.
+    //     plus that copy; resolving the key reads no environment. A hit
+    //     that ran Borůvka or the dendrogram would add its core distances,
+    //     edges, sorted tree, dendrogram and level counts on top.
     let probe = session.run(&request(5)).expect("valid request");
     let extract_allocs = min_allocs_over(3, || {
         let condensed = condense(&probe.dendrogram, HdbscanParams::default().min_cluster_size);
@@ -211,7 +209,7 @@ fn steady_state_queries_do_not_allocate() {
     });
     assert_eq!(index.hierarchy_stats().hits, 4, "the repeats all hit");
     assert!(
-        hit_allocs <= extract_allocs + 8 + 2,
+        hit_allocs <= extract_allocs + 8,
         "a cache-hit session run made {hit_allocs} allocations, \
          the extraction alone {extract_allocs}"
     );

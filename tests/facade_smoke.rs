@@ -54,7 +54,9 @@ fn prelude_covers_common_entry_points() {
 /// directories in a commit, so a CI-side check of the checkout can never
 /// see the hazard — this test runs wherever `cargo test` runs, i.e. on
 /// the machine where the litter actually exists, before it confuses the
-/// next `ls`.
+/// next `ls`. Build directories are skipped: `target` and `.bench_build`
+/// (the `CARGO_TARGET_DIR` that `.gitignore` reserves for perfbench),
+/// where cargo leaves empty directories of its own.
 #[test]
 fn repository_has_no_stray_empty_directories() {
     fn scan(dir: &std::path::Path, stray: &mut Vec<std::path::PathBuf>) {
@@ -64,7 +66,8 @@ fn repository_has_no_stray_empty_directories() {
             entries += 1;
             let path = entry.path();
             let name = entry.file_name();
-            if path.is_dir() && name != ".git" && name != "target" {
+            let skipped = name == ".git" || name == "target" || name == ".bench_build";
+            if path.is_dir() && !skipped {
                 scan(&path, stray);
             }
         }

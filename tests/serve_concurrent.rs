@@ -58,7 +58,7 @@ fn cold_run(points: &PointSet, request: &ClusterRequest) -> HdbscanResult {
 /// What the index's hierarchy cache keys `request` by: `min_pts`, the
 /// resolved linkage and the effective metric.
 fn hierarchy_key(request: &ClusterRequest) -> (usize, Linkage, MetricKind) {
-    let linkage = Linkage::resolve(request.linkage);
+    let linkage = request.linkage.unwrap_or_default();
     (request.min_pts, linkage, request.effective_metric(linkage))
 }
 

@@ -1,13 +1,11 @@
 //! Property tests for the newer substrate and algorithm pieces: partition,
-//! histogram, radix key–value records, the mixed baseline and single-level
-//! expansion.
+//! radix key–value records, the mixed baseline and single-level expansion.
 
 use proptest::prelude::*;
 
 use pandora::core::baseline::{dendrogram_mixed, dendrogram_union_find};
 use pandora::core::single_level::dendrogram_single_level;
 use pandora::core::{Edge, SortedMst};
-use pandora::exec::histogram::histogram;
 use pandora::exec::partition::partition_indices;
 use pandora::exec::radix::par_radix_sort_by_high_word;
 use pandora::exec::ExecCtx;
@@ -41,18 +39,6 @@ proptest! {
         }
         for &i in &no {
             prop_assert!(!flags[i as usize]);
-        }
-    }
-
-    #[test]
-    fn histogram_counts_everything(keys in prop::collection::vec(0usize..32, 0..40_000)) {
-        let ctx = ExecCtx::threads();
-        let keys_ref = &keys;
-        let hist = histogram(&ctx, keys.len(), 32, |i| keys_ref[i]);
-        prop_assert_eq!(hist.iter().sum::<u64>() as usize, keys.len());
-        for (bin, &count) in hist.iter().enumerate() {
-            let expect = keys.iter().filter(|&&k| k == bin).count() as u64;
-            prop_assert_eq!(count, expect);
         }
     }
 
