@@ -10,6 +10,11 @@
 //! (`docs/ARCHITECTURE.md`, *Evaluation harness*);
 //! the host-measured times are printed for reference.
 
+#![expect(
+    clippy::print_stderr,
+    reason = "a figure binary: canary verdicts go to stderr, the table to stdout"
+)]
+
 use pandora_bench::harness::{
     daemon_rps, dendro_serial_vs_threaded, emst_cold_vs_warm, emst_serial_vs_threaded,
     engine_vs_cold, fmt_s, nnchain_serial_vs_threaded, print_table, project_at, run_pipeline,

@@ -690,7 +690,10 @@ pub fn nnchain_serial_vs_threaded(points: &PointSet, reps: usize) -> NnchainCana
 /// concurrent-serving throughput (`serve_rps_t1` / `serve_rps_t4`), the
 /// dendrogram canary, and the NN-chain canary (`nnchain_*`), as one
 /// stable hand-rolled JSON object (no serde in the offline environment).
-#[allow(clippy::too_many_arguments)] // one writer for the whole canary file
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one writer for the whole canary file"
+)]
 pub fn write_bench_ci_json(
     path: &str,
     n: usize,

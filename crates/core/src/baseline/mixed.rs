@@ -99,9 +99,9 @@ pub fn dendrogram_mixed(ctx: &ExecCtx, mst: &SortedMst, top_fraction: f64) -> De
             |range| {
                 for s in range {
                     let (lo, hi) = segments_ref[s];
-                    // SAFETY (whole block): this component's edges touch only
-                    // its own vertices (phase-1 membership), and each edge id
-                    // appears in exactly one segment, so all writes below are
+                    // SAFETY: this component's edges touch only its own
+                    // vertices (phase-1 membership), and each edge id appears
+                    // in exactly one segment, so all writes in this block are
                     // disjoint across parallel tasks.
                     unsafe {
                         // Lightest edge first: the segment is sorted by edge

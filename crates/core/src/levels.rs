@@ -218,7 +218,7 @@ pub fn split_alpha_into(
             |range| {
                 for &packed in &max_inc[range] {
                     if packed != 0 {
-                        // pandora-lint: allow(PL004) — idempotent mark: both endpoints of a leaf edge may store the same 1, and the marks are read only after the dispatch joins
+                        // ORDERING: idempotent mark: both endpoints of a leaf edge may store the same 1, and the marks are read only after the dispatch joins
                         view[packed_pos(packed) as usize].store(1, Ordering::Relaxed);
                     }
                 }

@@ -7,11 +7,11 @@
 //! whose *value* matters but whose *visibility relative to other data*
 //! does not. Everything else — flags, handoffs, anything a reader uses to
 //! infer that some other memory is initialised — needs stronger ordering,
-//! and a stray `Relaxed` in such a site is a heisenbug. The repo's static
-//! analyzer (`pandora-lint`, rule PL004) therefore bans `Ordering::Relaxed`
-//! everywhere *except* this module; algorithmic uses (the union–find, the
-//! Borůvka min-edge flush, work-stealing cursors) carry individual audited
-//! waivers at the call site instead.
+//! and a stray `Relaxed` in such a site is a heisenbug. Rule PL004 (the
+//! tier-1 test `tests/lint_policy.rs`) therefore requires an argued
+//! `// ORDERING:` marker on every `Ordering::Relaxed` *except* in this
+//! module; algorithmic uses (the union–find, the Borůvka min-edge flush,
+//! work-stealing cursors) state their argument at the call site instead.
 //!
 //! # The audit contract
 //!

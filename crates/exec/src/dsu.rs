@@ -70,19 +70,19 @@ impl AtomicDsu {
     pub fn find(&self, x: u32) -> u32 {
         let mut cur = x;
         loop {
-            // pandora-lint: allow(PL004) — find tolerates stale parents: a stale read costs extra hops, never a wrong root
+            // ORDERING: find tolerates stale parents: a stale read costs extra hops, never a wrong root
             let p = self.parent[cur as usize].load(Ordering::Relaxed);
             if p == cur {
                 return cur;
             }
-            // pandora-lint: allow(PL004) — a stale grandparent is still a valid ancestor — see the path-halving note below
+            // ORDERING: a stale grandparent is still a valid ancestor — see the path-halving note below
             let gp = self.parent[p as usize].load(Ordering::Relaxed);
             if gp == p {
                 return p;
             }
             // Path halving. Parent values only decrease (union-by-min), so a
             // racy store can only re-point `cur` at another valid ancestor.
-            // pandora-lint: allow(PL004) — parents only decrease (union-by-min), so a racy store re-points at another valid ancestor
+            // ORDERING: parents only decrease (union-by-min), so a racy store re-points at another valid ancestor
             self.parent[cur as usize].store(gp, Ordering::Relaxed);
             cur = gp;
         }
@@ -100,8 +100,8 @@ impl AtomicDsu {
             match self.parent[a as usize].compare_exchange(
                 a,
                 b,
-                Ordering::Relaxed, // pandora-lint: allow(PL004) — CAS atomicity alone links the roots; nothing else is published through the parent
-                Ordering::Relaxed, // pandora-lint: allow(PL004) — failure value is re-derived via find; no ordering needed
+                Ordering::Relaxed, // ORDERING: CAS atomicity alone links the roots; nothing else is published through the parent
+                Ordering::Relaxed, // ORDERING: failure value is re-derived via find; no ordering needed
             ) {
                 Ok(_) => return,
                 Err(_) => {
@@ -120,7 +120,7 @@ impl AtomicDsu {
     pub fn flatten(&self) {
         for i in 0..self.parent.len() as u32 {
             let root = self.find(i);
-            // pandora-lint: allow(PL004) — flatten is documented as not racing unions; the atomic store is for the element type, not for ordering
+            // ORDERING: flatten is documented as not racing unions; the atomic store is for the element type, not for ordering
             self.parent[i as usize].store(root, Ordering::Relaxed);
         }
     }

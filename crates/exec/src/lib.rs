@@ -228,7 +228,7 @@ impl ExecCtx {
                 let chunk = grain.max(n / (pool.lanes() * 8)).max(1);
                 let cursor = AtomicUsize::new(0);
                 pool.broadcast(&|_lane| loop {
-                    // pandora-lint: allow(PL004) — work-stealing cursor: the RMW dispenses disjoint chunks; task data is published by the broadcast join, not the cursor
+                    // ORDERING: work-stealing cursor: the RMW dispenses disjoint chunks; task data is published by the broadcast join, not the cursor
                     let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                     if start >= n {
                         break;
@@ -282,7 +282,7 @@ impl ExecCtx {
                     let mut local = identity.clone();
                     let mut touched = false;
                     loop {
-                        // pandora-lint: allow(PL004) — work-stealing cursor: the RMW dispenses disjoint chunks; fold results travel through the mutex, not the cursor
+                        // ORDERING: work-stealing cursor: the RMW dispenses disjoint chunks; fold results travel through the mutex, not the cursor
                         let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                         if start >= n {
                             break;

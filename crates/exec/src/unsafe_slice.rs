@@ -76,7 +76,7 @@ impl<'a, T> UnsafeSlice<'a, T> {
     /// # Safety
     ///
     /// No other thread may access `index` while the reference lives.
-    #[allow(clippy::mut_from_ref)]
+    #[expect(clippy::mut_from_ref, reason = "exclusive per the caller's contract")]
     #[inline(always)]
     pub unsafe fn get_mut(&self, index: usize) -> &mut T {
         debug_assert!(index < self.slice.len());
@@ -90,7 +90,7 @@ impl<'a, T> UnsafeSlice<'a, T> {
     /// # Safety
     ///
     /// No other thread may access any index in `range` while the slice lives.
-    #[allow(clippy::mut_from_ref)]
+    #[expect(clippy::mut_from_ref, reason = "exclusive per the caller's contract")]
     pub unsafe fn slice_mut(&self, range: std::ops::Range<usize>) -> &mut [T] {
         debug_assert!(range.start <= range.end && range.end <= self.slice.len());
         let base = self.slice.as_ptr() as *mut T;

@@ -75,6 +75,16 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
+// PL001 (docs/ANALYSIS.md): no panic path in the serving tier. A lint
+// level reaches every submodule; unit tests are exempt (clippy.toml).
+#![deny(
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
 pub mod json;
 pub mod proto;
 
@@ -562,9 +572,15 @@ impl Shared {
             // Stats/Shutdown were answered inline by `dispatch`.
             Method::Stats | Method::Shutdown => return Ok(()),
         };
+        // Coalescable work holds `in_flight` across the insert, the enqueue
+        // and the removal on a full queue: a request that attached to a
+        // leader which is then shed would never be answered. The lock
+        // order is `in_flight` → `queue`, and no path takes them the other
+        // way.
+        let mut in_flight = None;
         if let Some(key) = &key {
-            let mut in_flight = self.in_flight.lock();
-            if let Some(waiters) = in_flight.get_mut(key) {
+            let waiting = in_flight.insert(self.in_flight.lock());
+            if let Some(waiters) = waiting.get_mut(key) {
                 // An identical computation is already queued or running:
                 // attach to it instead of spending a queue slot.
                 waiters.push(Waiter {
@@ -573,7 +589,7 @@ impl Shared {
                 });
                 return Ok(());
             }
-            in_flight.insert(key.clone(), Vec::new());
+            waiting.insert(key.clone(), Vec::new());
         }
         let job = Job {
             id: request.id.clone(),
@@ -583,9 +599,10 @@ impl Shared {
             enqueued: Instant::now(),
         };
         if let Err(error) = self.enqueue(job) {
-            if let Some(key) = &key {
-                self.in_flight.lock().remove(key);
+            if let (Some(waiting), Some(key)) = (&mut in_flight, &key) {
+                waiting.remove(key);
             }
+            drop(in_flight);
             self.counters.shed.incr();
             return Err(RequestRejected {
                 id: request.id,
@@ -750,9 +767,14 @@ pub struct Daemon {
     addr: SocketAddr,
     accept_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Conns,
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
+
+/// A clone of each live connection's socket, keyed by connection id, so
+/// [`Daemon::join`] can unblock readers parked in `read()`. A connection
+/// removes its own entry when its reader returns.
+type Conns = Arc<Mutex<BTreeMap<u64, TcpStream>>>;
 
 impl Daemon {
     /// Binds the daemon on `addr` (use port 0 for an ephemeral port) and
@@ -768,7 +790,7 @@ impl Daemon {
         };
         let workers_n = config.workers;
         let shared = Shared::new(config, DatasetRegistry::new());
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Conns = Arc::new(Mutex::new(BTreeMap::new()));
         let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         let mut workers = Vec::with_capacity(workers_n);
@@ -843,7 +865,7 @@ impl Daemon {
             let _ = worker.join();
         }
         // Unblock connection readers parked in read() and reap them.
-        for conn in self.conns.lock().drain(..) {
+        for conn in std::mem::take(&mut *self.conns.lock()).into_values() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         let handles: Vec<JoinHandle<()>> = self.conn_threads.lock().drain(..).collect();
@@ -856,9 +878,10 @@ impl Daemon {
 fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
-    conns: &Arc<Mutex<Vec<TcpStream>>>,
+    conns: &Conns,
     conn_threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
+    let mut next_id: u64 = 0;
     while !shared.is_stopping() {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -867,21 +890,31 @@ fn accept_loop(
                 // an unacknowledged one waits for the client's delayed ACK.
                 // A socket that refuses the option still serves, slower.
                 let _ = stream.set_nodelay(true);
-                let reader = match stream.try_clone() {
-                    Ok(r) => r,
-                    Err(_) => continue,
+                let (reader, conn) = match (stream.try_clone(), stream.try_clone()) {
+                    (Ok(r), Ok(c)) => (r, c),
+                    _ => continue,
                 };
-                conns.lock().push(match stream.try_clone() {
-                    Ok(c) => c,
-                    Err(_) => continue,
-                });
+                let id = next_id;
+                next_id += 1;
+                conns.lock().insert(id, conn);
                 let sink: Sink = Arc::new(Mutex::new(Box::new(stream)));
                 let shared = Arc::clone(shared);
+                let live = Arc::clone(conns);
                 let spawned = std::thread::Builder::new()
                     .name("pandorad-conn".to_string())
-                    .spawn(move || serve_connection(reader, &shared, &sink));
-                if let Ok(handle) = spawned {
-                    conn_threads.lock().push(handle);
+                    .spawn(move || {
+                        serve_connection(reader, &shared, &sink);
+                        live.lock().remove(&id);
+                    });
+                let mut threads = conn_threads.lock();
+                // Finished connections leave nothing to join: drop their
+                // handles here, so the list tracks the live connections.
+                threads.retain(|handle| !handle.is_finished());
+                match spawned {
+                    Ok(handle) => threads.push(handle),
+                    Err(_) => {
+                        conns.lock().remove(&id);
+                    }
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {

@@ -46,6 +46,16 @@
 //! # Ok::<(), pandora_mst::PandoraError>(())
 //! ```
 
+// PL001 (docs/ANALYSIS.md): no panic path in the serving tier. A lint
+// level reaches every submodule; unit tests are exempt (clippy.toml).
+#![deny(
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
 use std::sync::Arc;
 use std::time::Instant;
 

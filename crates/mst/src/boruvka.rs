@@ -667,7 +667,7 @@ pub fn boruvka_mst<M: TreeMetric>(
                     let root = comp_ref[i] as usize;
                     if root != run_root {
                         if run_best != u64::MAX {
-                            // pandora-lint: allow(PL004) — commutative min-flush: any flush order yields the same per-root winner; the round join publishes it
+                            // ORDERING: commutative min-flush: any flush order yields the same per-root winner; the round join publishes it
                             cand_view[run_root].fetch_min(run_best, Ordering::Relaxed);
                         }
                         run_root = root;
@@ -703,7 +703,7 @@ pub fn boruvka_mst<M: TreeMetric>(
                     }
                 }
                 if run_best != u64::MAX {
-                    // pandora-lint: allow(PL004) — final flush of the chunk's tail run — same commutative-min argument as the per-run flush
+                    // ORDERING: final flush of the chunk's tail run — same commutative-min argument as the per-run flush
                     cand_view[run_root].fetch_min(run_best, Ordering::Relaxed);
                 }
             });
@@ -741,12 +741,12 @@ pub fn boruvka_mst<M: TreeMetric>(
                     let root = comp_ref[i] as usize;
                     if root != run_root {
                         if run_best != u64::MAX {
-                            // pandora-lint: allow(PL004) — commutative min-flush: any flush order yields the same per-root winner; the round join publishes it
+                            // ORDERING: commutative min-flush: any flush order yields the same per-root winner; the round join publishes it
                             cand_view[run_root].fetch_min(run_best, Ordering::Relaxed);
                         }
                         run_root = root;
                         run_best = u64::MAX;
-                        // pandora-lint: allow(PL004) — a stale bound only weakens witness pruning; the true min is re-read after the round joins
+                        // ORDERING: a stale bound only weakens witness pruning; the true min is re-read after the round joins
                         let packed = cand_view[root].load(Ordering::Relaxed);
                         run_bound = if packed == u64::MAX {
                             f32::INFINITY
@@ -922,7 +922,7 @@ pub fn boruvka_mst<M: TreeMetric>(
                     }
                 }
                 if run_best != u64::MAX {
-                    // pandora-lint: allow(PL004) — tail flush of the last run — commutative min; readers join the chunk barrier first
+                    // ORDERING: tail flush of the last run — commutative min; readers join the chunk barrier first
                     cand_view[run_root].fetch_min(run_best, Ordering::Relaxed);
                 }
                 let work = SearchWork {

@@ -8,6 +8,16 @@
 //! returns a [`PandoraError`] instead; the legacy panicking names remain as
 //! thin wrappers that document the panic.
 
+// PL001 (docs/ANALYSIS.md): no panic path in the serving tier. A lint
+// level reaches every submodule; unit tests are exempt (clippy.toml).
+#![deny(
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
 /// Why a dataset or clustering request was rejected.
 ///
 /// Carried by every `Result`-returning entry point of the serving API.

@@ -27,6 +27,16 @@
 //! index entry points are fallible: bad datasets and bad parameters come
 //! back as [`PandoraError`], never a panic.
 
+// PL001 (docs/ANALYSIS.md): no panic path in the serving tier. A lint
+// level reaches every submodule; unit tests are exempt (clippy.toml).
+#![deny(
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
 use std::time::Instant;
 
 use pandora_core::Edge;
@@ -126,8 +136,12 @@ pub fn emst(ctx: &ExecCtx, points: &PointSet, min_pts: usize) -> Emst {
             run.timings.core_s += index.rows_s;
             Ok(run)
         });
-    // pandora-lint: allow(PL001) — the one-shot entry documents this panic; serving code freezes an index and gets the error
-    run.unwrap_or_else(|e| panic!("{e}"))
+    #[expect(
+        clippy::panic,
+        reason = "the one-shot entry documents this panic; serving code freezes an index and gets the error"
+    )]
+    let emst = run.unwrap_or_else(|e| panic!("{e}"));
+    emst
 }
 
 /// Mutual-reachability MST with **caller-provided** squared core distances
@@ -237,7 +251,7 @@ impl EmstIndex {
         // content hash — is sufficient and O(1)).
         static NEXT_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
         Ok(Self {
-            // pandora-lint: allow(PL004) — process-unique id: the RMW can never dispense duplicates, and nothing orders against it
+            // ORDERING: process-unique id: the RMW can never dispense duplicates, and nothing orders against it
             id: NEXT_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             points,
             tree,

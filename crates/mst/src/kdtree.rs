@@ -143,7 +143,7 @@ pub struct SearchWork {
 /// The tree-space inputs — core distances for
 /// [`crate::metric::TreeMutualReachability`] and
 /// [`KdTree::min_core2_into`], component labels for
-/// [`KdTree::component_purity`] and the nearest-foreign searches — take
+/// [`KdTree::component_purity_into`] and the nearest-foreign search — take
 /// this type rather than a bare slice, so values kept per point index
 /// cannot be passed there by mistake. Outside this crate the only way to
 /// make one is [`KdTree::in_tree_order`]; it reads as a slice.
@@ -548,17 +548,10 @@ impl KdTree {
     }
 
     /// Per-node component purity: the component id shared by every point in
-    /// the subtree, or `u32::MAX` if mixed. `comp` holds one label per tree
-    /// position. O(n).
-    pub fn component_purity(&self, comp: &TreeOrdered<u32>) -> Vec<u32> {
-        let mut purity = Vec::new();
-        self.component_purity_into(&ExecCtx::serial(), comp, &mut purity);
-        purity
-    }
-
-    /// [`KdTree::component_purity`] into a reusable buffer (resized as
-    /// needed) — Borůvka calls this every round, so the allocation is paid
-    /// once, not per round.
+    /// the subtree, or `u32::MAX` if mixed, into a reusable buffer (resized
+    /// as needed). `comp` holds one label per tree position. O(n). Borůvka
+    /// calls this every round, so the allocation is paid once, not per
+    /// round.
     ///
     /// The O(n) leaf scans (the dominant cost) run in parallel; the
     /// internal combine is a serial leaf-up sweep over the O(n / leaf_size)
@@ -897,7 +890,7 @@ impl KdTree {
     /// Everything is numbered by tree position: `q`, the labels in `comp`,
     /// the points `metric` is called with ([`TreeMetric`]) and the
     /// returned point.
-    /// `purity` comes from [`KdTree::component_purity`] for the current
+    /// `purity` comes from [`KdTree::component_purity_into`] for the current
     /// Borůvka round. `node_core2` is either empty (no pruning bounds —
     /// always valid, just less pruning for mutual reachability) or the
     /// per-node subtree core minima from [`KdTree::min_core2_into`] for
@@ -930,7 +923,10 @@ impl KdTree {
     /// The distance evaluations and node visits the search makes are added
     /// to `work`. Leaf scans read `comp` and the metric's per-point data at
     /// consecutive positions.
-    #[allow(clippy::too_many_arguments)] // the innermost configurable query
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the innermost configurable query"
+    )]
     pub fn nearest_foreign<M: TreeMetric>(
         &self,
         points: &PointSet,
@@ -1554,7 +1550,8 @@ mod tests {
         let perm = tree.perm();
         // Components by point index: evens vs odds, labelled per position.
         let comp = TreeOrdered::from_vec(perm.iter().map(|&p| p % 2).collect());
-        let purity = tree.component_purity(&comp);
+        let mut purity = Vec::new();
+        tree.component_purity_into(&ctx, &comp, &mut purity);
         let mut work = SearchWork::default();
         for q in [0u32, 7, 150] {
             let found =
@@ -1581,7 +1578,8 @@ mod tests {
         let tree = KdTree::build(&ctx, &points);
         let by_point: Vec<u32> = (0..500).map(|p| p % 3).collect();
         let comp = tree.in_tree_order(&by_point);
-        let purity = tree.component_purity(&comp);
+        let mut purity = Vec::new();
+        tree.component_purity_into(&ctx, &comp, &mut purity);
         let run = |q, seed| {
             let mut work = SearchWork::default();
             tree.nearest_foreign(&points, &Euclidean, q, &comp, &purity, &[], seed, &mut work)
@@ -1620,7 +1618,8 @@ mod tests {
         let n = points.len();
         let by_point: Vec<u32> = (0..n as u32).map(|p| p * 7 % 5).collect();
         let comp = tree.in_tree_order(&by_point);
-        let purity = tree.component_purity(&comp);
+        let mut purity = Vec::new();
+        tree.component_purity_into(&ExecCtx::serial(), &comp, &mut purity);
         let perm = tree.perm();
         for q in 0..n as u32 {
             let qi = perm[q as usize] as usize;

@@ -11,6 +11,11 @@
 //! Points files: headerless CSV (one point per row) or the crate's binary
 //! format (`pandora::data::io`).
 
+#![expect(
+    clippy::print_stderr,
+    reason = "a command-line tool: usage and errors go to stderr"
+)]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

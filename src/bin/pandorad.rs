@@ -14,6 +14,20 @@
 //! `PANDORA_QUEUE_DEPTH` the default admission queue. No variable changes
 //! what a request computes: one that omits `linkage` runs single linkage.
 
+// PL001 (docs/ANALYSIS.md): no panic path in the serving tier. A lint
+// level reaches every submodule; unit tests are exempt (clippy.toml).
+#![deny(
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+#![expect(
+    clippy::print_stderr,
+    reason = "an operator-facing daemon: startup errors and its listen address go to stderr"
+)]
+
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;

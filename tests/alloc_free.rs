@@ -103,7 +103,8 @@ fn steady_state_queries_do_not_allocate() {
     tree.min_core2_into(&core2, &mut node_core2);
     let labels: Vec<u32> = (0..n as u32).map(|v| v % 7).collect();
     let comp = tree.in_tree_order(&labels);
-    let purity = tree.component_purity(&comp);
+    let mut purity = Vec::new();
+    tree.component_purity_into(&ctx, &comp, &mut purity);
     let metric = TreeMutualReachability { core2: &core2 };
     let mut work = SearchWork::default();
     let foreign_allocs = min_allocs_over(3, || {

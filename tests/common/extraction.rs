@@ -69,7 +69,10 @@ pub fn reference_condense(dendrogram: &Dendrogram, min_cluster_size: usize) -> C
     // marking the subtree's edges so the main walk does not revisit them.
     // `stack` is caller-owned scratch: fall-outs happen once per small
     // side, so a per-call allocation would scale with the fall-out count.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the walk's state, passed explicitly"
+    )]
     fn emit_subtree(
         ct: &mut CondensedTree,
         vertex_children: &[[u32; 2]],

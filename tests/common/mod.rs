@@ -11,7 +11,7 @@
 //! tree, and [`MstCase::params`] carries the generating parameters into
 //! failure messages.
 
-#![allow(dead_code)] // each test binary uses a different subset
+#![allow(dead_code, reason = "each test binary uses a different subset")]
 
 pub mod extraction;
 pub mod linkage;

@@ -656,6 +656,80 @@ fn full_queue_sheds_with_typed_overloaded_error() {
 }
 
 #[test]
+fn identical_requests_at_a_full_queue_each_get_one_reply() {
+    const ROUNDS: usize = 4;
+    const CLIENTS: usize = 48;
+    // One lane, one queue slot: with the blocker running and the slot
+    // taken, a leader of the identical requests is shed, and a request
+    // that attached to it in the meantime would never be answered.
+    let daemon =
+        Daemon::bind("127.0.0.1:0", DaemonConfig::new().workers(1).queue_depth(1)).expect("bind");
+    daemon
+        .registry()
+        .register("d", freeze(blobs(2000, 31), 16), false)
+        .expect("register");
+    let request = r#"{"id":7,"method":"cluster","params":{"dataset":"d","min_pts":3}}"#;
+    for round in 0..ROUNDS {
+        let before = daemon.counters();
+        let mut blocker = Client::connect(&daemon);
+        blocker.send(BLOCKER);
+        wait_for_engine_start(&daemon, before.engine_runs);
+        let mut filler = Client::connect(&daemon);
+        filler.send(r#"{"id":"filler","method":"cluster","params":{"dataset":"d","min_pts":2}}"#);
+        // A stats reply on the filler's connection means the filler was
+        // admitted: one connection's lines are dispatched in order.
+        filler.send(r#"{"id":"s","method":"stats"}"#);
+        let mut filler_replies = vec![filler.recv()];
+
+        let start = Arc::new(std::sync::Barrier::new(CLIENTS));
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                let mut client = Client::connect(&daemon);
+                client
+                    .writer
+                    .set_read_timeout(Some(Duration::from_secs(30)))
+                    .expect("timeout");
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    client.send(request);
+                    let reply = client.recv();
+                    // A second line before this stats reply would be a
+                    // duplicate answer.
+                    let stats = client.call(r#"{"id":"s","method":"stats"}"#);
+                    (reply, stats)
+                })
+            })
+            .collect();
+        for client in clients {
+            let (reply, stats) = client.join().expect("client thread");
+            assert!(
+                reply.starts_with(r#"{"id":7,"#),
+                "round {round}: reply to another request: {reply}"
+            );
+            assert!(
+                reply.contains(r#""n_clusters""#) || error_code(&reply) == "overloaded",
+                "round {round}: {reply}"
+            );
+            assert!(stats.contains("uptime_ms"), "round {round}: {stats}");
+        }
+        assert!(blocker.recv().contains("result"));
+        filler_replies.push(filler.recv());
+        filler_replies.sort();
+        assert!(
+            filler_replies[0].contains(r#""n_clusters""#),
+            "{filler_replies:?}"
+        );
+        assert!(
+            filler_replies[1].contains("uptime_ms"),
+            "{filler_replies:?}"
+        );
+    }
+    daemon.shutdown();
+    daemon.join();
+}
+
+#[test]
 fn wire_shutdown_drains_and_stops_the_daemon() {
     let daemon = Daemon::bind("127.0.0.1:0", DaemonConfig::new().workers(2)).expect("bind");
     daemon
