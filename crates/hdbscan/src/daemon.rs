@@ -75,8 +75,7 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-// PL001 (docs/ANALYSIS.md): no panic path in the serving tier. A lint
-// level reaches every submodule; unit tests are exempt (clippy.toml).
+// PL001 (docs/ANALYSIS.md): no panic path here or in any submodule.
 #![deny(
     clippy::panic,
     clippy::unreachable,
@@ -572,15 +571,13 @@ impl Shared {
             // Stats/Shutdown were answered inline by `dispatch`.
             Method::Stats | Method::Shutdown => return Ok(()),
         };
-        // Coalescable work holds `in_flight` across the insert, the enqueue
-        // and the removal on a full queue: a request that attached to a
-        // leader which is then shed would never be answered. The lock
-        // order is `in_flight` → `queue`, and no path takes them the other
-        // way.
-        let mut in_flight = None;
+        // Admission holds `in_flight` across the insert, the enqueue and the
+        // removal on a full queue: a request that attached to a leader which
+        // is then shed would never be answered. The lock order is
+        // `in_flight` → `queue`, and no path takes them the other way.
+        let mut in_flight = self.in_flight.lock();
         if let Some(key) = &key {
-            let waiting = in_flight.insert(self.in_flight.lock());
-            if let Some(waiters) = waiting.get_mut(key) {
+            if let Some(waiters) = in_flight.get_mut(key) {
                 // An identical computation is already queued or running:
                 // attach to it instead of spending a queue slot.
                 waiters.push(Waiter {
@@ -589,7 +586,7 @@ impl Shared {
                 });
                 return Ok(());
             }
-            waiting.insert(key.clone(), Vec::new());
+            in_flight.insert(key.clone(), Vec::new());
         }
         let job = Job {
             id: request.id.clone(),
@@ -599,10 +596,9 @@ impl Shared {
             enqueued: Instant::now(),
         };
         if let Err(error) = self.enqueue(job) {
-            if let (Some(waiting), Some(key)) = (&mut in_flight, &key) {
-                waiting.remove(key);
+            if let Some(key) = &key {
+                in_flight.remove(key);
             }
-            drop(in_flight);
             self.counters.shed.incr();
             return Err(RequestRejected {
                 id: request.id,
@@ -768,13 +764,12 @@ pub struct Daemon {
     accept_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     conns: Conns,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
-/// A clone of each live connection's socket, keyed by connection id, so
-/// [`Daemon::join`] can unblock readers parked in `read()`. A connection
-/// removes its own entry when its reader returns.
-type Conns = Arc<Mutex<BTreeMap<u64, TcpStream>>>;
+/// Each live connection's socket and thread, keyed by connection id, so
+/// [`Daemon::join`] can unblock readers parked in `read()` and reap them.
+/// A connection removes its own entry when its reader returns.
+type Conns = Arc<Mutex<BTreeMap<u64, (TcpStream, JoinHandle<()>)>>>;
 
 impl Daemon {
     /// Binds the daemon on `addr` (use port 0 for an ephemeral port) and
@@ -791,7 +786,6 @@ impl Daemon {
         let workers_n = config.workers;
         let shared = Shared::new(config, DatasetRegistry::new());
         let conns: Conns = Arc::new(Mutex::new(BTreeMap::new()));
-        let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         let mut workers = Vec::with_capacity(workers_n);
         for lane in 0..workers_n {
@@ -808,17 +802,9 @@ impl Daemon {
 
         let accept_shared = Arc::clone(&shared);
         let accept_conns = Arc::clone(&conns);
-        let accept_conn_threads = Arc::clone(&conn_threads);
         let accept_thread = std::thread::Builder::new()
             .name("pandorad-accept".to_string())
-            .spawn(move || {
-                accept_loop(
-                    &listener,
-                    &accept_shared,
-                    &accept_conns,
-                    &accept_conn_threads,
-                );
-            })?;
+            .spawn(move || accept_loop(&listener, &accept_shared, &accept_conns))?;
 
         Ok(Self {
             shared,
@@ -826,7 +812,6 @@ impl Daemon {
             accept_thread: Some(accept_thread),
             workers,
             conns,
-            conn_threads,
         })
     }
 
@@ -865,22 +850,17 @@ impl Daemon {
             let _ = worker.join();
         }
         // Unblock connection readers parked in read() and reap them.
-        for conn in std::mem::take(&mut *self.conns.lock()).into_values() {
+        let live = std::mem::take(&mut *self.conns.lock());
+        for (conn, _) in live.values() {
             let _ = conn.shutdown(Shutdown::Both);
         }
-        let handles: Vec<JoinHandle<()>> = self.conn_threads.lock().drain(..).collect();
-        for handle in handles {
+        for (_, handle) in live.into_values() {
             let _ = handle.join();
         }
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    conns: &Conns,
-    conn_threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, conns: &Conns) {
     let mut next_id: u64 = 0;
     while !shared.is_stopping() {
         match listener.accept() {
@@ -896,25 +876,20 @@ fn accept_loop(
                 };
                 let id = next_id;
                 next_id += 1;
-                conns.lock().insert(id, conn);
                 let sink: Sink = Arc::new(Mutex::new(Box::new(stream)));
                 let shared = Arc::clone(shared);
                 let live = Arc::clone(conns);
+                // Holding the lock across the spawn puts the entry in place
+                // before the connection can remove it.
+                let mut entries = conns.lock();
                 let spawned = std::thread::Builder::new()
                     .name("pandorad-conn".to_string())
                     .spawn(move || {
                         serve_connection(reader, &shared, &sink);
                         live.lock().remove(&id);
                     });
-                let mut threads = conn_threads.lock();
-                // Finished connections leave nothing to join: drop their
-                // handles here, so the list tracks the live connections.
-                threads.retain(|handle| !handle.is_finished());
-                match spawned {
-                    Ok(handle) => threads.push(handle),
-                    Err(_) => {
-                        conns.lock().remove(&id);
-                    }
+                if let Ok(handle) = spawned {
+                    entries.insert(id, (conn, handle));
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {

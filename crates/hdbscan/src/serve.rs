@@ -46,8 +46,7 @@
 //! # Ok::<(), pandora_mst::PandoraError>(())
 //! ```
 
-// PL001 (docs/ANALYSIS.md): no panic path in the serving tier. A lint
-// level reaches every submodule; unit tests are exempt (clippy.toml).
+// PL001 (docs/ANALYSIS.md): no panic path here or in any submodule.
 #![deny(
     clippy::panic,
     clippy::unreachable,

@@ -8,8 +8,7 @@
 //! returns a [`PandoraError`] instead; the legacy panicking names remain as
 //! thin wrappers that document the panic.
 
-// PL001 (docs/ANALYSIS.md): no panic path in the serving tier. A lint
-// level reaches every submodule; unit tests are exempt (clippy.toml).
+// PL001 (docs/ANALYSIS.md): no panic path here or in any submodule.
 #![deny(
     clippy::panic,
     clippy::unreachable,

@@ -27,8 +27,7 @@
 //! index entry points are fallible: bad datasets and bad parameters come
 //! back as [`PandoraError`], never a panic.
 
-// PL001 (docs/ANALYSIS.md): no panic path in the serving tier. A lint
-// level reaches every submodule; unit tests are exempt (clippy.toml).
+// PL001 (docs/ANALYSIS.md): no panic path here or in any submodule.
 #![deny(
     clippy::panic,
     clippy::unreachable,

@@ -14,8 +14,7 @@
 //! `PANDORA_QUEUE_DEPTH` the default admission queue. No variable changes
 //! what a request computes: one that omits `linkage` runs single linkage.
 
-// PL001 (docs/ANALYSIS.md): no panic path in the serving tier. A lint
-// level reaches every submodule; unit tests are exempt (clippy.toml).
+// PL001 (docs/ANALYSIS.md): no panic path here or in any submodule.
 #![deny(
     clippy::panic,
     clippy::unreachable,

@@ -1,27 +1,21 @@
-//! The lint policy of docs/ANALYSIS.md, from the side clippy cannot see.
+//! The lint policy of docs/ANALYSIS.md where clippy cannot see it.
 //!
-//! Clippy enforces PL001–PL003 and PL005–PL007 (rule catalog in
-//! docs/ANALYSIS.md), but only as configured: a deleted `#![deny]` or a
-//! crate that stops inheriting the workspace lints would pass CI silently.
-//! [`the_lint_policy_stays_in_place`] pins that configuration. PL004 has no
-//! clippy lint, so [`relaxed_audit`] is the rule itself: every line of
-//! library or binary code that names `Relaxed` carries an `// ORDERING:`
-//! argument on it or in the comment lines directly above it, and every
-//! such marker covers one. `crates/exec/src/counters.rs` is exempt as a
-//! whole (its module docs state the audit for its counters), and so is
-//! each file's `#[cfg(test)] mod tests` tail: clippy's
-//! `items_after_test_module` keeps other code out of it.
+//! Clippy enforces rules PL001–PL003 and PL005–PL007, but only as
+//! configured: a deleted `#![deny]` or a crate that stops inheriting the
+//! workspace lints would pass CI silently, so
+//! [`the_lint_policy_stays_in_place`] pins the configuration. PL004 has no
+//! clippy lint, so [`relaxed_audit`] is the rule itself.
 
 use std::path::{Path, PathBuf};
 
 const MARKER: &str = "// ORDERING:";
+const UNARGUED: &str = "`Relaxed` without an `// ORDERING: <argument>` on or above it";
+const EMPTY: &str = "`// ORDERING:` states no argument";
+const STALE: &str = "`// ORDERING:` covers no `Relaxed`";
 
-/// Files whose `Relaxed` uses are audited wholesale in their module docs.
-const RELAXED_EXEMPT: &[&str] = &["crates/exec/src/counters.rs"];
-
-/// The serving tier's module roots (PL001); each lint level reaches every
-/// submodule of its root.
-const SERVING_ROOTS: &[&str] = &[
+/// The serving tier's module roots (PL001): a lint level set at the top of
+/// a module reaches all of its submodules.
+const SERVING_ROOTS: [&str; 5] = [
     "crates/hdbscan/src/serve.rs",
     "crates/hdbscan/src/daemon.rs",
     "crates/mst/src/error.rs",
@@ -29,16 +23,11 @@ const SERVING_ROOTS: &[&str] = &[
     "src/bin/pandorad.rs",
 ];
 
-const SERVING_DENY: &[&str] = &[
-    "clippy::panic",
-    "clippy::unreachable",
-    "clippy::unimplemented",
-    "clippy::unwrap_used",
-    "clippy::expect_used",
-];
+const SERVING_DENY: &str = "#![deny(clippy::panic, clippy::unreachable, clippy::unimplemented, \
+                            clippy::unwrap_used, clippy::expect_used)]";
 
 /// The workspace clippy lints that must stay at `deny`.
-const WORKSPACE_DENY: &[&str] = &[
+const WORKSPACE_DENY: [&str; 6] = [
     "undocumented_unsafe_blocks",
     "missing_safety_doc",
     "dbg_macro",
@@ -46,9 +35,6 @@ const WORKSPACE_DENY: &[&str] = &[
     "print_stderr",
     "allow_attributes_without_reason",
 ];
-
-/// The compute-kernel crates under the serial ≡ threaded contract (PL005).
-const KERNEL_CRATES: &[&str] = &["exec", "core", "mst"];
 
 fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -58,93 +44,27 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// `text` holds `word` with no identifier character on either side.
-fn has_word(text: &str, word: &str) -> bool {
-    let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
-    text.match_indices(word).any(|(i, _)| {
-        !ident(text[..i].chars().next_back()) && !ident(text[i + word.len()..].chars().next())
-    })
-}
-
-/// PL004 over one file's text: one message per unargued `Relaxed`, empty
-/// marker or marker that covers no `Relaxed`, with 1-based line numbers.
-fn relaxed_audit(path: &str, text: &str) -> Vec<String> {
-    let lines: Vec<&str> = text.lines().collect();
-    // The `#[cfg(test)] mod tests` tail is test code.
-    let end = (0..lines.len())
-        .find(|&i| {
-            lines[i].trim() == "#[cfg(test)]"
-                && lines
-                    .get(i + 1)
-                    .is_some_and(|l| l.starts_with("mod tests {"))
-        })
-        .unwrap_or(lines.len());
-    let mut findings = Vec::new();
-    // Line index of a marker in the comment block being read, if any.
-    let mut pending: Option<usize> = None;
-    for (i, line) in lines[..end].iter().enumerate() {
-        let (code, comment) = line.split_at(line.find("//").unwrap_or(line.len()));
-        if let Some(at) = comment.find(MARKER) {
-            if comment[at + MARKER.len()..].trim().is_empty() {
-                findings.push(format!("{path}:{}: `{MARKER}` states no argument", i + 1));
-            }
-        }
-        let marked = comment.contains(MARKER);
-        if code.trim().is_empty() {
-            if comment.is_empty() {
-                // A blank line ends the comment block above it.
-                if let Some(m) = pending.take() {
-                    findings.push(format!("{path}:{}: `{MARKER}` covers no `Relaxed`", m + 1));
-                }
-            } else if marked && pending.is_none() {
-                pending = Some(i);
-            }
-            continue;
-        }
-        let covered = marked || pending.is_some();
-        if has_word(code, "Relaxed") {
-            if !covered {
-                findings.push(format!(
-                    "{path}:{}: `Relaxed` without an `{MARKER} <argument>` on or directly above it",
-                    i + 1
-                ));
-            }
-        } else if let Some(m) = pending.or(marked.then_some(i)) {
-            findings.push(format!("{path}:{}: `{MARKER}` covers no `Relaxed`", m + 1));
-        }
-        pending = None;
-    }
-    if let Some(m) = pending {
-        findings.push(format!("{path}:{}: `{MARKER}` covers no `Relaxed`", m + 1));
-    }
-    findings
-}
-
-/// Every `.rs` file under `dir`, recursively, in a stable order.
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
-        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+/// The first-party package directories: `crates/*` and the root.
+fn package_dirs() -> Vec<PathBuf> {
+    let mut dirs: Vec<PathBuf> = std::fs::read_dir(root().join("crates"))
+        .expect("crates/")
         .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.join("Cargo.toml").is_file())
         .collect();
-    entries.sort();
-    for path in entries {
+    dirs.push(root());
+    dirs
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("directory entry").path();
         if path.is_dir() {
             rust_files(&path, out);
         } else if path.extension().is_some_and(|ext| ext == "rs") {
             out.push(path);
         }
     }
-}
-
-/// The first-party crate directories (`crates/*`).
-fn crate_dirs() -> Vec<PathBuf> {
-    let mut dirs: Vec<PathBuf> = std::fs::read_dir(root().join("crates"))
-        .expect("crates/")
-        .map(|entry| entry.expect("directory entry").path())
-        .filter(|path| path.join("Cargo.toml").is_file())
-        .collect();
-    dirs.sort();
-    dirs
 }
 
 /// The `key = value` lines of one `[section]` of a TOML file.
@@ -159,50 +79,84 @@ fn toml_section<'a>(text: &'a str, section: &str) -> Vec<(&'a str, &'a str)> {
         .collect()
 }
 
+/// `code` names `Relaxed` as a word of its own, not inside, say,
+/// `RelaxedCounter`.
+fn names_relaxed(code: &str) -> bool {
+    let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    code.match_indices("Relaxed").any(|(i, word)| {
+        !ident(code[..i].chars().next_back()) && !ident(code[i + word.len()..].chars().next())
+    })
+}
+
+/// PL004 over one file: every line of code that names `Relaxed` carries an
+/// `// ORDERING:` argument on it or in the comment lines directly above it,
+/// and every marker covers such a line. Returns one `path:line: fault` per
+/// fault. The `#[cfg(test)] mod tests` tail is test code and is skipped;
+/// clippy's `items_after_test_module` keeps other code out of it.
+fn relaxed_audit(path: &str, text: &str) -> Vec<String> {
+    let body = text
+        .split_once("#[cfg(test)]\nmod tests {")
+        .map_or(text, |(body, _)| body);
+    let mut findings = Vec::new();
+    let mut report = |i: usize, what: &str| findings.push(format!("{path}:{}: {what}", i + 1));
+    // The line of a marker in the comment block directly above, if any.
+    let mut pending = None;
+    for (i, line) in body.lines().enumerate() {
+        let (code, comment) = line.split_at(line.find("//").unwrap_or(line.len()));
+        let marker = comment.find(MARKER).map(|at| &comment[at + MARKER.len()..]);
+        if marker.is_some_and(|argument| argument.trim().is_empty()) {
+            report(i, EMPTY);
+        }
+        if code.trim().is_empty() && !comment.is_empty() {
+            pending = pending.or(marker.map(|_| i));
+            continue;
+        }
+        // A blank or code line ends the comment block above it.
+        match (names_relaxed(code), pending.take().or(marker.map(|_| i))) {
+            (true, None) => report(i, UNARGUED),
+            (false, Some(m)) => report(m, STALE),
+            _ => {}
+        }
+    }
+    if let Some(m) = pending {
+        report(m, STALE);
+    }
+    findings
+}
+
 #[test]
 fn every_relaxed_ordering_states_its_argument() {
     let root = root();
     let mut files = Vec::new();
-    for dir in crate_dirs() {
+    for dir in package_dirs() {
         rust_files(&dir.join("src"), &mut files);
     }
-    rust_files(&root.join("src"), &mut files);
-    let mut findings = Vec::new();
-    let mut scanned = Vec::new();
-    for file in &files {
-        let rel = file
-            .strip_prefix(&root)
-            .expect("under the root")
-            .to_string_lossy()
-            .replace('\\', "/");
-        if RELAXED_EXEMPT.contains(&rel.as_str()) {
-            continue;
-        }
-        findings.extend(relaxed_audit(&rel, &read(file)));
-        scanned.push(rel);
-    }
-    assert!(findings.is_empty(), "PL004:\n{}", findings.join("\n"));
-    // The audit's motivating sites: the lock-free union–find and Borůvka's
+    // The rule's motivating sites: the lock-free union–find and Borůvka's
     // `fetch_min` flush.
     for rel in ["crates/exec/src/dsu.rs", "crates/mst/src/boruvka.rs"] {
-        assert!(scanned.iter().any(|s| s == rel), "{rel} was not scanned");
+        assert!(files.contains(&root.join(rel)), "{rel} was not scanned");
     }
+    // The counters module argues its `Relaxed` counters in its module docs.
+    files.retain(|file| !file.ends_with("crates/exec/src/counters.rs"));
+    let findings: Vec<String> = files
+        .iter()
+        .flat_map(|file| {
+            let rel = file.strip_prefix(&root).expect("under the root");
+            relaxed_audit(&rel.to_string_lossy(), &read(file))
+        })
+        .collect();
+    assert!(findings.is_empty(), "PL004:\n{}", findings.join("\n"));
 }
 
 #[test]
 fn the_relaxed_audit_reports_each_kind_of_fault() {
-    let clean = "\
-use std::sync::atomic::Ordering;
-fn f(a: &AtomicU32, b: &AtomicU32) {
-    // ORDERING: a statistic; nothing reads it before the join.
-    a.fetch_add(1, Ordering::Relaxed);
-    // ORDERING: the argument may run over
+    let clean = "fn f(a: &AtomicU32) {
+    // ORDERING: a statistic; the argument may run over
     // several comment lines.
-    b.store(1, Ordering::Relaxed);
-    b.load(Ordering::Relaxed); // ORDERING: a trailing marker counts too.
-    let c = RelaxedCounter::new(); // a different word
+    a.fetch_add(1, Ordering::Relaxed);
+    a.load(Ordering::Relaxed); // ORDERING: a trailing marker counts too.
+    let c = RelaxedCounter::new(); // another word
 }
-
 #[cfg(test)]
 mod tests {
     fn g(a: &AtomicU32) {
@@ -211,28 +165,23 @@ mod tests {
 }
 ";
     assert_eq!(relaxed_audit("clean.rs", clean), Vec::<String>::new());
-
-    let unargued = "fn f(a: &AtomicU32) {\n    a.store(1, Ordering::Relaxed);\n}\n";
-    let imported = "use std::sync::atomic::Ordering::{Acquire, Relaxed};\n";
-    let empty = "fn f(a: &AtomicU32) {\n    // ORDERING:\n    a.store(1, Ordering::Relaxed);\n}\n";
-    let stale =
-        "fn f(a: &AtomicU32) {\n    // ORDERING: stale.\n    a.store(1, Ordering::Release);\n}\n";
-    let detached = "// ORDERING: a blank line breaks it.\n\nfn f() {}\n";
-    let trailing_stale = "fn f() {} // ORDERING: nothing here.\n";
-    for (name, text, line, kind) in [
-        ("unargued", unargued, 2, "without an"),
-        ("imported", imported, 1, "without an"),
-        ("empty", empty, 2, "states no argument"),
-        ("stale", stale, 2, "covers no"),
-        ("detached", detached, 1, "covers no"),
-        ("trailing_stale", trailing_stale, 1, "covers no"),
+    for (text, expected) in [
+        ("x.store(1, Relaxed);\n", &[(1, UNARGUED)][..]),
+        ("use Ordering::{Acquire, Relaxed};\n", &[(1, UNARGUED)]),
+        ("// ORDERING:\nx.load(Relaxed);\n", &[(1, EMPTY)]),
+        ("// ORDERING: x\nx.load(Acquire);\n", &[(1, STALE)]),
+        (
+            "// ORDERING: x\n\nx.load(Relaxed);\n",
+            &[(1, STALE), (3, UNARGUED)],
+        ),
+        ("f(); // ORDERING: x\n", &[(1, STALE)]),
+        ("// ORDERING: x\n", &[(1, STALE)]),
     ] {
-        let findings = relaxed_audit(name, text);
-        assert_eq!(findings.len(), 1, "{name}: {findings:?}");
-        assert!(
-            findings[0].starts_with(&format!("{name}:{line}: ")) && findings[0].contains(kind),
-            "{name}: {findings:?}"
-        );
+        let expected: Vec<String> = expected
+            .iter()
+            .map(|(line, what)| format!("x.rs:{line}: {what}"))
+            .collect();
+        assert_eq!(relaxed_audit("x.rs", text), expected, "{text}");
     }
 }
 
@@ -240,48 +189,40 @@ mod tests {
 fn the_lint_policy_stays_in_place() {
     let root = root();
     // PL001: each serving root denies every panic path for its subtree.
+    let deny: String = SERVING_DENY.split_whitespace().collect();
     for rel in SERVING_ROOTS {
-        let text = read(&root.join(rel));
-        let attr = text
-            .find("#![deny(")
-            .map(|at| &text[at..at + text[at..].find(")]").expect("closed attribute")])
-            .unwrap_or_else(|| panic!("{rel}: no `#![deny(...)]` at the top"));
-        for lint in SERVING_DENY {
-            assert!(has_word(attr, lint), "{rel}: `{lint}` left the deny list");
-        }
+        let text: String = read(&root.join(rel)).split_whitespace().collect();
+        assert!(text.contains(&deny), "{rel}: lost `{SERVING_DENY}`");
     }
     // PL002, PL003, PL006, PL007: the workspace lints stay at deny …
     let manifest = read(&root.join("Cargo.toml"));
     let clippy = toml_section(&manifest, "[workspace.lints.clippy]");
     for lint in WORKSPACE_DENY {
         assert!(
-            clippy.contains(&(*lint, "\"deny\"")),
+            clippy.contains(&(lint, "\"deny\"")),
             "Cargo.toml: `{lint}` is not denied in [workspace.lints.clippy]"
         );
     }
     // … and reach every first-party package.
-    let mut manifests = vec![root.join("Cargo.toml")];
-    manifests.extend(crate_dirs().iter().map(|dir| dir.join("Cargo.toml")));
-    assert!(manifests.len() >= 7, "{manifests:?}");
-    for path in &manifests {
+    let packages = package_dirs();
+    assert!(packages.len() >= 7, "{packages:?}");
+    for dir in &packages {
+        let manifest = read(&dir.join("Cargo.toml"));
         assert!(
-            toml_section(&read(path), "[lints]").contains(&("workspace", "true")),
+            toml_section(&manifest, "[lints]").contains(&("workspace", "true")),
             "{}: no `[lints] workspace = true`",
-            path.display()
+            dir.display()
         );
     }
     // PL005: the kernel crates ban the hash collections. Clippy reads only
     // the nearest clippy.toml, so each repeats the root settings too.
     let root_settings = read(&root.join("clippy.toml"));
-    for name in KERNEL_CRATES {
+    for name in ["exec", "core", "mst"] {
         let path = root.join("crates").join(name).join("clippy.toml");
         let text = read(&path);
-        for banned in [
-            "\"std::collections::HashMap\"",
-            "\"std::collections::HashSet\"",
-        ] {
+        for banned in ["HashMap", "HashSet"] {
             assert!(
-                text.contains(&format!("path = {banned}")),
+                text.contains(&format!("path = \"std::collections::{banned}\"")),
                 "{}: {banned} is not in disallowed-types",
                 path.display()
             );
@@ -289,7 +230,7 @@ fn the_lint_policy_stays_in_place() {
         for setting in root_settings.lines().filter(|l| l.contains(" = ")) {
             assert!(
                 text.lines().any(|l| l == setting),
-                "{}: missing the root setting `{setting}`",
+                "{}: lost the root setting `{setting}`",
                 path.display()
             );
         }
