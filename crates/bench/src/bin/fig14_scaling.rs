@@ -4,13 +4,13 @@
 //!
 //! Paper shape: UnionFind-MT peaks immediately and slowly decays; PANDORA
 //! on GPU starts launch-latency-bound, crosses UnionFind-MT around 3·10⁴
-//! samples and saturates around 10⁶. Device columns are modeled from real
-//! traces of runs at each sample size (random subsamples of the dataset, as
-//! in the paper).
+//! samples and saturates around 10⁶. This binary measures both algorithms
+//! on this host's cores at each sample size (random subsamples of the
+//! dataset, as in the paper); the GPU curve and its crossover need a GPU.
 
-use pandora_bench::harness::{mpoints, print_table, project, run_pipeline};
+use pandora_bench::harness::{mpoints, print_table, run_pipeline};
 use pandora_data::by_name;
-use pandora_exec::device::DeviceModel;
+use pandora_exec::ExecCtx;
 use pandora_mst::PointSet;
 use rand::prelude::*;
 
@@ -37,59 +37,29 @@ fn main() {
         "Figure 14 reproduction — throughput vs sample count (max n = {max_n}, \
          PANDORA_SCALE to raise)"
     );
-    let cpu = DeviceModel::epyc_7763_64c();
-    let gpu = DeviceModel::mi250x_gcd();
+    let lanes = ExecCtx::threads().lanes();
 
     for name in ["Hacc497M", "Normal300M2D"] {
         let spec = by_name(name).expect("registry");
         let full = spec.generate(max_n, 31);
         let mut rows = Vec::new();
-        let mut crossover: Option<f64> = None;
-        let mut prev: Option<(f64, f64, f64)> = None; // (n, uf, pan)
         for &s in &sizes {
-            let pts = subsample(&full, s.min(full.len()), 77);
-            let run = run_pipeline(&pts, 2);
-            let uf_cpu = mpoints(run.n, project(&run.ufmt_trace, &cpu));
-            let pan_gpu = mpoints(run.n, project(&run.pandora_trace, &gpu));
-            if crossover.is_none() && pan_gpu >= uf_cpu {
-                // Log-linear interpolation of the crossing point.
-                crossover = Some(match prev {
-                    Some((n0, uf0, pan0)) => {
-                        let gap0 = uf0 - pan0;
-                        let gap1 = uf_cpu - pan_gpu;
-                        let t = if (gap0 - gap1).abs() > 1e-12 {
-                            gap0 / (gap0 - gap1)
-                        } else {
-                            1.0
-                        };
-                        (n0.ln() + t * ((run.n as f64).ln() - n0.ln())).exp()
-                    }
-                    None => run.n as f64,
-                });
-            }
-            prev = Some((run.n as f64, uf_cpu, pan_gpu));
+            let run = run_pipeline(&subsample(&full, s.min(full.len()), 77), 2);
             rows.push(vec![
                 run.n.to_string(),
-                format!("{uf_cpu:.1}"),
-                format!("{pan_gpu:.1}"),
                 format!("{:.1}", mpoints(run.n, run.ufmt_wall.0 + run.ufmt_wall.1)),
                 format!("{:.1}", mpoints(run.n, run.pandora_wall.total())),
             ]);
         }
         print_table(
-            &format!(
-                "Fig 14 — {name}: MPoints/s vs samples (modeled UF-CPU / PANDORA-GPU; host measured)"
-            ),
-            &["samples", "UF(EPYC7763)", "PAN(MI250X)", "UF(host)", "PAN(host)"],
+            &format!("Fig 14 — {name}: MPoints/s vs samples measured on this host ({lanes} lanes)"),
+            &["samples", "UF", "PAN"],
             &rows,
         );
-        match crossover {
-            Some(s) => println!("modeled crossover at ≈ {s:.0} samples (paper: ≈ 30 000)"),
-            None => println!("no crossover within the tested range"),
-        }
     }
+    println!("\npaper shape: UF on a 64-core EPYC 7763 peaks immediately then decays.");
     println!(
-        "\npaper shape: UF peaks immediately then decays; PANDORA-GPU rises \
-         with n, crosses UF at ~3·10⁴, saturates near 10⁶."
+        "not testable on this host (no GPU): PAN on the MI250X rises with n, \
+         crosses UF at ~3·10⁴ samples and saturates near 10⁶."
     );
 }

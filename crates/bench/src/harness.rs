@@ -5,16 +5,14 @@ use std::time::Instant;
 
 use pandora_core::baseline::dendrogram_union_find_mt;
 use pandora_core::{pandora, DendrogramWorkspace, Edge, PhaseTimings, SortedMst};
-use pandora_exec::device::DeviceModel;
-use pandora_exec::trace::Trace;
 use pandora_exec::{ExecCtx, ScratchPool};
 use pandora_hdbscan::{ClusterRequest, DatasetIndex, Hdbscan, HdbscanParams};
 use pandora_mst::{
     emst, emst_from_index, nnchain_merges, EmstIndex, EmstScratch, Linkage, PointSet, StageTimings,
 };
 
-/// Everything the figure binaries need from one dataset run: real wall-clock
-/// numbers on this host plus kernel traces for device projection.
+/// Everything the figure binaries need from one dataset run: wall-clock
+/// times measured on this host plus the dendrogram's shape.
 #[derive(Debug, Clone)]
 pub struct PipelineRun {
     /// Point count.
@@ -27,41 +25,24 @@ pub struct PipelineRun {
     pub pandora_wall: PhaseTimings,
     /// Measured UnionFind-MT baseline: (parallel sort, sequential pass).
     pub ufmt_wall: (f64, f64),
-    /// Kernel trace of the EMST stage.
-    pub mst_trace: Trace,
-    /// Kernel trace of the PANDORA dendrogram stage.
-    pub pandora_trace: Trace,
-    /// Kernel trace of the UnionFind-MT baseline.
-    pub ufmt_trace: Trace,
     /// Dendrogram skew (height / log₂ n, Table 2's `Imb`).
     pub skew: f64,
     /// PANDORA contraction level count.
     pub n_levels: usize,
 }
 
-/// Runs EMST + both dendrogram algorithms on `points` with tracing.
+/// Runs EMST + both dendrogram algorithms on `points`, timing each stage.
 pub fn run_pipeline(points: &PointSet, min_pts: usize) -> PipelineRun {
-    let (ctx, tracer) = ExecCtx::threads().with_tracing();
+    let ctx = ExecCtx::threads();
     let n = points.len();
 
-    // EMST stage (traced as phases "emst_build" / "emst_core" /
-    // "emst_boruvka" by the freeze and the request).
     let t = Instant::now();
     let result = emst(&ctx, points, min_pts);
     let edges: Vec<Edge> = result.edges;
     let mst_wall_s = t.elapsed().as_secs_f64();
-    let mst_trace = tracer.snapshot();
-    tracer.reset();
 
-    // PANDORA (phases sort / contraction / expansion are set internally).
     let (dendro, stats) = pandora::dendrogram_with_stats(&ctx, n, &edges);
-    let pandora_trace = tracer.snapshot();
-    tracer.reset();
-
-    // UnionFind-MT baseline.
     let (_d2, uf_sort_s, uf_pass_s) = dendrogram_union_find_mt(&ctx, n, &edges);
-    let ufmt_trace = tracer.snapshot();
-    tracer.reset();
 
     PipelineRun {
         n,
@@ -69,9 +50,6 @@ pub fn run_pipeline(points: &PointSet, min_pts: usize) -> PipelineRun {
         emst_timings: result.timings,
         pandora_wall: stats.timings,
         ufmt_wall: (uf_sort_s, uf_pass_s),
-        mst_trace,
-        pandora_trace,
-        ufmt_trace,
         skew: dendro.skewness(),
         n_levels: stats.n_levels,
     }
@@ -84,13 +62,11 @@ pub fn run_pipeline(points: &PointSet, min_pts: usize) -> PipelineRun {
 /// serving-shaped counterpart of calling [`run_pipeline`] per `min_pts`,
 /// with bit-identical results.
 ///
-/// Each returned run's `mst_trace` is the member's *incremental* EMST trace
-/// with the shared build/k-NN trace prepended, so device projections stay
-/// comparable with the one-shot harness; the shared wall seconds are
-/// reported separately (and `emst_timings.tree_build_s` is 0 for every
-/// member, since the prepared substrate is reused).
+/// The shared wall seconds (tree build + k-NN rows) are returned
+/// separately, and `emst_timings.tree_build_s` is 0 for every member,
+/// since the prepared substrate is reused.
 pub fn run_pipeline_swept(points: &PointSet, min_pts_list: &[usize]) -> (f64, Vec<PipelineRun>) {
-    let (ctx, tracer) = ExecCtx::threads().with_tracing();
+    let ctx = ExecCtx::threads();
     let n = points.len();
 
     let Some(&max) = min_pts_list.iter().max() else {
@@ -100,8 +76,6 @@ pub fn run_pipeline_swept(points: &PointSet, min_pts_list: &[usize]) -> (f64, Ve
     let prepare_s = index.build_seconds() + index.rows_seconds();
     let mut emst_scratch = EmstScratch::new();
     let mut dendro_ws = DendrogramWorkspace::new();
-    let shared_trace = tracer.snapshot();
-    tracer.reset();
 
     let runs = min_pts_list
         .iter()
@@ -111,28 +85,19 @@ pub fn run_pipeline_swept(points: &PointSet, min_pts_list: &[usize]) -> (f64, Ve
                 .expect("valid sweep member");
             let edges: Vec<Edge> = result.edges;
             let mst_wall_s = t.elapsed().as_secs_f64();
-            let incremental = tracer.snapshot();
-            tracer.reset();
-            let mut mst_trace = shared_trace.clone();
-            mst_trace.events.extend_from_slice(&incremental.events);
 
             // PANDORA through the reusable dendrogram workspace (input
             // sort counted into the sort phase, as the one-shot path does).
-            ctx.set_phase("sort");
             let sort_start = Instant::now();
             let mst = SortedMst::from_edges(&ctx, n, &edges);
             let input_sort_s = sort_start.elapsed().as_secs_f64();
             let (dendro, mut stats) =
                 pandora::dendrogram_from_sorted_with(&ctx, &mst, &mut dendro_ws);
             stats.timings.sort_s += input_sort_s;
-            let pandora_trace = tracer.snapshot();
-            tracer.reset();
 
             // UnionFind-MT baseline (unchanged: the figure compares
             // against the one-shot CPU baseline).
             let (_d2, uf_sort_s, uf_pass_s) = dendrogram_union_find_mt(&ctx, n, &edges);
-            let ufmt_trace = tracer.snapshot();
-            tracer.reset();
 
             PipelineRun {
                 n,
@@ -140,9 +105,6 @@ pub fn run_pipeline_swept(points: &PointSet, min_pts_list: &[usize]) -> (f64, Ve
                 emst_timings: result.timings,
                 pandora_wall: stats.timings,
                 ufmt_wall: (uf_sort_s, uf_pass_s),
-                mst_trace,
-                pandora_trace,
-                ufmt_trace,
                 skew: dendro.skewness(),
                 n_levels: stats.n_levels,
             }
@@ -780,20 +742,6 @@ pub fn write_bench_ci_json(
     std::fs::write(path, json)
 }
 
-/// Total simulated seconds for a trace on a device.
-pub fn project(trace: &Trace, device: &DeviceModel) -> f64 {
-    device.simulate(trace).total_s
-}
-
-/// Simulated seconds for the trace of a `run_n`-point run, rescaled to a
-/// `target_n`-point dataset (paper-scale projection; see
-/// [`Trace::scaled`]).
-pub fn project_at(trace: &Trace, device: &DeviceModel, run_n: usize, target_n: u64) -> f64 {
-    device
-        .simulate(&trace.scaled(target_n as f64 / run_n as f64))
-        .total_s
-}
-
 /// Millions of points per second.
 pub fn mpoints(n: usize, seconds: f64) -> f64 {
     n as f64 / seconds / 1e6
@@ -844,21 +792,12 @@ mod tests {
     use pandora_data::synthetic::uniform;
 
     #[test]
-    fn pipeline_run_produces_traces_and_times() {
+    fn pipeline_run_produces_times() {
         let points = uniform(3000, 2, 1);
         let run = run_pipeline(&points, 2);
         assert_eq!(run.n, 3000);
-        assert!(!run.mst_trace.is_empty());
-        assert!(!run.pandora_trace.is_empty());
-        assert!(!run.ufmt_trace.is_empty());
         assert!(run.pandora_wall.total() > 0.0);
         assert!(run.skew >= 1.0);
-        // Device projection: GPU beats the modeled 64-core CPU at scale is
-        // not guaranteed at n=3000; just check positivity and phases.
-        let gpu = project(&run.pandora_trace, &DeviceModel::a100());
-        assert!(gpu > 0.0);
-        let phases = run.pandora_trace.phases();
-        assert!(phases.contains(&"contraction"));
     }
 
     #[test]
@@ -871,10 +810,6 @@ mod tests {
             // Same dendrogram structure (skew is a pure function of it).
             assert_eq!(run.skew, one_shot.skew, "min_pts={min_pts}");
             assert_eq!(run.n_levels, one_shot.n_levels);
-            // The merged trace includes the shared substrate phases.
-            let phases = run.mst_trace.phases();
-            assert!(phases.contains(&"emst_build"), "{phases:?}");
-            assert!(phases.contains(&"emst_boruvka"), "{phases:?}");
             // Warm members never rebuild the tree.
             assert_eq!(run.emst_timings.tree_build_s, 0.0);
         }

@@ -1,18 +1,16 @@
 //! # pandora-bench
 //!
-//! The harness that regenerates every table and figure of the PANDORA
+//! The harness that regenerates the tables and figures of the PANDORA
 //! paper's evaluation (§6). Each figure has a dedicated binary (see
 //! `src/bin/`); criterion micro/meso benchmarks live in `benches/`.
 //!
 //! Measurement policy (`docs/ARCHITECTURE.md`, *Evaluation harness*):
-//! algorithmic comparisons and CPU phase breakdowns are **real
-//! measurements** on this host; the paper's 64-core / GPU series are
-//! **modeled** by replaying the kernel traces of the real runs through the
-//! device models in `pandora_exec::device`. Every printed table marks each
-//! column `measured` or `modeled`.
+//! every printed number is measured on this host. The paper's 64-core
+//! CPU and GPU numbers are printed beside the host columns they mirror,
+//! and each binary names the paper claims this host cannot test.
 
 pub mod harness;
 pub mod suite;
 
-pub use harness::{project, run_pipeline, PipelineRun};
+pub use harness::{run_pipeline, PipelineRun};
 pub use suite::{bench_scale, fig11_suite, fig12_suite, FigDataset};

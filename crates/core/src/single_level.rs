@@ -157,7 +157,7 @@ pub fn dendrogram_single_level(ctx: &ExecCtx, mst: &SortedMst) -> Dendrogram {
         });
     }
     // The walk is a dendrogram traversal; traced under its own kind so the
-    // ablation can read the step count back.
+    // tests can read the step count back.
     let steps = total_steps.get();
     ctx.record(KernelKind::TreeTraverse, steps, steps * 16);
 
@@ -173,26 +173,26 @@ pub fn dendrogram_single_level(ctx: &ExecCtx, mst: &SortedMst) -> Dendrogram {
     }
 }
 
-/// Number of α-dendrogram walk steps the single-level expansion needs on
-/// this input (the ablation's work measure).
-pub fn walk_steps(ctx: &ExecCtx, mst: &SortedMst) -> u64 {
-    let (traced_ctx, tracer) = ctx.with_tracing();
-    let _ = dendrogram_single_level(&traced_ctx, mst);
-    tracer
-        .snapshot()
-        .events
-        .iter()
-        .filter(|e| e.kind == KernelKind::TreeTraverse)
-        .map(|e| e.n)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baseline::union_find::dendrogram_union_find;
     use crate::edge::Edge;
     use rand::prelude::*;
+
+    /// Number of α-dendrogram walk steps the single-level expansion needs
+    /// on this input.
+    fn walk_steps(ctx: &ExecCtx, mst: &SortedMst) -> u64 {
+        let (traced_ctx, tracer) = ctx.with_tracing();
+        let _ = dendrogram_single_level(&traced_ctx, mst);
+        tracer
+            .snapshot()
+            .events
+            .iter()
+            .filter(|e| e.kind == KernelKind::TreeTraverse)
+            .map(|e| e.n)
+            .sum()
+    }
 
     #[test]
     fn matches_multilevel_on_random_trees() {

@@ -14,16 +14,14 @@
 //! * [`dsu::AtomicDsu`] — the synchronization-free pointer-jumping
 //!   union–find of Jaiganesh & Burtscher used by the paper for tree
 //!   contraction;
-//! * [`trace`] / [`device`] — kernel tracing and analytic device models used
-//!   to project traced runs onto the paper's hardware (see
-//!   `docs/ARCHITECTURE.md`, *The substrate*).
+//! * [`trace`] — kernel tracing: the kind, element count and byte volume
+//!   of every primitive a traced context runs, labelled by phase.
 //!
 //! An [`ExecCtx`] bundles an execution space (`Serial` or a shared
 //! [`pool::ThreadPool`]) with an optional [`trace::Tracer`].
 
 pub mod atomic;
 pub mod counters;
-pub mod device;
 pub mod dsu;
 pub mod latch;
 pub mod partition;

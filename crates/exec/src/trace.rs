@@ -1,12 +1,11 @@
 //! Kernel tracing.
 //!
 //! Every parallel primitive invoked through an [`crate::ExecCtx`] with
-//! tracing enabled appends a [`KernelEvent`] describing *what the hardware
-//! would have to do*: the kernel kind, the number of elements processed and
-//! an estimate of the bytes moved. A trace of a real algorithm run can then
-//! be replayed through a [`crate::device::DeviceModel`] to project the run
-//! onto hardware that is not present (the paper's MI250X / A100 / 64-core
-//! EPYC), preserving the exact kernel sequence and data volumes.
+//! tracing enabled appends a [`KernelEvent`]: the kernel kind, the number
+//! of elements processed, an estimate of the bytes moved, and the phase
+//! label active when it ran. Summed per phase or per kind, the events are
+//! work counts that do not depend on timing; the benchmark's `trace.*`
+//! metrics and the work-bound tests read them.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -37,23 +36,6 @@ pub enum KernelKind {
     TreeBuild,
     /// Inherently sequential loop over `n` elements (single lane).
     SeqLoop,
-}
-
-impl KernelKind {
-    /// All kinds, for iteration in the device model tables.
-    pub const ALL: [KernelKind; 11] = [
-        KernelKind::For,
-        KernelKind::Reduce,
-        KernelKind::Scan,
-        KernelKind::RadixPass,
-        KernelKind::MergeSort,
-        KernelKind::Gather,
-        KernelKind::DsuUnion,
-        KernelKind::DsuFind,
-        KernelKind::TreeTraverse,
-        KernelKind::TreeBuild,
-        KernelKind::SeqLoop,
-    ];
 }
 
 /// One recorded kernel launch.
@@ -145,15 +127,6 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Total elements processed across all events of a kind.
-    pub fn total_n(&self, kind: KernelKind) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| e.kind == kind)
-            .map(|e| e.n)
-            .sum()
-    }
-
     /// The distinct phase labels, in first-appearance order.
     pub fn phases(&self) -> Vec<&'static str> {
         let mut phases = Vec::new();
@@ -176,46 +149,6 @@ impl Trace {
                 .collect(),
         }
     }
-
-    /// Scales every event's element count and byte volume by `factor`,
-    /// keeping the kernel sequence fixed.
-    ///
-    /// Used to project a feasible-scale run onto the paper's dataset sizes
-    /// (e.g. 40 k → 37 M points). The kernel *count* is held constant, which
-    /// slightly underestimates large-n work (a few extra contraction levels,
-    /// ~log₂ of the factor) — noted in EXPERIMENTS.md.
-    pub fn scaled(&self, factor: f64) -> Trace {
-        Trace {
-            events: self
-                .events
-                .iter()
-                .map(|e| KernelEvent {
-                    kind: e.kind,
-                    n: (e.n as f64 * factor).round() as u64,
-                    bytes: (e.bytes as f64 * factor).round() as u64,
-                    phase: e.phase,
-                })
-                .collect(),
-        }
-    }
-
-    /// Per-kind totals of elements processed, for calibration.
-    pub fn kind_totals(&self) -> Vec<(KernelKind, u64, usize)> {
-        KernelKind::ALL
-            .iter()
-            .map(|&k| {
-                let total: u64 = self
-                    .events
-                    .iter()
-                    .filter(|e| e.kind == k)
-                    .map(|e| e.n)
-                    .sum();
-                let count = self.events.iter().filter(|e| e.kind == k).count();
-                (k, total, count)
-            })
-            .filter(|&(_, total, count)| total > 0 || count > 0)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -232,7 +165,10 @@ mod tests {
         assert_eq!(trace.len(), 2);
         assert_eq!(trace.events[0].phase, UNPHASED);
         assert_eq!(trace.events[1].phase, "sort");
-        assert_eq!(trace.total_n(KernelKind::RadixPass), 100);
+        assert_eq!(
+            (trace.events[1].kind, trace.events[1].n),
+            (KernelKind::RadixPass, 100)
+        );
         assert_eq!(trace.phases(), vec![UNPHASED, "sort"]);
         assert_eq!(trace.phase("sort").len(), 1);
     }
@@ -243,31 +179,5 @@ mod tests {
         tracer.record(KernelKind::Scan, 10, 80);
         tracer.reset();
         assert!(tracer.snapshot().is_empty());
-    }
-
-    #[test]
-    fn scaled_multiplies_counts_not_launches() {
-        let tracer = Tracer::new();
-        tracer.record(KernelKind::For, 1_000, 8_000);
-        tracer.record(KernelKind::Scan, 500, 4_000);
-        let scaled = tracer.snapshot().scaled(10.0);
-        assert_eq!(scaled.len(), 2);
-        assert_eq!(scaled.events[0].n, 10_000);
-        assert_eq!(scaled.events[0].bytes, 80_000);
-        assert_eq!(scaled.events[1].n, 5_000);
-    }
-
-    #[test]
-    fn kind_totals_aggregate() {
-        let tracer = Tracer::new();
-        tracer.record(KernelKind::For, 10, 80);
-        tracer.record(KernelKind::For, 20, 160);
-        tracer.record(KernelKind::Scan, 5, 40);
-        let totals = tracer.snapshot().kind_totals();
-        let for_entry = totals
-            .iter()
-            .find(|(k, _, _)| *k == KernelKind::For)
-            .unwrap();
-        assert_eq!((for_entry.1, for_entry.2), (30, 2));
     }
 }

@@ -8,7 +8,7 @@
 //! This facade crate re-exports the workspace members:
 //!
 //! * [`exec`] — parallel execution substrate (thread pool, parallel
-//!   for/reduce/scan, sorts, lock-free union-find, device cost models);
+//!   for/reduce/scan, sorts, lock-free union-find, kernel tracing);
 //! * [`core`] — the PANDORA dendrogram algorithm and its baselines;
 //! * [`mst`] — kd-tree, k-nearest-neighbour and Borůvka Euclidean MST;
 //! * [`data`] — synthetic dataset generators mirroring the paper's Table 2;

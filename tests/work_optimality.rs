@@ -7,7 +7,6 @@
 use pandora::core::levels::build_hierarchy;
 use pandora::core::pandora as pandora_algo;
 use pandora::core::{Edge, SortedMst};
-use pandora::exec::trace::KernelKind;
 use pandora::exec::ExecCtx;
 
 fn hierarchy_checks(n: usize, edges: &[Edge], label: &str) {
@@ -84,8 +83,7 @@ fn traced_work_is_n_log_n_independent_of_skew() {
     for (label, edges) in &shapes {
         let (ctx, tracer) = ExecCtx::serial().with_tracing();
         let _ = pandora_algo::dendrogram(&ctx, n, edges);
-        let trace = tracer.snapshot();
-        let total: u64 = KernelKind::ALL.iter().map(|&k| trace.total_n(k)).sum();
+        let total: u64 = tracer.snapshot().events.iter().map(|e| e.n).sum();
         totals.push((label, total));
     }
     let (a, b) = (totals[0].1 as f64, totals[1].1 as f64);
