@@ -2,8 +2,8 @@
 //! phase of HDBSCAN\* with PANDORA: `mst`, `dendrogram` (total), `sort`,
 //! `contraction`, `expansion`.
 //!
-//! Paper result: sorting scales best (10–20×), multilevel contraction worst
-//! (3–5×), total dendrogram 6–16×. This host has no GPU, so the binary
+//! Paper result: sorting scales best and multilevel contraction worst (the
+//! binary prints each phase's band). This host has no GPU, so the binary
 //! prints how each phase scales from one lane to all of this host's lanes.
 
 use pandora_bench::harness::{

@@ -4,8 +4,8 @@
 //! tracing enabled appends a [`KernelEvent`]: the kernel kind, the number
 //! of elements processed, an estimate of the bytes moved, and the phase
 //! label active when it ran. Summed per phase or per kind, the events are
-//! work counts that do not depend on timing; the benchmark's `trace.*`
-//! metrics and the work-bound tests read them.
+//! work counts, exact and repeatable on a serial context; the benchmark's
+//! `trace.*` metrics and the work-bound tests read them.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
